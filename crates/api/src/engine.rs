@@ -167,12 +167,13 @@ impl Engine {
             ..CacheStats::default()
         };
         for s in suites.values() {
+            // Read before the lookup counters: every measurement was a
+            // memo miss first (see `ProfiledSuite::measured`), so the
+            // difference below cannot underflow.
+            let measured = s.measured();
             stats.measure_entries += s.cache().len();
-            // A memo miss the disk store answered did not re-schedule
-            // anything: report it as a hit, as CacheStats documents.
-            let disk = s.disk_hits();
-            stats.measure_hits += s.cache().hits() + disk;
-            stats.measure_misses += s.cache().misses() - disk;
+            stats.measure_hits += s.cache().hits() + s.cache().misses() - measured;
+            stats.measure_misses += measured;
         }
         let stores = self.stores.lock().expect("engine store registry poisoned");
         for store in stores.values() {
@@ -253,7 +254,7 @@ impl Engine {
             suite_seeded(p.loops, p.seed)
         };
         let sched = ExperimentOptions::default().sched;
-        let profiled = experiments::profile_suite_stored(&suite, buses, &sched, &self.exec, store)
+        let profiled = experiments::profile_suite(&suite, buses, &sched, &self.exec, store)
             .map_err(|e| e.to_string())?;
         let arc = Arc::new(profiled);
         suites.insert(key, Arc::clone(&arc));
@@ -402,7 +403,7 @@ impl Engine {
             text,
             "\n== Table 2: % execution time per constraint class =="
         );
-        let rows = experiments::table2_with(&suite_seeded(p.loops, p.seed), &self.exec);
+        let rows = experiments::table2(&suite_seeded(p.loops, p.seed), &self.exec);
         let _ = writeln!(
             text,
             "{:<14} {:>14} {:>26} {:>18}",
@@ -428,8 +429,8 @@ impl Engine {
         for &buses in p.buses.list() {
             let _ = writeln!(text, "-- {buses} bus(es) --");
             let profiled = self.profiled(false, p, buses)?;
-            let rows = experiments::figure6_with(&profiled, &opts, &self.exec)
-                .map_err(|e| e.to_string())?;
+            let rows =
+                experiments::figure6(&profiled, &opts, &self.exec).map_err(|e| e.to_string())?;
             for r in &rows {
                 let _ = writeln!(text, "{}", format_bar(&r.benchmark, r.ed2_normalized));
             }
@@ -453,8 +454,8 @@ impl Engine {
         for &buses in p.buses.list() {
             let _ = writeln!(text, "-- {buses} bus(es) --");
             let profiled = self.profiled(false, p, buses)?;
-            let rows = experiments::figure7_with(&profiled, &opts, &self.exec)
-                .map_err(|e| e.to_string())?;
+            let rows =
+                experiments::figure7(&profiled, &opts, &self.exec).map_err(|e| e.to_string())?;
             for r in &rows {
                 let _ = writeln!(text, "{}", format_bar(&r.menu, r.mean_ed2_normalized));
             }
@@ -470,8 +471,8 @@ impl Engine {
         for &buses in p.buses.list() {
             let _ = writeln!(text, "-- {buses} bus(es) --");
             let profiled = self.profiled(false, p, buses)?;
-            let rows = experiments::figure8_with(&profiled, &opts, &self.exec)
-                .map_err(|e| e.to_string())?;
+            let rows =
+                experiments::figure8(&profiled, &opts, &self.exec).map_err(|e| e.to_string())?;
             for r in &rows {
                 let label = format!(
                     ".{:<2} / {:.2}",
@@ -495,8 +496,8 @@ impl Engine {
         for &buses in p.buses.list() {
             let _ = writeln!(text, "-- {buses} bus(es) --");
             let profiled = self.profiled(false, p, buses)?;
-            let rows = experiments::figure9_with(&profiled, &opts, &self.exec)
-                .map_err(|e| e.to_string())?;
+            let rows =
+                experiments::figure9(&profiled, &opts, &self.exec).map_err(|e| e.to_string())?;
             for r in &rows {
                 let label = format!(
                     "{:.2}/{:.2}/{:.2}",
@@ -631,7 +632,7 @@ impl Engine {
         for &buses in p.buses.list() {
             let _ = writeln!(text, "-- {buses} bus(es) --");
             let profiled = self.profiled(true, p, buses)?;
-            let rows = experiments::familysweep_with(&profiled, &opts, &self.exec)
+            let rows = experiments::familysweep(&profiled, &opts, &self.exec)
                 .map_err(|e| e.to_string())?;
             for r in &rows {
                 let label = format!("{}/{}", r.family, r.menu);
@@ -770,7 +771,7 @@ impl Engine {
         // evals/second metric is comparable across runs instead of
         // inflated by a warm memo cache or a pre-populated store.
         let suite = suite_seeded(p.loops, p.seed);
-        let profiled = experiments::profile_suite_with(&suite, 1, &opts.sched, &self.exec)
+        let profiled = experiments::profile_suite(&suite, 1, &opts.sched, &self.exec, None)
             .map_err(|e| e.to_string())?;
         let budget = 64; // > grid size, so every run spends exactly 20 evals
         let start = Instant::now();
@@ -808,9 +809,7 @@ impl Engine {
              ({effective:.2} effective)",
             report.evaluations
         );
-        // disk_hits is 0 by construction (no store attached); keeping
-        // the subtraction makes the cold-path claim self-checking.
-        let measure_misses = profiled.cache().misses() - profiled.disk_hits();
+        let measure_misses = profiled.measured();
         let _ = writeln!(
             text,
             "{measure_misses} measurements executed cold (disk store bypassed)"
@@ -1367,6 +1366,39 @@ mod tests {
         assert_eq!(warm.text, cold.text, "stdout rendering is byte-stable");
         assert_eq!(warm.body, cold.body, "artefact body is byte-stable");
         assert_eq!(warm.meta, cold.meta, "sidecar is byte-stable");
+
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The memo and the store share one content address: a cold run
+    /// leaves exactly one measure record per memo entry, and a fresh
+    /// engine on the same directory answers every lookup from disk.
+    #[test]
+    fn memo_and_store_share_one_content_address() {
+        let dir = temp_store("one-address");
+        let req = Request::Figure6(RunParams {
+            store: StoreConfig::at(&dir),
+            ..small()
+        });
+
+        let cold = Engine::new(1).run(&req);
+        assert!(cold.ok, "cold run failed: {:?}", cold.error);
+        let stats = MeasureStore::open(&dir).unwrap().stats().unwrap();
+        assert_eq!(
+            stats.measure_records, cold.cache.measure_entries,
+            "one store record per memo entry: {:?}",
+            cold.cache
+        );
+
+        let warm = Engine::new(1).run(&req);
+        assert!(warm.ok, "warm run failed: {:?}", warm.error);
+        assert_eq!(warm.cache.measure_misses, 0, "{:?}", warm.cache);
+        assert_eq!(warm.cache.measure_entries, cold.cache.measure_entries);
+        assert_eq!(
+            warm.cache.measure_hits,
+            cold.cache.measure_hits + cold.cache.measure_misses,
+            "every lookup of the cold run is a hit on the warm one"
+        );
 
         let _ = std::fs::remove_dir_all(&dir);
     }

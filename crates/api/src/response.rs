@@ -28,12 +28,12 @@ pub const FORMAT_VERSION: u64 = 2;
 
 /// A snapshot of the engine's caches, taken after the request ran.
 ///
-/// The `measure_*` fields count the in-memory measurement memo caches;
-/// `measure_misses` counts configurations the process actually
-/// re-scheduled, so a memo miss answered by the persistent store moves
-/// from `measure_misses` to `measure_hits` (and shows up in
-/// `store_hits`). The `store_*` fields aggregate every store the engine
-/// has opened.
+/// The `measure_*` fields count lookups of the measurement memo, which
+/// shares its content address with the persistent store:
+/// `measure_misses` is counted where a schedule actually runs, and
+/// `measure_hits` is every other lookup — answered by the memo or, on a
+/// memo miss, by the store (which also shows up in `store_hits`). The
+/// `store_*` fields aggregate every store the engine has opened.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct CacheStats {
     /// Reference-profiled suites held by the engine (one per distinct
@@ -41,8 +41,8 @@ pub struct CacheStats {
     pub profiled_suites: usize,
     /// Memoised candidate measurements across all profiled suites.
     pub measure_entries: usize,
-    /// Lifetime measurement-cache hits across all profiled suites,
-    /// including memo misses answered by the persistent store.
+    /// Lifetime measurement lookups across all profiled suites that did
+    /// not re-schedule: memo hits plus memo misses the store answered.
     pub measure_hits: u64,
     /// Configurations actually re-scheduled by this process (memo
     /// misses the store could not answer).

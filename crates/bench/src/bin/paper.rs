@@ -126,8 +126,8 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use heterovliw_core::api::engine::{corpus_benchmarks, CorpusMeta};
-use heterovliw_core::api::{
+use vliw_api::engine::{corpus_benchmarks, CorpusMeta};
+use vliw_api::{
     loadgen, persist_response, serve, write_atomic, BusSel, Client, Engine, LoadgenOptions,
     Request, Response, RunParams, SearchParams, ServeOptions, StoreConfig,
 };
@@ -223,7 +223,7 @@ fn main() -> ExitCode {
             "--space" => match it
                 .next()
                 .as_deref()
-                .and_then(heterovliw_core::explore::SpaceKind::from_name)
+                .and_then(vliw_explore::SpaceKind::from_name)
             {
                 Some(k) => {
                     search_args.space = k;
@@ -283,10 +283,10 @@ fn main() -> ExitCode {
     // mode: --metrics turns on the clock reads behind the latency
     // histograms (serve always does), --trace installs the span tracer.
     if metrics_flag {
-        heterovliw_core::obs::enable_timing();
+        vliw_obs::enable_timing();
     }
     if let Some(path) = &trace {
-        if let Err(e) = heterovliw_core::obs::trace::init(path) {
+        if let Err(e) = vliw_obs::trace::init(path) {
             eprintln!("error: --trace {}: {e}", path.display());
             return ExitCode::FAILURE;
         }
@@ -654,7 +654,7 @@ fn ok_sole(tail: &[String], req: Request) -> Result<Request, String> {
 fn finish(result: Result<(), AnyError>) -> ExitCode {
     // The tracer's writer is buffered and process-global; flush it on
     // every exit path so a trace file always ends on a complete event.
-    heterovliw_core::obs::trace::flush();
+    vliw_obs::trace::flush();
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
@@ -782,7 +782,7 @@ fn parse_shard(v: &str) -> Result<(u32, u32), String> {
 /// and of the order the files are named in, so any partition of a
 /// space merges to the same artifact as the unsharded run's frontier.
 fn search_merge(files: &[String], out: Option<&Path>) -> Result<(), AnyError> {
-    use heterovliw_core::explore::{merge_shard_reports, ShardReport};
+    use vliw_explore::{merge_shard_reports, ShardReport};
 
     let mut shards = Vec::new();
     for f in files {
@@ -815,7 +815,7 @@ fn search_merge(files: &[String], out: Option<&Path>) -> Result<(), AnyError> {
 /// that stays CLI-side — it exists to produce local files, which a
 /// daemon response cannot do for a remote caller.
 fn corpus_dump(args: &Args, out: Option<&Path>) -> Result<(), AnyError> {
-    use heterovliw_core::workloads::Corpus;
+    use vliw_workloads::Corpus;
 
     let corpus = Corpus::from_benchmarks(corpus_benchmarks(args.loops, args.seed));
     let default_path = results_dir().join("corpus.json");

@@ -1,20 +1,14 @@
-//! Shared helpers for the table/figure regeneration benches.
-//!
-//! Each bench target in `benches/` regenerates one table or figure of the
-//! paper: it prints the rows (and writes them as JSON next to Criterion's
-//! output) before benchmarking the computational kernel behind it.
+//! Shared helpers of the `paper` binary.
 //!
 //! The actual write discipline (atomic temp-file-plus-rename) and the
-//! bar rendering live in `vliw_api::artifacts`, shared with the CLI and
-//! the daemon; this crate only adds the bench-local convention of *where*
-//! artefacts go ([`results_dir`]).
+//! bar rendering live in `vliw_api::artifacts`, shared with the daemon;
+//! this crate only adds the CLI's convention of *where* artefacts go
+//! ([`results_dir`]).
 
 use std::fs;
 use std::path::PathBuf;
 
 use serde::Serialize;
-
-pub use vliw_api::artifacts::format_bar;
 
 /// Where experiment row dumps go (`target/paper-results/`).
 ///
@@ -37,7 +31,7 @@ pub fn results_dir() -> PathBuf {
 ///
 /// # Panics
 ///
-/// Panics on I/O or serialisation failure (benches want loud failures).
+/// Panics on I/O or serialisation failure.
 pub fn dump_json<T: Serialize>(name: &str, rows: &T) {
     let path = results_dir().join(format!("{name}.json"));
     let json = serde_json::to_string_pretty(rows).expect("serialise rows");
@@ -48,13 +42,6 @@ pub fn dump_json<T: Serialize>(name: &str, rows: &T) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bar_formatting() {
-        let s = format_bar("x", 0.8);
-        assert!(s.contains("0.800"));
-        assert!(s.contains('#'));
-    }
 
     #[test]
     fn dump_round_trips() {

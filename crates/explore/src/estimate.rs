@@ -223,7 +223,7 @@ mod tests {
     use super::*;
     use vliw_machine::MachineDesign;
     use vliw_power::EnergyShares;
-    use vliw_sched::ScheduleOptions;
+    use vliw_sched::{SchedWorkspace, ScheduleOptions};
     use vliw_workloads::{generate, spec_fp2000};
 
     use crate::profile::profile_benchmark;
@@ -231,7 +231,8 @@ mod tests {
     fn profiled(spec_idx: usize, n: usize) -> (BenchmarkProfile, MachineDesign) {
         let design = MachineDesign::paper_machine(1);
         let bench = generate(&spec_fp2000()[spec_idx], n);
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default()).unwrap();
+        let mut ws = SchedWorkspace::new();
+        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
         (p, design)
     }
 

@@ -25,9 +25,9 @@ use vliw_sched::{schedule_loop_ws, SchedError, SchedWorkspace, ScheduleOptions};
 use vliw_store::{MeasureStore, StoreKey};
 use vliw_workloads::{classify, Benchmark, LoopClass};
 
-use crate::homog::{optimum_homogeneous_suite_with, HomogChoice};
-use crate::profile::{profile_benchmark_ws, suite_reference, BenchmarkProfile, T_TOTAL};
-use crate::select::select_heterogeneous_with;
+use crate::homog::{optimum_homogeneous_suite, HomogChoice};
+use crate::profile::{profile_benchmark, suite_reference, BenchmarkProfile, T_TOTAL};
+use crate::select::select_heterogeneous;
 use crate::store_keys::{
     benchmark_content_hash, config_fingerprint, profile_to_record, record_to_profile,
     record_to_usage, usage_to_record,
@@ -56,76 +56,23 @@ impl Default for ExperimentOptions {
     }
 }
 
-/// The memoisation key of one *measured* heterogeneous evaluation: the
-/// benchmark plus everything that determines its schedules — the clocked
-/// configuration (cycle times and voltages), the scheduler options
-/// (including the frequency menu) and the power model driving the
-/// partitioner's ED² objective.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct MeasureKey {
-    benchmark: String,
-    power_fingerprint: u64,
-    config: Vec<u64>,
-    sched: Vec<u64>,
-}
-
-impl MeasureKey {
-    pub(crate) fn new(
-        bench: &Benchmark,
-        config: &ClockedConfig,
-        power: &PowerModel,
-        sched: &ScheduleOptions,
-    ) -> Self {
-        let design = config.design();
-        let mut fp = Vec::with_capacity(2 * usize::from(design.num_clusters) + 4);
-        for c in design.clusters() {
-            fp.push(config.cluster_cycle(c).as_fs());
-        }
-        fp.push(config.icn_cycle().as_fs());
-        fp.push(config.cache_cycle().as_fs());
-        for &vdd in &config.voltages().clusters {
-            fp.push(vdd.to_bits());
-        }
-        fp.push(config.voltages().icn.to_bits());
-        fp.push(config.voltages().cache.to_bits());
-        // Scheduler options field by field — exact values, no lossy digest.
-        // The per-loop trip count is overwritten from the benchmark while
-        // measuring, so it is deliberately left out of the key.
-        let mut sched_fp = vec![
-            u64::from(sched.budget_ratio),
-            u64::from(sched.max_it_attempts),
-        ];
-        match sched.menu.cycle_times_at_least(Time::from_fs(1)) {
-            // Unrestricted menus have no cycle-time list; tag the variant.
-            None => sched_fp.push(u64::MAX),
-            Some(cts) => {
-                sched_fp.push(cts.len() as u64);
-                sched_fp.extend(cts.iter().map(|ct| ct.as_fs()));
-            }
-        }
-        MeasureKey {
-            benchmark: bench.name.clone(),
-            power_fingerprint: power.fingerprint(),
-            config: fp,
-            sched: sched_fp,
-        }
-    }
-}
-
-/// Memoisation table mapping a [`MeasureKey`] to the measured usage
-/// profile of that configuration (the expensive part: re-scheduling every
-/// loop with the heterogeneous modulo scheduler). Scheduling errors are
-/// memoised too — they are just as deterministic as successes.
+/// Memoisation table mapping a measurement's content address — the
+/// [`StoreKey`] the persistent store files it under — to the measured
+/// usage profile of that configuration (the expensive part:
+/// re-scheduling every loop with the heterogeneous modulo scheduler).
+/// Scheduling errors are memoised too — they are just as deterministic
+/// as successes.
 ///
-/// Hits require the *whole* key to repeat — benchmark, configuration,
-/// scheduler options (menu included) and power model — because any of
-/// those can change the schedules. That happens when the same sweep runs
-/// twice on one [`ProfiledSuite`], and across experiments sharing one
-/// suite under identical options (the `paper` binary reuses one suite per
-/// bus count, so Figure 7's unrestricted-menu variant reuses Figure 6's
-/// measurements outright). Figure 8/9 variants recalibrate the power
-/// model, which can change partitions, so they correctly miss.
-pub type MeasureCache = MemoCache<MeasureKey, Result<UsageProfile, SchedError>>;
+/// Hits require the *whole* address to repeat — benchmark content,
+/// configuration, scheduler options (menu included) and power model —
+/// because any of those can change the schedules. That happens when the
+/// same sweep runs twice on one [`ProfiledSuite`], and across
+/// experiments sharing one suite under identical options (the `paper`
+/// binary reuses one suite per bus count, so Figure 7's
+/// unrestricted-menu variant reuses Figure 6's measurements outright).
+/// Figure 8/9 variants recalibrate the power model, which can change
+/// partitions, so they correctly miss.
+pub type MeasureCache = MemoCache<StoreKey, Result<UsageProfile, SchedError>>;
 
 /// A reference-profiled suite for one bus count; reusable across variant
 /// sweeps (profiling is share- and menu-independent).
@@ -142,15 +89,14 @@ pub struct ProfiledSuite {
     /// options, so cross-variant reuse is sound).
     cache: MeasureCache,
     /// The persistent store behind the memo cache, when attached
-    /// ([`profile_suite_stored`]). Checked only on memo misses.
+    /// ([`profile_suite`] with a store). Checked only on memo misses.
     store: Option<Arc<MeasureStore>>,
     /// Per-benchmark structural content hashes (the first half of every
     /// store key), computed once at profiling time.
     content: Vec<u64>,
-    /// Memo misses that were answered by the disk store instead of an
-    /// actual measurement. `cache.misses() − disk_hits` is the number of
-    /// configurations this process truly re-scheduled.
-    disk_hits: AtomicU64,
+    /// Configurations this suite actually re-scheduled: memo misses the
+    /// store could not answer either.
+    measured: AtomicU64,
 }
 
 impl ProfiledSuite {
@@ -166,16 +112,20 @@ impl ProfiledSuite {
         self.store.as_ref()
     }
 
-    /// Memo misses served from the disk store (no scheduling happened).
+    /// Configurations measured by re-scheduling every loop — the memo
+    /// lookups that neither the cache nor the store answered. Each one is
+    /// counted after the memo miss that led to it, so a read of
+    /// `cache().misses()` made after this one is never smaller.
     #[must_use]
-    pub fn disk_hits(&self) -> u64 {
-        self.disk_hits.load(Ordering::Relaxed)
+    pub fn measured(&self) -> u64 {
+        self.measured.load(Ordering::Acquire)
     }
 
     /// Measures benchmark `index` on `config`, memoised in this suite's
-    /// cache and — on memo misses — in the attached persistent store.
-    /// The expensive path (re-scheduling every loop) only runs when both
-    /// layers miss; the freshly measured profile is then persisted.
+    /// cache and — on memo misses — in the attached persistent store,
+    /// both under the same [`StoreKey`]. The expensive path
+    /// (re-scheduling every loop) only runs when both layers miss; the
+    /// freshly measured profile is then persisted.
     ///
     /// Results are identical with and without a store: stored records
     /// round-trip bit-exactly and measurements are deterministic.
@@ -193,24 +143,28 @@ impl ProfiledSuite {
         sched_opts: &ScheduleOptions,
         exec: &Executor,
     ) -> Result<UsageProfile, SchedError> {
-        let bench = &self.benches[index];
-        let profile = &self.profiles[index];
-        let key = MeasureKey::new(bench, config, power, sched_opts);
+        let key = StoreKey {
+            content: self.content[index],
+            config: config_fingerprint(config, Some(power), sched_opts),
+        };
         self.cache.get_or_compute(key, || {
-            let skey = self.store.as_ref().map(|_| StoreKey {
-                content: self.content[index],
-                config: config_fingerprint(config, Some(power), sched_opts),
-            });
-            if let (Some(store), Some(skey)) = (&self.store, skey) {
-                if let Some(rec) = store.get_measure(skey) {
-                    self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok(record_to_usage(&rec));
-                }
+            if let Some(rec) = self.store.as_ref().and_then(|s| s.get_measure(key)) {
+                return Ok(record_to_usage(&rec));
             }
-            let usage =
-                measure_usage(bench, profile, config, power, sched_opts, self.design, exec)?;
-            if let (Some(store), Some(skey)) = (&self.store, skey) {
-                if let Err(e) = store.put_measure(skey, usage_to_record(&usage)) {
+            // Release pairs with the Acquire in `measured`: the memo
+            // miss counted before this closure ran is published with it.
+            self.measured.fetch_add(1, Ordering::Release);
+            let usage = measure_usage(
+                &self.benches[index],
+                &self.profiles[index],
+                config,
+                power,
+                sched_opts,
+                self.design,
+                exec,
+            )?;
+            if let Some(store) = &self.store {
+                if let Err(e) = store.put_measure(key, usage_to_record(&usage)) {
                     eprintln!("[store] warning: failed to persist measurement: {e}");
                 }
             }
@@ -292,7 +246,7 @@ impl ProfiledSuite {
             cache: MeasureCache::new(),
             store: self.store.clone(),
             content,
-            disk_hits: AtomicU64::new(0),
+            measured: AtomicU64::new(0),
         }
     }
 }
@@ -302,43 +256,15 @@ impl ProfiledSuite {
 /// benchmark.
 pub const SCREEN_LOOPS_DIVISOR: usize = 8;
 
-/// Profiles `suite` on the paper's machine with `buses` buses. Serial
-/// shorthand for [`profile_suite_with`].
+/// Profiles `suite` on the paper's machine with `buses` buses, fanning
+/// per-benchmark profiling out across `exec`'s worker pool (profiles come
+/// back in suite order). Each worker thread owns one [`SchedWorkspace`]
+/// reused across every benchmark it profiles.
 ///
-/// # Errors
-///
-/// Propagates scheduling failures from the reference runs.
-pub fn profile_suite(
-    suite: &[Benchmark],
-    buses: u32,
-    sched: &ScheduleOptions,
-) -> Result<ProfiledSuite, SchedError> {
-    profile_suite_with(suite, buses, sched, &Executor::serial())
-}
-
-/// [`profile_suite`] with per-benchmark profiling fanned out across
-/// `exec`'s worker pool (profiles come back in suite order). Each worker
-/// thread owns one [`SchedWorkspace`] reused across every benchmark it
-/// profiles.
-///
-/// # Errors
-///
-/// Propagates scheduling failures from the reference runs (the
-/// lowest-indexed failing benchmark, matching the serial path).
-pub fn profile_suite_with(
-    suite: &[Benchmark],
-    buses: u32,
-    sched: &ScheduleOptions,
-    exec: &Executor,
-) -> Result<ProfiledSuite, SchedError> {
-    profile_suite_stored(suite, buses, sched, exec, None)
-}
-
-/// [`profile_suite_with`] backed by a persistent store: reference
-/// profiles already on disk are loaded instead of re-scheduled, fresh
-/// ones are persisted, and the resulting suite keeps the store attached
-/// so [`ProfiledSuite::measure_memoised`] checks it on every memo miss.
-///
+/// With a persistent `store`, reference profiles already on disk are
+/// loaded instead of re-scheduled, fresh ones are persisted, and the
+/// resulting suite keeps the store attached so
+/// [`ProfiledSuite::measure_memoised`] checks it on every memo miss.
 /// Profile records are keyed by (benchmark content hash, fingerprint of
 /// the reference configuration + scheduler options); the power model is
 /// not part of the profile key because profiling precedes calibration
@@ -347,10 +273,10 @@ pub fn profile_suite_with(
 /// # Errors
 ///
 /// Propagates scheduling failures from the reference runs (the
-/// lowest-indexed failing benchmark, matching the serial path). Store
+/// lowest-indexed failing benchmark, whatever the worker count). Store
 /// *write* failures are downgraded to warnings — persistence is an
 /// optimisation, never a correctness requirement.
-pub fn profile_suite_stored(
+pub fn profile_suite(
     suite: &[Benchmark],
     buses: u32,
     sched: &ScheduleOptions,
@@ -382,7 +308,7 @@ pub fn profile_suite_stored(
         .collect();
     let jobs: Vec<&Benchmark> = missing.iter().map(|&i| &suite[i]).collect();
     let fresh = exec.try_map_init(&jobs, SchedWorkspace::new, |ws, _, bench| {
-        profile_benchmark_ws(bench, design, sched, ws)
+        profile_benchmark(bench, design, sched, ws)
     })?;
     for (&i, profile) in missing.iter().zip(fresh) {
         if let (Some(store), Some(keys)) = (&store, &profile_keys) {
@@ -402,7 +328,7 @@ pub fn profile_suite_stored(
         cache: MeasureCache::new(),
         store,
         content,
-        disk_hits: AtomicU64::new(0),
+        measured: AtomicU64::new(0),
     })
 }
 
@@ -434,121 +360,61 @@ pub struct BenchmarkResult {
     pub slow_cycle_ns: f64,
 }
 
-/// Runs the measurement pipeline for one profiled benchmark against a
-/// suite-level baseline. Serial, uncached shorthand for
-/// [`run_benchmark_with`].
+/// Runs the measurement pipeline for benchmark `index` of `profiled`
+/// against a suite-level baseline: the §3.3 candidate sweep and the
+/// per-loop measurement fan out across `exec`'s worker pool, and the
+/// measured usage is memoised through the suite
+/// ([`ProfiledSuite::measure_memoised`]).
 ///
-/// # Errors
-///
-/// Propagates heterogeneous scheduling failures.
-pub fn run_benchmark(
-    bench: &Benchmark,
-    profile: &BenchmarkProfile,
-    hom: &HomogChoice,
-    design: MachineDesign,
-    power: &PowerModel,
-    opts: &ExperimentOptions,
-) -> Result<BenchmarkResult, SchedError> {
-    run_benchmark_with(
-        bench,
-        profile,
-        hom,
-        design,
-        power,
-        opts,
-        &Executor::serial(),
-        None,
-    )
-}
-
-/// [`run_benchmark`] with the §3.3 candidate sweep and the per-loop
-/// measurement fanned out across `exec`'s worker pool, and the measured
-/// usage optionally memoised through `suite` (the suite's in-memory
-/// cache plus, when attached, its persistent store); `suite` is the
-/// profiled suite and this benchmark's index in it.
-///
-/// The result is identical for every worker count and with or without
-/// the memo layers: candidates are reduced in grid order and per-loop
+/// The result is identical for every worker count and with or without a
+/// store: candidates are reduced in grid order and per-loop
 /// contributions are folded in loop order.
 ///
 /// # Errors
 ///
 /// Propagates heterogeneous scheduling failures.
-#[allow(clippy::too_many_arguments)]
-pub fn run_benchmark_with(
-    bench: &Benchmark,
-    profile: &BenchmarkProfile,
+pub fn run_benchmark(
+    profiled: &ProfiledSuite,
+    index: usize,
     hom: &HomogChoice,
-    design: MachineDesign,
     power: &PowerModel,
     opts: &ExperimentOptions,
     exec: &Executor,
-    suite: Option<(&ProfiledSuite, usize)>,
 ) -> Result<BenchmarkResult, SchedError> {
-    let het = select_heterogeneous_with(profile, design, power, &opts.menu, exec)
+    let design = profiled.design;
+    let profile = &profiled.profiles[index];
+    let het = select_heterogeneous(profile, design, power, &opts.menu, exec)
         .expect("the selection space contains feasible points");
 
-    // When the selection lands on a *homogeneous* configuration (the paper
-    // reports this outcome for register/resource-constrained programs),
-    // §5.1's argument applies exactly: the schedule is the reference
-    // schedule, time scales with the cycle time, and energy follows the
-    // model — no re-scheduling noise.
-    if het.config.is_homogeneous() {
+    let usage = if het.config.is_homogeneous() {
+        // When the selection lands on a *homogeneous* configuration (the
+        // paper reports this outcome for register/resource-constrained
+        // programs), §5.1's argument applies exactly: the schedule is the
+        // reference schedule, time scales with the cycle time, and energy
+        // follows the model — no re-scheduling noise.
         let factor =
             het.config.fastest_cluster_cycle().as_ns() / ClockedConfig::REFERENCE_CYCLE.as_ns();
-        let usage = crate::profile::reference_usage_scaled(profile, design.num_clusters, factor);
-        let energy_het = power
-            .estimate_energy(&het.config, &usage)
-            .expect("selected configuration is electrically feasible");
-        let secs = usage.exec_time.as_secs();
-        let ed2_hetero = energy_het * secs * secs;
-        return Ok(BenchmarkResult {
-            benchmark: bench.name.clone(),
-            buses: design.buses,
-            ed2_normalized: ed2_hetero / hom.ed2,
-            ed2_hetero,
-            ed2_homog_opt: hom.ed2,
-            exec_time_het_ns: usage.exec_time.as_ns(),
-            exec_time_hom_ns: hom.exec_time.as_ns(),
-            energy_het,
-            energy_hom: hom.energy,
-            fast_cycle_ns: het.config.fastest_cluster_cycle().as_ns(),
-            slow_cycle_ns: het.config.slowest_cluster_cycle().as_ns(),
-        });
-    }
-
-    // Measure the selected configuration by actually scheduling every
-    // loop (memoised when a cache is supplied).
-    let mut sched_opts = opts.sched.clone();
-    sched_opts.menu = opts.menu.clone();
-    let usage = match suite {
-        Some((suite, index)) => {
-            suite.measure_memoised(index, &het.config, power, &sched_opts, exec)?
-        }
-        None => measure_usage(
-            bench,
-            profile,
-            &het.config,
-            power,
-            &sched_opts,
-            design,
-            exec,
-        )?,
+        crate::profile::reference_usage_scaled(profile, design.num_clusters, factor)
+    } else {
+        // Measure the selected configuration by actually scheduling every
+        // loop.
+        let mut sched_opts = opts.sched.clone();
+        sched_opts.menu = opts.menu.clone();
+        profiled.measure_memoised(index, &het.config, power, &sched_opts, exec)?
     };
-    let exec_time_het = usage.exec_time;
     let energy_het = power
         .estimate_energy(&het.config, &usage)
         .expect("selected configuration is electrically feasible");
-    let secs = exec_time_het.as_secs();
+    let secs = usage.exec_time.as_secs();
     let ed2_hetero = energy_het * secs * secs;
 
     Ok(BenchmarkResult {
-        benchmark: bench.name.clone(),
+        benchmark: profiled.benches[index].name.clone(),
         buses: design.buses,
         ed2_normalized: ed2_hetero / hom.ed2,
         ed2_hetero,
         ed2_homog_opt: hom.ed2,
-        exec_time_het_ns: exec_time_het.as_ns(),
+        exec_time_het_ns: usage.exec_time.as_ns(),
         exec_time_hom_ns: hom.exec_time.as_ns(),
         energy_het,
         energy_hom: hom.energy,
@@ -562,7 +428,7 @@ pub fn run_benchmark_with(
 /// `exec` with one [`SchedWorkspace`] per worker thread; contributions are
 /// folded in loop order, so the result is bit-identical for every worker
 /// count.
-pub(crate) fn measure_usage(
+fn measure_usage(
     bench: &Benchmark,
     profile: &BenchmarkProfile,
     config: &ClockedConfig,
@@ -597,25 +463,13 @@ pub(crate) fn measure_usage(
     })
 }
 
-/// Figure 6: per-benchmark normalised ED² of the heterogeneous approach.
-/// Serial shorthand for [`figure6_with`].
+/// Figure 6: per-benchmark normalised ED² of the heterogeneous approach,
+/// with the per-benchmark measurement pipeline fanned out across `exec`'s
+/// worker pool.
 ///
 /// Calibrates the energy model once on the whole suite's reference run and
 /// normalises every benchmark against one suite-wide optimum homogeneous
 /// baseline, exactly as the paper's §5 does.
-///
-/// # Errors
-///
-/// Propagates scheduling failures.
-pub fn figure6(
-    profiled: &ProfiledSuite,
-    opts: &ExperimentOptions,
-) -> Result<Vec<BenchmarkResult>, SchedError> {
-    figure6_with(profiled, opts, &Executor::serial())
-}
-
-/// [`figure6`] with the per-benchmark measurement pipeline fanned out
-/// across `exec`'s worker pool.
 ///
 /// Each benchmark (selection + heterogeneous re-scheduling) is one job;
 /// the homogeneous baseline search fans its cycle-time grid out first.
@@ -626,8 +480,8 @@ pub fn figure6(
 /// # Errors
 ///
 /// Propagates scheduling failures (the lowest-indexed failing benchmark,
-/// matching the serial path).
-pub fn figure6_with(
+/// whatever the worker count).
+pub fn figure6(
     profiled: &ProfiledSuite,
     opts: &ExperimentOptions,
     exec: &Executor,
@@ -637,29 +491,12 @@ pub fn figure6_with(
         opts.shares,
         &suite_reference(&profiled.profiles),
     );
-    let baseline =
-        optimum_homogeneous_suite_with(&profiled.profiles, profiled.design, &power, exec);
-    let jobs: Vec<(usize, &Benchmark, &BenchmarkProfile, &HomogChoice)> = profiled
-        .benches
-        .iter()
-        .zip(&profiled.profiles)
-        .zip(&baseline.per_benchmark)
-        .enumerate()
-        .map(|(i, ((bench, profile), hom))| (i, bench, profile, hom))
-        .collect();
+    let baseline = optimum_homogeneous_suite(&profiled.profiles, profiled.design, &power, exec);
+    let jobs: Vec<(usize, &HomogChoice)> = baseline.per_benchmark.iter().enumerate().collect();
     // One worker per benchmark; the per-candidate/per-loop fan-out inside
-    // run_benchmark_with stays serial to avoid oversubscribing the pool.
-    exec.try_map(&jobs, |_, &(i, bench, profile, hom)| {
-        run_benchmark_with(
-            bench,
-            profile,
-            hom,
-            profiled.design,
-            &power,
-            opts,
-            &Executor::serial(),
-            Some((profiled, i)),
-        )
+    // run_benchmark stays serial to avoid oversubscribing the pool.
+    exec.try_map(&jobs, |_, &(i, hom)| {
+        run_benchmark(profiled, i, hom, &power, opts, &Executor::serial())
     })
 }
 
@@ -686,17 +523,10 @@ pub struct Table2Row {
 }
 
 /// Table 2: classifies every loop of the suite and aggregates execution-
-/// time weights per constraint class. Serial shorthand for
-/// [`table2_with`].
-#[must_use]
-pub fn table2(suite: &[Benchmark]) -> Vec<Table2Row> {
-    table2_with(suite, &Executor::serial())
-}
-
-/// [`table2`] with per-benchmark classification fanned out across `exec`'s
+/// time weights per constraint class, one benchmark per job on `exec`'s
 /// worker pool (rows come back in suite order).
 #[must_use]
-pub fn table2_with(suite: &[Benchmark], exec: &Executor) -> Vec<Table2Row> {
+pub fn table2(suite: &[Benchmark], exec: &Executor) -> Vec<Table2Row> {
     let design = MachineDesign::paper_machine(1);
     exec.map(suite, |_, bench| {
         let mut shares = [0.0f64; 3];
@@ -748,27 +578,14 @@ pub fn figure7_menus() -> Vec<(String, FrequencyMenu)> {
     ]
 }
 
-/// Figure 7: sensitivity to the number of supported frequencies. Serial
-/// shorthand for [`figure7_with`].
+/// Figure 7: sensitivity to the number of supported frequencies. The
+/// menu variants run in sequence; each fans out across benchmarks on
+/// `exec` and shares the suite's measurement cache.
 ///
 /// # Errors
 ///
 /// Propagates scheduling failures.
 pub fn figure7(
-    profiled: &ProfiledSuite,
-    base: &ExperimentOptions,
-) -> Result<Vec<Figure7Row>, SchedError> {
-    figure7_with(profiled, base, &Executor::serial())
-}
-
-/// [`figure7`] with every menu variant's benchmark sweep fanned out across
-/// `exec`'s worker pool (variants run in sequence; each fans out across
-/// benchmarks and shares the suite's measurement cache).
-///
-/// # Errors
-///
-/// Propagates scheduling failures.
-pub fn figure7_with(
     profiled: &ProfiledSuite,
     base: &ExperimentOptions,
     exec: &Executor,
@@ -779,7 +596,7 @@ pub fn figure7_with(
             menu,
             ..base.clone()
         };
-        let results = figure6_with(profiled, &opts, exec)?;
+        let results = figure6(profiled, &opts, exec)?;
         rows.push(Figure7Row {
             menu: name,
             buses: profiled.design.buses,
@@ -814,25 +631,13 @@ pub const FIGURE8_SHARES: [(f64, f64); 5] = [
 
 /// Figure 8: sensitivity to the ICN/cache energy shares of the reference
 /// machine. A fresh optimum homogeneous baseline is computed per variant,
-/// as in the paper. Serial shorthand for [`figure8_with`].
+/// as in the paper; each variant's benchmark sweep fans out across
+/// `exec`.
 ///
 /// # Errors
 ///
 /// Propagates scheduling failures.
 pub fn figure8(
-    profiled: &ProfiledSuite,
-    base: &ExperimentOptions,
-) -> Result<Vec<Figure8Row>, SchedError> {
-    figure8_with(profiled, base, &Executor::serial())
-}
-
-/// [`figure8`] with every share variant's benchmark sweep fanned out
-/// across `exec`'s worker pool.
-///
-/// # Errors
-///
-/// Propagates scheduling failures.
-pub fn figure8_with(
     profiled: &ProfiledSuite,
     base: &ExperimentOptions,
     exec: &Executor,
@@ -843,7 +648,7 @@ pub fn figure8_with(
             shares: EnergyShares::with_component_shares(icn, cache),
             ..base.clone()
         };
-        let results = figure6_with(profiled, &opts, exec)?;
+        let results = figure6(profiled, &opts, exec)?;
         rows.push(Figure8Row {
             icn_share: icn,
             cache_share: cache,
@@ -878,25 +683,12 @@ pub const FIGURE9_LEAKS: [(f64, f64, f64); 4] = [
 ];
 
 /// Figure 9: sensitivity to the leakage fractions of the reference
-/// machine. Serial shorthand for [`figure9_with`].
+/// machine; each variant's benchmark sweep fans out across `exec`.
 ///
 /// # Errors
 ///
 /// Propagates scheduling failures.
 pub fn figure9(
-    profiled: &ProfiledSuite,
-    base: &ExperimentOptions,
-) -> Result<Vec<Figure9Row>, SchedError> {
-    figure9_with(profiled, base, &Executor::serial())
-}
-
-/// [`figure9`] with every leakage variant's benchmark sweep fanned out
-/// across `exec`'s worker pool.
-///
-/// # Errors
-///
-/// Propagates scheduling failures.
-pub fn figure9_with(
     profiled: &ProfiledSuite,
     base: &ExperimentOptions,
     exec: &Executor,
@@ -907,7 +699,7 @@ pub fn figure9_with(
             shares: EnergyShares::with_leakage(lc, li, lca),
             ..base.clone()
         };
-        let results = figure6_with(profiled, &opts, exec)?;
+        let results = figure6(profiled, &opts, exec)?;
         rows.push(Figure9Row {
             leak_cluster: lc,
             leak_icn: li,
@@ -941,26 +733,13 @@ pub struct FamilyRow {
     pub slow_cycle_ns: f64,
 }
 
-/// `familysweep`: the sensitivity experiment over the non-SPEC generator
-/// families. Serial shorthand for [`familysweep_with`].
-///
-/// # Errors
-///
-/// Propagates scheduling failures.
-pub fn familysweep(
-    profiled: &ProfiledSuite,
-    base: &ExperimentOptions,
-) -> Result<Vec<FamilyRow>, SchedError> {
-    familysweep_with(profiled, base, &Executor::serial())
-}
-
 /// Sweeps the paper's figure-6/7 configurations over a profiled *family*
 /// suite (see `vliw_workloads::family_suite`): for every Figure 7
 /// frequency menu, the full Figure 6 measurement pipeline (calibrate →
 /// homogeneous baseline → select → re-schedule → measure) runs across the
 /// family benchmarks, one row per `(family, menu)`.
 ///
-/// `profiled` is a family suite profiled with [`profile_suite_with`]; the
+/// `profiled` is a family suite profiled with [`profile_suite`]; the
 /// caller sweeps bus counts by profiling one suite per bus count, exactly
 /// as the `paper` binary does for Figures 6–9. Rows come back in
 /// menu-major, family-minor order and are identical for every worker
@@ -969,7 +748,7 @@ pub fn familysweep(
 /// # Errors
 ///
 /// Propagates scheduling failures.
-pub fn familysweep_with(
+pub fn familysweep(
     profiled: &ProfiledSuite,
     base: &ExperimentOptions,
     exec: &Executor,
@@ -980,7 +759,7 @@ pub fn familysweep_with(
             menu,
             ..base.clone()
         };
-        let results = figure6_with(profiled, &opts, exec)?;
+        let results = figure6(profiled, &opts, exec)?;
         rows.extend(results.into_iter().map(|r| FamilyRow {
             family: r.benchmark,
             menu: menu_name.clone(),
@@ -1008,11 +787,26 @@ mod tests {
         ]
     }
 
+    fn profiled(suite: &[Benchmark]) -> ProfiledSuite {
+        profile_suite(
+            suite,
+            1,
+            &ScheduleOptions::default(),
+            &Executor::serial(),
+            None,
+        )
+        .unwrap()
+    }
+
     #[test]
     fn figure6_pipeline_runs_and_hetero_wins_on_sixtrack() {
-        let suite = small_suite();
-        let profiled = profile_suite(&suite, 1, &ScheduleOptions::default()).unwrap();
-        let rows = figure6(&profiled, &ExperimentOptions::default()).unwrap();
+        let profiled = profiled(&small_suite());
+        let rows = figure6(
+            &profiled,
+            &ExperimentOptions::default(),
+            &Executor::serial(),
+        )
+        .unwrap();
         assert_eq!(rows.len(), 2);
         let sixtrack = &rows[0];
         assert_eq!(sixtrack.benchmark, "200.sixtrack");
@@ -1032,15 +826,26 @@ mod tests {
     #[test]
     fn table2_matches_generation_targets() {
         let suite = small_suite();
-        let rows = table2(&suite);
+        let rows = table2(&suite, &Executor::serial());
         assert!((rows[0].recurrence_pct - 99.92).abs() < 1e-6);
         assert!((rows[1].resource_pct - 100.0).abs() < 1e-6);
     }
 
     #[test]
+    fn table2_rows_sum_to_one_hundred_percent() {
+        let rows = table2(&vliw_workloads::suite(6), &Executor::serial());
+        assert_eq!(rows.len(), 10);
+        let sum: f64 = rows
+            .iter()
+            .map(|r| r.resource_pct + r.borderline_pct + r.recurrence_pct)
+            .sum();
+        assert!((sum - 1000.0).abs() < 1e-6, "each row sums to 100%");
+    }
+
+    #[test]
     fn serde_rows_serialize() {
         let suite = small_suite();
-        let rows = table2(&suite);
+        let rows = table2(&suite, &Executor::serial());
         let json = serde_json::to_string(&rows).unwrap();
         assert!(json.contains("200.sixtrack"));
     }
@@ -1054,14 +859,14 @@ mod tests {
         let suite = small_suite();
         let opts = ExperimentOptions::default();
 
-        let serial_profiled = profile_suite(&suite, 1, &opts.sched).unwrap();
-        let serial7 = figure7(&serial_profiled, &opts).unwrap();
-        let serial6 = figure6(&serial_profiled, &opts).unwrap();
+        let serial_profiled = profiled(&suite);
+        let serial7 = figure7(&serial_profiled, &opts, &Executor::serial()).unwrap();
+        let serial6 = figure6(&serial_profiled, &opts, &Executor::serial()).unwrap();
 
         let pool = Executor::new(4);
-        let par_profiled = profile_suite_with(&suite, 1, &opts.sched, &pool).unwrap();
-        let par7 = figure7_with(&par_profiled, &opts, &pool).unwrap();
-        let par6 = figure6_with(&par_profiled, &opts, &pool).unwrap();
+        let par_profiled = profile_suite(&suite, 1, &opts.sched, &pool, None).unwrap();
+        let par7 = figure7(&par_profiled, &opts, &pool).unwrap();
+        let par6 = figure6(&par_profiled, &opts, &pool).unwrap();
 
         assert_eq!(
             serde_json::to_string(&serial7).unwrap(),
@@ -1080,9 +885,13 @@ mod tests {
     /// under every Figure 7 menu, with finite positive ED².
     #[test]
     fn familysweep_emits_rows_for_all_four_families() {
-        let suite = vliw_workloads::family_suite(3);
-        let profiled = profile_suite(&suite, 1, &ScheduleOptions::default()).unwrap();
-        let rows = familysweep(&profiled, &ExperimentOptions::default()).unwrap();
+        let profiled = profiled(&vliw_workloads::family_suite(3));
+        let rows = familysweep(
+            &profiled,
+            &ExperimentOptions::default(),
+            &Executor::serial(),
+        )
+        .unwrap();
         let menus = figure7_menus().len();
         assert_eq!(rows.len(), 4 * menus);
         for family in ["membound", "ilpwide", "multirec", "stress"] {
@@ -1110,41 +919,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let suite = small_suite();
         let opts = ExperimentOptions::default();
+        let serial = Executor::serial();
 
         let cold_store = Arc::new(MeasureStore::open(&dir).unwrap());
-        let cold = profile_suite_stored(
-            &suite,
-            1,
-            &opts.sched,
-            &Executor::serial(),
-            Some(cold_store),
-        )
-        .unwrap();
-        let first = figure6(&cold, &opts).unwrap();
-        let cold_measured = cold.cache().misses() - cold.disk_hits();
-        assert!(cold_measured > 0, "the cold run must actually measure");
+        let cold = profile_suite(&suite, 1, &opts.sched, &serial, Some(cold_store)).unwrap();
+        let first = figure6(&cold, &opts, &serial).unwrap();
+        assert!(cold.measured() > 0, "the cold run must actually measure");
         drop(cold); // close the writer log
 
         let warm_store = Arc::new(MeasureStore::open(&dir).unwrap());
-        let warm = profile_suite_stored(
-            &suite,
-            1,
-            &opts.sched,
-            &Executor::serial(),
-            Some(warm_store.clone()),
-        )
-        .unwrap();
+        let warm =
+            profile_suite(&suite, 1, &opts.sched, &serial, Some(warm_store.clone())).unwrap();
         assert_eq!(
             warm_store.stats().unwrap().misses,
             0,
             "profiles must come from disk on the warm run"
         );
-        let second = figure6(&warm, &opts).unwrap();
-        assert_eq!(
-            warm.cache().misses() - warm.disk_hits(),
-            0,
-            "the warm run must not measure anything"
-        );
+        let second = figure6(&warm, &opts, &serial).unwrap();
+        assert_eq!(warm.measured(), 0, "the warm run must not measure anything");
         assert_eq!(
             serde_json::to_string(&first).unwrap(),
             serde_json::to_string(&second).unwrap(),
@@ -1158,13 +950,18 @@ mod tests {
     /// cache instead of re-scheduling, without changing the rows.
     #[test]
     fn measurement_cache_collapses_repeated_sweeps() {
-        let suite = small_suite();
         let opts = ExperimentOptions::default();
-        let profiled = profile_suite(&suite, 1, &opts.sched).unwrap();
+        let serial = Executor::serial();
+        let profiled = profiled(&small_suite());
 
-        let first = figure6(&profiled, &opts).unwrap();
-        let misses_after_first = profiled.cache().misses();
-        let second = figure6(&profiled, &opts).unwrap();
+        let first = figure6(&profiled, &opts, &serial).unwrap();
+        let measured_after_first = profiled.measured();
+        assert_eq!(
+            measured_after_first,
+            profiled.cache().misses(),
+            "without a store every memo miss is a measurement"
+        );
+        let second = figure6(&profiled, &opts, &serial).unwrap();
 
         assert_eq!(
             serde_json::to_string(&first).unwrap(),
@@ -1172,8 +969,8 @@ mod tests {
             "cache hits must not change results"
         );
         assert_eq!(
-            profiled.cache().misses(),
-            misses_after_first,
+            profiled.measured(),
+            measured_after_first,
             "the second sweep must be served from the cache"
         );
         assert!(

@@ -9,7 +9,7 @@
 
 use vliw_exec::Executor;
 use vliw_machine::{ClockedConfig, MachineDesign, Time, Voltages};
-use vliw_power::{PowerModel, UsageProfile};
+use vliw_power::PowerModel;
 
 use crate::profile::BenchmarkProfile;
 
@@ -36,90 +36,6 @@ const CYCLE_FACTORS: [f64; 17] = [
 /// Voltage-grid step (volts).
 const V_STEP: f64 = 0.025;
 
-/// Searches cycle times and per-component supply voltages for the
-/// homogeneous configuration minimising ED² on this profile.
-///
-/// # Panics
-///
-/// Panics if no feasible homogeneous configuration exists (cannot happen
-/// for the paper's reference machine, whose own operating point is always
-/// a candidate).
-#[must_use]
-pub fn optimum_homogeneous(
-    profile: &BenchmarkProfile,
-    design: MachineDesign,
-    power: &PowerModel,
-) -> HomogChoice {
-    optimum_homogeneous_with(profile, design, power, &Executor::serial())
-}
-
-/// [`optimum_homogeneous`] with the cycle-time grid fanned out across
-/// `exec`'s worker pool; the minimiser is reduced in grid order, so the
-/// result is identical for every worker count.
-///
-/// # Panics
-///
-/// Panics if no feasible homogeneous configuration exists (cannot happen
-/// for the paper's reference machine).
-#[must_use]
-pub fn optimum_homogeneous_with(
-    profile: &BenchmarkProfile,
-    design: MachineDesign,
-    power: &PowerModel,
-    exec: &Executor,
-) -> HomogChoice {
-    let candidates = exec.map(&CYCLE_FACTORS, |_, &factor| {
-        homogeneous_candidate(profile, design, power, factor)
-    });
-    let mut best: Option<HomogChoice> = None;
-    for choice in candidates.into_iter().flatten() {
-        if best.as_ref().is_none_or(|b| choice.ed2 < b.ed2) {
-            best = Some(choice);
-        }
-    }
-    best.expect("the reference operating point is always feasible")
-}
-
-/// Evaluates one homogeneous cycle factor: voltage descent + exact pricing.
-fn homogeneous_candidate(
-    profile: &BenchmarkProfile,
-    design: MachineDesign,
-    power: &PowerModel,
-    factor: f64,
-) -> Option<HomogChoice> {
-    let cycle = Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * factor);
-    // Same schedules, scaled cycle time ⇒ exact time scaling.
-    let exec_time = Time::from_ns(profile.reference.exec_time.as_ns() * factor);
-    let usage = UsageProfile {
-        weighted_ins_per_cluster: vec![
-            profile.reference.weighted_ins
-                / f64::from(design.num_clusters);
-            usize::from(design.num_clusters)
-        ],
-        comms: profile.reference.comms,
-        mem_accesses: profile.reference.mem_accesses,
-        exec_time,
-    };
-    let evaluate = |voltages: Voltages| -> Option<f64> {
-        if !voltages.in_range() {
-            return None;
-        }
-        let config = ClockedConfig::homogeneous(design, cycle).with_voltages(voltages);
-        power.estimate_energy(&config, &usage)
-    };
-    let voltages = optimise_voltages(design, evaluate)?;
-    let config = ClockedConfig::homogeneous(design, cycle).with_voltages(voltages);
-    let energy = power.estimate_energy(&config, &usage)?;
-    let secs = exec_time.as_secs();
-    let ed2 = energy * secs * secs;
-    Some(HomogChoice {
-        config,
-        exec_time,
-        energy,
-        ed2,
-    })
-}
-
 /// A suite-wide homogeneous baseline: one configuration for the whole
 /// workload (§5.1 picks a single optimum homogeneous design per machine
 /// shape), with its exact per-benchmark time/energy/ED².
@@ -139,27 +55,17 @@ pub struct SuiteBaseline {
 /// per program, which is precisely where part of heterogeneity's advantage
 /// comes from.
 ///
+/// The cycle-time grid fans out across `exec`'s worker pool; the
+/// minimiser is reduced in grid order, so the result is identical for
+/// every worker count.
+///
 /// # Panics
 ///
-/// Panics if `profiles` is empty or no configuration is feasible.
+/// Panics if `profiles` is empty or no configuration is feasible (cannot
+/// happen for the paper's reference machine, whose own operating point is
+/// always a candidate).
 #[must_use]
 pub fn optimum_homogeneous_suite(
-    profiles: &[BenchmarkProfile],
-    design: MachineDesign,
-    power: &PowerModel,
-) -> SuiteBaseline {
-    optimum_homogeneous_suite_with(profiles, design, power, &Executor::serial())
-}
-
-/// [`optimum_homogeneous_suite`] with the cycle-time grid fanned out
-/// across `exec`'s worker pool; the minimiser is reduced in grid order, so
-/// the result is identical for every worker count.
-///
-/// # Panics
-///
-/// Panics if `profiles` is empty or no configuration is feasible.
-#[must_use]
-pub fn optimum_homogeneous_suite_with(
     profiles: &[BenchmarkProfile],
     design: MachineDesign,
     power: &PowerModel,
@@ -317,18 +223,32 @@ pub(crate) fn optimise_voltages_grouped(
 mod tests {
     use super::*;
     use vliw_power::EnergyShares;
-    use vliw_sched::ScheduleOptions;
+    use vliw_sched::{SchedWorkspace, ScheduleOptions};
     use vliw_workloads::{generate, spec_fp2000};
 
     use crate::profile::profile_benchmark;
 
+    /// The suite baseline of a one-benchmark suite: that benchmark's own
+    /// optimum homogeneous design.
+    fn single(spec: usize) -> (BenchmarkProfile, SuiteBaseline) {
+        let design = MachineDesign::paper_machine(1);
+        let bench = generate(&spec_fp2000()[spec], 6);
+        let mut ws = SchedWorkspace::new();
+        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
+        let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
+        let baseline = optimum_homogeneous_suite(
+            std::slice::from_ref(&p),
+            design,
+            &power,
+            &Executor::serial(),
+        );
+        (p, baseline)
+    }
+
     #[test]
     fn optimum_beats_or_matches_the_reference_design() {
-        let design = MachineDesign::paper_machine(1);
-        let bench = generate(&spec_fp2000()[2], 6); // mgrid
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default()).unwrap();
-        let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
-        let choice = optimum_homogeneous(&p, design, &power);
+        let (p, baseline) = single(2); // mgrid
+        let choice = &baseline.per_benchmark[0];
 
         // The raw reference machine: energy 1, time T_TOTAL.
         let secs = p.reference.exec_time.as_secs();
@@ -338,17 +258,15 @@ mod tests {
             "optimum {} vs reference {reference_ed2}",
             choice.ed2
         );
+        assert_eq!(baseline.suite_ed2, choice.ed2, "one benchmark, one term");
         assert!(choice.config.is_homogeneous());
         assert!(choice.config.voltages().in_range());
     }
 
     #[test]
     fn choice_is_on_the_grid_and_feasible() {
-        let design = MachineDesign::paper_machine(1);
-        let bench = generate(&spec_fp2000()[5], 6); // facerec
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default()).unwrap();
-        let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
-        let choice = optimum_homogeneous(&p, design, &power);
+        let (_, baseline) = single(5); // facerec
+        let choice = &baseline.per_benchmark[0];
         let factor = choice.config.fastest_cluster_cycle().as_ns();
         assert!(
             CYCLE_FACTORS.iter().any(|f| (f - factor).abs() < 1e-9),

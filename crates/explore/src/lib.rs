@@ -10,15 +10,21 @@
 //!    configuration from that profile alone (§3.2's IT / `it_length`
 //!    estimation combined with §3.1's energy model, [`estimate_program`]);
 //! 3. Search the **optimum homogeneous** baseline (§5.1,
-//!    [`optimum_homogeneous`]) and **select** the best heterogeneous
+//!    [`optimum_homogeneous_suite`]) and **select** the best heterogeneous
 //!    configuration (§3.3, [`select_heterogeneous`]);
 //! 4. **Run** the selected configuration for real — every loop is
 //!    re-scheduled with the heterogeneous modulo scheduler and ED² is
 //!    measured, not estimated ([`experiments`]).
 //!
+//! Every step is one function taking an [`Executor`](vliw_exec::Executor);
+//! `Executor::serial()` is the serial case, and results are identical for
+//! every worker count. A measurement has one content address, the
+//! [`StoreKey`](vliw_store::StoreKey) of [`store_keys`], shared by the
+//! in-memory memo and the persistent store.
+//!
 //! The [`experiments`] module regenerates every table and figure of the
-//! paper's evaluation (Table 2, Figures 6–9); `vliw-bench` wraps them as
-//! benches.
+//! paper's evaluation (Table 2, Figures 6–9); `vliw-api`'s `Engine`
+//! serves them as requests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,20 +40,17 @@ mod select;
 pub mod store_keys;
 
 pub use estimate::{estimate_loop_it, estimate_program, estimate_usage, price_usage, HetEstimate};
-pub use homog::{
-    optimum_homogeneous, optimum_homogeneous_suite, optimum_homogeneous_suite_with,
-    optimum_homogeneous_with, HomogChoice, SuiteBaseline,
-};
+pub use homog::{optimum_homogeneous_suite, HomogChoice, SuiteBaseline};
 pub use profile::{
-    profile_benchmark, profile_benchmark_ws, reference_usage_scaled, suite_reference,
-    BenchmarkProfile, LoopProfile, T_TOTAL,
+    profile_benchmark, reference_usage_scaled, suite_reference, BenchmarkProfile, LoopProfile,
+    T_TOTAL,
 };
 pub use scale::{
     merge_shard_reports, run_search_scaled, run_search_shard, MergedReport, ScaleStats,
     ScaledSearch, ShardReport, ShardSearch,
 };
-pub use search::{run_search, ConfigSpace, SearchContext, SearchReport, SpaceKind};
-pub use select::{candidate_grid, select_heterogeneous, select_heterogeneous_with, HeteroChoice};
+pub use search::{ConfigSpace, SearchContext, SearchReport, SpaceKind};
+pub use select::{candidate_grid, select_heterogeneous, HeteroChoice};
 pub use store_keys::{benchmark_content_hash, config_fingerprint};
 
 // Everything the parallel experiment runners share across worker threads.

@@ -106,27 +106,15 @@ pub fn reference_usage_scaled(
 /// Schedules and simulates every loop of `bench` on the reference
 /// homogeneous machine, producing the profile the §3 models start from.
 ///
+/// `ws` is a caller-provided scheduling workspace, reused across every
+/// loop of the benchmark (and across benchmarks when the caller keeps one
+/// workspace per worker thread); it never changes the result.
+///
 /// # Errors
 ///
 /// Propagates scheduling failures (which indicate a malformed workload —
 /// generated suites always schedule).
 pub fn profile_benchmark(
-    bench: &Benchmark,
-    design: MachineDesign,
-    sched_opts: &ScheduleOptions,
-) -> Result<BenchmarkProfile, SchedError> {
-    profile_benchmark_ws(bench, design, sched_opts, &mut SchedWorkspace::new())
-}
-
-/// [`profile_benchmark`] with a caller-provided scheduling workspace,
-/// reused across every loop of the benchmark (and across benchmarks when
-/// the caller keeps one workspace per worker thread). Results are
-/// identical.
-///
-/// # Errors
-///
-/// As [`profile_benchmark`].
-pub fn profile_benchmark_ws(
     bench: &Benchmark,
     design: MachineDesign,
     sched_opts: &ScheduleOptions,
@@ -201,7 +189,8 @@ mod tests {
     fn profile_shares_reconstruct_t_total() {
         let bench = generate(&spec_fp2000()[1], 8); // swim
         let design = MachineDesign::paper_machine(1);
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default()).unwrap();
+        let mut ws = SchedWorkspace::new();
+        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
         assert_eq!(p.loops.len(), bench.loops.len());
         // Σ invocations · exec_time = T_TOTAL by construction.
         let total: f64 = p
@@ -218,7 +207,8 @@ mod tests {
     fn recurrence_heavy_benchmarks_report_rec_ins() {
         let bench = generate(&spec_fp2000()[8], 6); // sixtrack
         let design = MachineDesign::paper_machine(1);
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default()).unwrap();
+        let mut ws = SchedWorkspace::new();
+        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
         let with_recs = p.loops.iter().filter(|l| l.rec_weighted_ins > 0.0).count();
         assert!(
             with_recs >= p.loops.len() - 1,

@@ -71,9 +71,8 @@ pub struct ScaleStats {
 /// A full-space scaled search: the ordinary report plus scale counters.
 #[derive(Debug, Clone)]
 pub struct ScaledSearch {
-    /// The byte-stable artefact, identical to a plain
-    /// [`run_search`](crate::search::run_search) of the same arguments
-    /// whenever the budget covers the space.
+    /// The byte-stable artefact, identical to a plain (non-racing) run
+    /// of the same arguments whenever the budget covers the space.
     pub report: SearchReport,
     /// Racing / warm-start counters (never serialised into the report).
     pub stats: ScaleStats,
@@ -155,7 +154,7 @@ fn drive<S: SearchSpace<Point = Vec<u32>>>(
 ) -> SearchOutcome<Vec<u32>> {
     let full_store = store.clone();
     let full = move |genes: &Vec<u32>, inner: &Executor| {
-        let obj = ctx.evaluate_with(genes, inner);
+        let obj = ctx.evaluate(genes, inner);
         if let Some(store) = &full_store {
             persist_eval(store, fp, ctx.space().index(genes), obj);
         }
@@ -185,7 +184,7 @@ fn drive<S: SearchSpace<Point = Vec<u32>>>(
                 return record_objectives(&rec);
             }
         }
-        let obj = screen_ctx.evaluate_with(genes, inner);
+        let obj = screen_ctx.evaluate(genes, inner);
         if let Some(store) = &screen_store {
             persist_eval(store, sfp, index, obj);
         }
@@ -238,13 +237,18 @@ fn report_from(
     }
 }
 
-/// Runs one seeded search with the scaling levers: warm starts whenever
-/// the first suite carries a store, racing when `racing` is set.
+/// Runs one seeded search over the profiled suites and returns the
+/// serialisable report plus its scale counters: warm starts whenever the
+/// first suite carries a store, racing when `racing` is set.
 ///
-/// With `racing` off and no store attached this is exactly
-/// [`run_search`](crate::search::run_search) (which delegates here). The
-/// report is deterministic for fixed `(kind, strategy, budget, seed)`
-/// and identical for every worker count; racing changes *which*
+/// `suites` holds one [`ProfiledSuite`] per bus count the space may
+/// place candidates on; the paper space uses only the first. The report
+/// is deterministic for fixed `(kind, strategy, budget, seed)` and
+/// identical for every worker count of `exec` (candidate batches are
+/// fanned out with input-ordered reduction, and the evaluation itself is
+/// deterministic). When the first suite carries a persistent store,
+/// evaluations are persisted and a replay of the same arguments produces
+/// the same bytes without re-measuring. Racing changes *which*
 /// candidates are measured under a partial budget but leaves a
 /// full-coverage frontier byte-identical.
 ///
@@ -676,8 +680,7 @@ mod tests {
     use vliw_sched::ScheduleOptions;
     use vliw_workloads::{generate, spec_fp2000, Benchmark};
 
-    use crate::experiments::{profile_suite, profile_suite_stored};
-    use crate::search::run_search;
+    use crate::experiments::profile_suite;
 
     fn small_suite() -> Vec<Benchmark> {
         vec![
@@ -686,8 +689,13 @@ mod tests {
         ]
     }
 
+    fn profiled_with(store: Option<Arc<MeasureStore>>) -> ProfiledSuite {
+        let sched = ScheduleOptions::default();
+        profile_suite(&small_suite(), 1, &sched, &Executor::serial(), store).unwrap()
+    }
+
     fn profiled() -> ProfiledSuite {
-        profile_suite(&small_suite(), 1, &ScheduleOptions::default()).unwrap()
+        profiled_with(None)
     }
 
     /// Tentpole differential: with full coverage, the racing frontier is
@@ -700,7 +708,7 @@ mod tests {
         let suites = [&suite];
         let opts = ExperimentOptions::default();
         for strategy in Strategy::ALL {
-            let plain = run_search(
+            let plain = run_search_scaled(
                 SpaceKind::Paper,
                 strategy,
                 64,
@@ -708,7 +716,9 @@ mod tests {
                 &suites,
                 &opts,
                 &Executor::serial(),
-            );
+                false,
+            )
+            .report;
             let raced = run_search_scaled(
                 SpaceKind::Paper,
                 strategy,
@@ -748,7 +758,7 @@ mod tests {
         let suite = profiled();
         let suites = [&suite];
         let opts = ExperimentOptions::default();
-        let whole = run_search(
+        let whole = run_search_scaled(
             SpaceKind::Paper,
             Strategy::Exhaustive,
             u64::MAX,
@@ -756,7 +766,9 @@ mod tests {
             &suites,
             &opts,
             &Executor::serial(),
-        );
+            false,
+        )
+        .report;
         let shards: Vec<ShardReport> = (1..=3)
             .map(|i| {
                 run_search_shard(
@@ -808,14 +820,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let opts = ExperimentOptions::default();
         let store = Arc::new(MeasureStore::open(&dir).unwrap());
-        let cold_suite = profile_suite_stored(
-            &small_suite(),
-            1,
-            &ScheduleOptions::default(),
-            &Executor::serial(),
-            Some(store.clone()),
-        )
-        .unwrap();
+        let cold_suite = profiled_with(Some(store.clone()));
         let cold = run_search_scaled(
             SpaceKind::Paper,
             Strategy::Genetic,
@@ -827,14 +832,7 @@ mod tests {
             false,
         );
         assert_eq!(cold.stats.warm_entries, 0, "first run starts cold");
-        let warm_suite = profile_suite_stored(
-            &small_suite(),
-            1,
-            &ScheduleOptions::default(),
-            &Executor::serial(),
-            Some(store.clone()),
-        )
-        .unwrap();
+        let warm_suite = profiled_with(Some(store.clone()));
         let warm = run_search_scaled(
             SpaceKind::Paper,
             Strategy::Genetic,
@@ -852,7 +850,7 @@ mod tests {
         );
         assert_eq!(warm.stats.warm_entries, cold.report.evaluations);
         assert_eq!(
-            warm_suite.cache().misses() - warm_suite.disk_hits(),
+            warm_suite.measured(),
             0,
             "the warm replay must not re-measure anything"
         );

@@ -34,7 +34,7 @@ use serde::Serialize;
 use vliw_exec::Executor;
 use vliw_machine::{ClockedConfig, Time, Voltages};
 use vliw_power::{PowerModel, UsageProfile};
-use vliw_search::{ArchiveEntry, GridSpace, Objectives, SearchSpace, Strategy};
+use vliw_search::{ArchiveEntry, GridSpace, Objectives, SearchSpace};
 
 use crate::estimate::estimate_usage;
 use crate::experiments::{ExperimentOptions, ProfiledSuite};
@@ -242,7 +242,7 @@ impl<'a> SearchContext<'a> {
     /// (one per bus count; the paper space uses only the first).
     ///
     /// The power model is calibrated per suite exactly as
-    /// [`figure6_with`](crate::experiments::figure6_with) does, and the
+    /// [`figure6`](crate::experiments::figure6) does, and the
     /// scheduler options inherit `opts.menu` so measurement matches the
     /// experiment pipeline.
     ///
@@ -332,20 +332,15 @@ impl<'a> SearchContext<'a> {
     /// benchmark through the suite's memo cache, and total the
     /// objectives. `None` for infeasible candidates — voltages out of
     /// range, frequencies a supply cannot sustain, estimation or
-    /// scheduling failure. Serial shorthand for
-    /// [`SearchContext::evaluate_with`].
+    /// scheduling failure.
+    ///
+    /// The per-loop measurement fans out across `exec` — the search
+    /// engine passes the run's pool here whenever candidates are
+    /// evaluated one at a time (annealing proposals, hill-climb starts),
+    /// so sequential strategies still parallelise. Results are identical
+    /// for every worker count.
     #[must_use]
-    pub fn evaluate(&self, genes: &[u32]) -> Option<Objectives> {
-        self.evaluate_with(genes, &Executor::serial())
-    }
-
-    /// [`SearchContext::evaluate`] with the per-loop measurement fanned
-    /// out across `exec` — the search engine passes the run's pool here
-    /// whenever candidates are evaluated one at a time (annealing
-    /// proposals, hill-climb starts), so sequential strategies still
-    /// parallelise. Results are identical for every worker count.
-    #[must_use]
-    pub fn evaluate_with(&self, genes: &[u32], exec: &Executor) -> Option<Objectives> {
+    pub fn evaluate(&self, genes: &[u32], exec: &Executor) -> Option<Objectives> {
         let (_, config) = self.decode(genes)?;
         let bus_slot = match self.space.kind {
             SpaceKind::Paper => 0,
@@ -613,45 +608,15 @@ pub struct SearchReport {
     pub trace: Vec<TraceRow>,
 }
 
-/// Runs one seeded search over the profiled suites and returns the
-/// serialisable report.
-///
-/// `suites` holds one [`ProfiledSuite`] per bus count the space may
-/// place candidates on; the paper space uses only the first. The result
-/// is deterministic for fixed `(kind, strategy, budget, seed)` and
-/// identical for every worker count of `exec` (candidate batches are
-/// fanned out with input-ordered reduction, and the evaluation itself is
-/// deterministic).
-///
-/// When the first suite carries a persistent store, evaluations are
-/// persisted and replayed runs warm-start from them — a replay of the
-/// same arguments produces the same bytes without re-measuring (see
-/// [`run_search_scaled`](crate::scale::run_search_scaled) for the
-/// racing and sharding variants).
-///
-/// # Panics
-///
-/// Panics if `suites` is empty.
-#[must_use]
-pub fn run_search(
-    kind: SpaceKind,
-    strategy: Strategy,
-    budget: u64,
-    seed: u64,
-    suites: &[&ProfiledSuite],
-    opts: &ExperimentOptions,
-    exec: &Executor,
-) -> SearchReport {
-    crate::scale::run_search_scaled(kind, strategy, budget, seed, suites, opts, exec, false).report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vliw_sched::ScheduleOptions;
+    use vliw_search::Strategy;
     use vliw_workloads::{generate, spec_fp2000, Benchmark};
 
     use crate::experiments::profile_suite;
+    use crate::scale::run_search_scaled;
 
     fn small_suite() -> Vec<Benchmark> {
         // One recurrence-bound and one resource-bound benchmark, as the
@@ -663,7 +628,21 @@ mod tests {
     }
 
     fn profiled() -> ProfiledSuite {
-        profile_suite(&small_suite(), 1, &ScheduleOptions::default()).unwrap()
+        let sched = ScheduleOptions::default();
+        profile_suite(&small_suite(), 1, &sched, &Executor::serial(), None).unwrap()
+    }
+
+    /// One plain (non-racing) search over `suite` with default options.
+    fn search(
+        kind: SpaceKind,
+        strategy: Strategy,
+        budget: u64,
+        seed: u64,
+        suite: &ProfiledSuite,
+        exec: &Executor,
+    ) -> SearchReport {
+        let opts = ExperimentOptions::default();
+        run_search_scaled(kind, strategy, budget, seed, &[suite], &opts, exec, false).report
     }
 
     /// Satellite: grid-equivalence regression. On the paper's own §3.3
@@ -672,29 +651,20 @@ mod tests {
     #[test]
     fn every_strategy_recovers_the_exhaustive_optimum_on_the_paper_grid() {
         let suite = profiled();
-        let suites = [&suite];
-        let opts = ExperimentOptions::default();
-        let truth = run_search(
+        let serial = Executor::serial();
+        let truth = search(
             SpaceKind::Paper,
             Strategy::Exhaustive,
             u64::MAX,
             0,
-            &suites,
-            &opts,
-            &Executor::serial(),
+            &suite,
+            &serial,
         );
         assert_eq!(truth.evaluations, truth.space_size, "full sweep");
         let best = truth.best.as_ref().expect("feasible grid");
         for strategy in Strategy::METAHEURISTICS {
-            let report = run_search(
-                SpaceKind::Paper,
-                strategy,
-                truth.space_size + 12,
-                3,
-                &suites,
-                &opts,
-                &Executor::serial(),
-            );
+            let budget = truth.space_size + 12;
+            let report = search(SpaceKind::Paper, strategy, budget, 3, &suite, &serial);
             let got = report.best.as_ref().expect("feasible");
             assert_eq!(got.index, best.index, "{strategy}");
             assert_eq!(got.ed2.to_bits(), best.ed2.to_bits(), "{strategy}");
@@ -711,25 +681,21 @@ mod tests {
     #[test]
     fn search_reports_are_byte_identical_across_worker_counts() {
         let suite = profiled();
-        let suites = [&suite];
-        let opts = ExperimentOptions::default();
         for strategy in Strategy::ALL {
-            let serial = run_search(
+            let serial = search(
                 SpaceKind::Paper,
                 strategy,
                 12,
                 42,
-                &suites,
-                &opts,
+                &suite,
                 &Executor::serial(),
             );
-            let parallel = run_search(
+            let parallel = search(
                 SpaceKind::Paper,
                 strategy,
                 12,
                 42,
-                &suites,
-                &opts,
+                &suite,
                 &Executor::new(4),
             );
             assert_eq!(
@@ -746,15 +712,12 @@ mod tests {
     #[test]
     fn extended_space_search_produces_a_clean_frontier() {
         let suite = profiled();
-        let suites = [&suite];
-        let opts = ExperimentOptions::default();
-        let report = run_search(
+        let report = search(
             SpaceKind::Extended,
             Strategy::Genetic,
             24,
             7,
-            &suites,
-            &opts,
+            &suite,
             &Executor::serial(),
         );
         assert_eq!(report.space, "extended");
@@ -803,7 +766,9 @@ mod tests {
         let (buses, config) = ctx.decode(&genes).expect("reference point is feasible");
         assert_eq!(buses, 1);
         assert!(config.is_homogeneous());
-        let obj = ctx.evaluate(&genes).expect("reference point evaluates");
+        let obj = ctx
+            .evaluate(&genes, &Executor::serial())
+            .expect("reference point evaluates");
         assert!(obj.ed2 > 0.0 && obj.ed2.is_finite());
     }
 }

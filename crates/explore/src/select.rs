@@ -46,30 +46,18 @@ pub fn candidate_grid() -> Vec<(f64, f64)> {
 }
 
 /// Selects frequencies and voltages for the heterogeneous machine: the
-/// candidate minimising *estimated* ED². Serial shorthand for
-/// [`select_heterogeneous_with`].
-///
-/// Returns `None` only if no candidate is feasible (cannot happen for the
-/// paper's ranges, where the all-reference candidate always qualifies).
-#[must_use]
-pub fn select_heterogeneous(
-    profile: &BenchmarkProfile,
-    design: MachineDesign,
-    power: &PowerModel,
-    menu: &FrequencyMenu,
-) -> Option<HeteroChoice> {
-    select_heterogeneous_with(profile, design, power, menu, &Executor::serial())
-}
-
-/// [`select_heterogeneous`] with the candidate grid fanned out across
-/// `exec`'s worker pool.
+/// candidate minimising *estimated* ED², with the candidate grid fanned
+/// out across `exec`'s worker pool.
 ///
 /// Each of the 20 `(fast factor, slow ratio)` candidates is evaluated
 /// independently — usage estimation once, then voltage coordinate descent
 /// on energy alone — and the minimiser is reduced in grid order, so the
 /// result is identical for every worker count.
+///
+/// Returns `None` only if no candidate is feasible (cannot happen for the
+/// paper's ranges, where the all-reference candidate always qualifies).
 #[must_use]
-pub fn select_heterogeneous_with(
+pub fn select_heterogeneous(
     profile: &BenchmarkProfile,
     design: MachineDesign,
     power: &PowerModel,
@@ -142,7 +130,7 @@ fn evaluate_candidate(
 mod tests {
     use super::*;
     use vliw_power::EnergyShares;
-    use vliw_sched::ScheduleOptions;
+    use vliw_sched::{SchedWorkspace, ScheduleOptions};
     use vliw_workloads::{generate, spec_fp2000};
 
     use crate::profile::profile_benchmark;
@@ -150,9 +138,15 @@ mod tests {
     fn setup(idx: usize, n: usize) -> (BenchmarkProfile, MachineDesign, PowerModel) {
         let design = MachineDesign::paper_machine(1);
         let bench = generate(&spec_fp2000()[idx], n);
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default()).unwrap();
+        let mut ws = SchedWorkspace::new();
+        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
         let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
         (p, design, power)
+    }
+
+    fn select(p: &BenchmarkProfile, design: MachineDesign, power: &PowerModel) -> HeteroChoice {
+        let menu = FrequencyMenu::unrestricted();
+        select_heterogeneous(p, design, power, &menu, &Executor::serial()).unwrap()
     }
 
     #[test]
@@ -160,8 +154,7 @@ mod tests {
         // sixtrack: the selection should pick a fast cluster strictly
         // faster than the slow ones (big recurrence wins, §5.2).
         let (p, design, power) = setup(8, 8);
-        let choice =
-            select_heterogeneous(&p, design, &power, &FrequencyMenu::unrestricted()).unwrap();
+        let choice = select(&p, design, &power);
         let fast = choice.config.fastest_cluster_cycle();
         let slow = choice.config.slowest_cluster_cycle();
         assert!(
@@ -174,8 +167,7 @@ mod tests {
     #[test]
     fn estimated_ed2_beats_reference_homogeneous() {
         let (p, design, power) = setup(6, 6); // lucas
-        let choice =
-            select_heterogeneous(&p, design, &power, &FrequencyMenu::unrestricted()).unwrap();
+        let choice = select(&p, design, &power);
         let secs = p.reference.exec_time.as_secs();
         let reference_ed2 = secs * secs; // energy 1 by calibration
         assert!(
@@ -190,8 +182,7 @@ mod tests {
         // slot capacity and hurts time, so the model should keep the
         // frequency gap small (ratio 1) and save energy with voltage.
         let (p, design, power) = setup(1, 8);
-        let choice =
-            select_heterogeneous(&p, design, &power, &FrequencyMenu::unrestricted()).unwrap();
+        let choice = select(&p, design, &power);
         let ratio = choice.config.slowest_cluster_cycle().as_ns()
             / choice.config.fastest_cluster_cycle().as_ns();
         assert!(

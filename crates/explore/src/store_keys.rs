@@ -4,7 +4,9 @@
 //! it hashes benchmarks and machine configurations into
 //! [`StoreKey`](vliw_store::StoreKey) halves and converts between the
 //! domain types ([`UsageProfile`],
-//! [`BenchmarkProfile`]) and the store's plain-number records.
+//! [`BenchmarkProfile`]) and the store's plain-number records. The same
+//! key addresses a measurement in the in-memory memo
+//! ([`MeasureCache`](crate::experiments::MeasureCache)) and on disk.
 //!
 //! Both hashes use [`StableHasher`], extending the
 //! `PowerModel::fingerprint` discipline — exact bit patterns, no
@@ -60,7 +62,7 @@ pub fn benchmark_content_hash(bench: &Benchmark) -> u64 {
 /// measurement: the machine design, every domain's cycle time and
 /// supply voltage, the scheduler options (menu included; the per-loop
 /// trip count is overwritten while measuring and deliberately left
-/// out, as in `MeasureKey`), and — when measuring heterogeneous
+/// out), and — when measuring heterogeneous
 /// configurations — the calibrated power model driving the
 /// partitioner's ED² objective.
 ///
@@ -291,8 +293,8 @@ mod tests {
 
     #[test]
     fn trip_count_is_not_part_of_the_config_fingerprint() {
-        // It is overwritten per loop while measuring, exactly like in
-        // the in-memory MeasureKey.
+        // It is overwritten per loop while measuring, so two options
+        // differing only in it must share every memo and store entry.
         let design = MachineDesign::paper_machine(1);
         let reference = ClockedConfig::reference(design);
         let a = ScheduleOptions::default();

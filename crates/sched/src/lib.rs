@@ -89,7 +89,7 @@ mod workspace;
 pub use comm::{ExtEdge, ExtGraph, NodeId, NodePlace};
 pub use error::SchedError;
 pub use hetero::{schedule_loop, schedule_loop_with_partition, schedule_loop_ws, ScheduleOptions};
-pub use mrt::{BusMrt, ClusterMrt, ReferenceBusMrt, ReferenceClusterMrt};
+pub use mrt::{BusMrt, ClusterMrt};
 pub use partition::{
     compute_partition, compute_partition_unrefined, compute_partition_ws, Partition,
     PartitionObjective,

@@ -28,9 +28,9 @@
 //! * [`ClusterMrt::free_slots`] — a counter maintained by
 //!   reserve/release, not an `O(II)` re-sum.
 //!
-//! The pre-bitset count-per-row implementation is retained as
-//! [`ReferenceClusterMrt`] / [`ReferenceBusMrt`]: the differential-testing
-//! oracle the proptest suite pins the bitset tables against.
+//! The pre-bitset count-per-row implementation lives on as the
+//! differential-testing oracle in `tests/mrt_differential.rs`, which pins
+//! the bitset tables against it.
 
 use vliw_ir::FuKind;
 use vliw_machine::ClusterDesign;
@@ -413,159 +413,6 @@ impl BusMrt {
     }
 }
 
-// --------------------------------------------------------------------------
-// Reference (count-per-row) implementations — the differential oracles.
-// --------------------------------------------------------------------------
-
-/// The pre-bitset count-per-row cluster table, retained **only** as the
-/// differential-testing oracle for [`ClusterMrt`] (see the
-/// `mrt_differential` proptest suite). Semantically identical, `O(II)`
-/// `free_slots`, per-cycle window probing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReferenceClusterMrt {
-    ii: u64,
-    design: ClusterDesign,
-    rows: [Vec<u32>; 3],
-}
-
-impl ReferenceClusterMrt {
-    /// Creates an empty reference table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ii == 0`.
-    #[must_use]
-    pub fn new(design: ClusterDesign, ii: u64) -> Self {
-        assert!(ii > 0, "initiation interval must be positive");
-        let n = usize::try_from(ii).expect("II fits in memory");
-        ReferenceClusterMrt {
-            ii,
-            design,
-            rows: [vec![0; n], vec![0; n], vec![0; n]],
-        }
-    }
-
-    /// Whether a unit of `kind` is free at local cycle `cycle`.
-    #[must_use]
-    pub fn is_free(&self, kind: FuKind, cycle: u64) -> bool {
-        let row = (cycle % self.ii) as usize;
-        self.rows[kind_slot(kind)][row] < self.design.fu_count(kind)
-    }
-
-    /// The first cycle `c >= start` with a free unit, by per-cycle probing.
-    #[must_use]
-    pub fn first_free_cycle(&self, kind: FuKind, start: u64) -> Option<u64> {
-        (start..start + self.ii).find(|&c| self.is_free(kind, c))
-    }
-
-    /// Reserves a unit of `kind` at local cycle `cycle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no unit is free at that row.
-    pub fn reserve(&mut self, kind: FuKind, cycle: u64) {
-        assert!(
-            self.is_free(kind, cycle),
-            "reserving an occupied {kind} slot"
-        );
-        let ii = self.ii;
-        self.rows[kind_slot(kind)][(cycle % ii) as usize] += 1;
-    }
-
-    /// Releases a previously reserved unit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was reserved at that row.
-    pub fn release(&mut self, kind: FuKind, cycle: u64) {
-        let ii = self.ii;
-        let row = &mut self.rows[kind_slot(kind)][(cycle % ii) as usize];
-        assert!(*row > 0, "releasing an empty {kind} slot");
-        *row -= 1;
-    }
-
-    /// Free slot count, by `O(II)` re-sum.
-    #[must_use]
-    pub fn free_slots(&self, kind: FuKind) -> u64 {
-        let cap = u64::from(self.design.fu_count(kind)) * self.ii;
-        let used: u64 = self.rows[kind_slot(kind)]
-            .iter()
-            .map(|&u| u64::from(u))
-            .sum();
-        cap - used
-    }
-}
-
-/// The pre-bitset count-per-row bus table, retained **only** as the
-/// differential-testing oracle for [`BusMrt`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReferenceBusMrt {
-    ii: u64,
-    buses: u32,
-    rows: Vec<u32>,
-}
-
-impl ReferenceBusMrt {
-    /// Creates an empty reference bus table.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ii == 0` or `buses == 0`.
-    #[must_use]
-    pub fn new(buses: u32, ii: u64) -> Self {
-        assert!(ii > 0, "initiation interval must be positive");
-        assert!(buses > 0, "at least one bus");
-        ReferenceBusMrt {
-            ii,
-            buses,
-            rows: vec![0; usize::try_from(ii).expect("II fits in memory")],
-        }
-    }
-
-    /// Whether a bus is free at ICN-local cycle `cycle`.
-    #[must_use]
-    pub fn is_free(&self, cycle: u64) -> bool {
-        self.rows[(cycle % self.ii) as usize] < self.buses
-    }
-
-    /// The first cycle `c >= start` with a free bus, by per-cycle probing.
-    #[must_use]
-    pub fn first_free_cycle(&self, start: u64) -> Option<u64> {
-        (start..start + self.ii).find(|&c| self.is_free(c))
-    }
-
-    /// Reserves a bus at ICN-local cycle `cycle`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if all buses are busy at that row.
-    pub fn reserve(&mut self, cycle: u64) -> u32 {
-        assert!(self.is_free(cycle), "reserving an occupied bus slot");
-        let row = &mut self.rows[(cycle % self.ii) as usize];
-        let bus = *row;
-        *row += 1;
-        bus
-    }
-
-    /// Releases a previously reserved bus slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if nothing was reserved at that row.
-    pub fn release(&mut self, cycle: u64) {
-        let row = &mut self.rows[(cycle % self.ii) as usize];
-        assert!(*row > 0, "releasing an empty bus slot");
-        *row -= 1;
-    }
-
-    /// Free slot count, by `O(II)` re-sum.
-    #[must_use]
-    pub fn free_slots(&self) -> u64 {
-        let used: u64 = self.rows.iter().map(|&u| u64::from(u)).sum();
-        u64::from(self.buses) * self.ii - used
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,19 +520,5 @@ mod tests {
         assert_eq!(mrt.free_slots(FuKind::Int), cap - 2);
         mrt.release(FuKind::Int, 1);
         assert_eq!(mrt.free_slots(FuKind::Int), cap - 1);
-    }
-
-    #[test]
-    fn bus_first_free_cycle_matches_reference() {
-        let mut bus = BusMrt::new(1, 5);
-        let mut oracle = ReferenceBusMrt::new(1, 5);
-        for c in [0, 2, 3] {
-            bus.reserve(c);
-            oracle.reserve(c);
-        }
-        for start in 0..10 {
-            assert_eq!(bus.first_free_cycle(start), oracle.first_free_cycle(start));
-        }
-        assert_eq!(bus.free_slots(), oracle.free_slots());
     }
 }

@@ -5,23 +5,36 @@
 //! warm every buffer, then asserts that re-running the exact same
 //! scheduling work performs **zero** heap allocations.
 //!
+//! Allocations are counted per thread, so sibling tests allocating on
+//! their own threads never leak into a measured window and the suite
+//! holds at any `--test-threads` count.
+//!
 //! This is the tier-1 guard for the workspace architecture: any future
 //! change that sneaks a per-attempt `Vec`/`HashMap` back into the IMS
 //! inner loop fails here immediately.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// Counts every allocation and reallocation passed to the system
-/// allocator.
+/// allocator on the calling thread.
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // A `const` initialiser needs no lazy set-up, so the allocator hook
+    // can bump it without allocating (and recursing) itself.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with` tolerates threads that are already tearing down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 // SAFETY: delegates verbatim to `System`, only incrementing counters.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc(layout)
     }
 
@@ -30,12 +43,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         System.alloc_zeroed(layout)
     }
 }
@@ -43,8 +56,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 use vliw_ir::{Ddg, DdgBuilder, OpClass};

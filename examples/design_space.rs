@@ -7,11 +7,10 @@
 //! cargo run --release --example design_space
 //! ```
 
-use heterovliw::explore::experiments::{run_benchmark, ExperimentOptions};
-use heterovliw::explore::{
-    optimum_homogeneous_suite, profile_benchmark, select_heterogeneous, suite_reference,
-};
-use heterovliw::machine::{FrequencyMenu, MachineDesign};
+use heterovliw::exec::Executor;
+use heterovliw::explore::experiments::{profile_suite, run_benchmark, ExperimentOptions};
+use heterovliw::explore::{optimum_homogeneous_suite, select_heterogeneous, suite_reference};
+use heterovliw::machine::FrequencyMenu;
 use heterovliw::power::{EnergyShares, PowerModel};
 use heterovliw::sched::ScheduleOptions;
 use heterovliw::workloads::{generate, spec_fp2000};
@@ -27,8 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         bench.loops.len()
     );
 
-    let design = MachineDesign::paper_machine(1);
-    let profile = profile_benchmark(&bench, design, &ScheduleOptions::default())?;
+    // A one-benchmark suite on the 1-bus machine, run serially.
+    let serial = Executor::serial();
+    let profiled = profile_suite(&[bench], 1, &ScheduleOptions::default(), &serial, None)?;
+    let (design, profile) = (profiled.design, &profiled.profiles[0]);
     println!(
         "reference run: {:.0} weighted instructions, {} comms, {} memory accesses",
         profile.reference.weighted_ins, profile.reference.comms, profile.reference.mem_accesses
@@ -37,10 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let power = PowerModel::calibrate(
         design,
         EnergyShares::PAPER,
-        &suite_reference(std::slice::from_ref(&profile)),
+        &suite_reference(&profiled.profiles),
     );
 
-    let baseline = optimum_homogeneous_suite(std::slice::from_ref(&profile), design, &power);
+    let baseline = optimum_homogeneous_suite(&profiled.profiles, design, &power, &serial);
     println!(
         "optimum homogeneous: {} per cluster, cluster Vdd {:.2} V",
         baseline.config.fastest_cluster_cycle(),
@@ -48,8 +49,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let menu = FrequencyMenu::unrestricted();
-    let het =
-        select_heterogeneous(&profile, design, &power, &menu).expect("selection space is feasible");
+    let het = select_heterogeneous(profile, design, &power, &menu, &serial)
+        .expect("selection space is feasible");
     println!(
         "selected heterogeneous: fast {} @ {:.2} V, slow {} @ {:.2} V",
         het.config.fastest_cluster_cycle(),
@@ -64,12 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let result = run_benchmark(
-        &bench,
-        &profile,
+        &profiled,
+        0,
         &baseline.per_benchmark[0],
-        design,
         &power,
         &ExperimentOptions::default(),
+        &serial,
     )?;
     println!(
         "\nmeasured: ED2(hetero) / ED2(homogeneous optimum) = {:.3}",

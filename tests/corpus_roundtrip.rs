@@ -9,11 +9,9 @@
 //!    the serial form preserves the `OpId`/`EdgeId` index invariants the
 //!    scheduler's determinism rests on.
 
-use heterovliw_core::machine::{ClockedConfig, MachineDesign, Time};
-use heterovliw_core::sched::{schedule_loop, ScheduleOptions};
-use heterovliw_core::workloads::{
-    generate, generate_family, spec_fp2000, Benchmark, Corpus, Family,
-};
+use heterovliw::machine::{ClockedConfig, MachineDesign, Time};
+use heterovliw::sched::{schedule_loop, ScheduleOptions};
+use heterovliw::workloads::{generate, generate_family, spec_fp2000, Benchmark, Corpus, Family};
 use proptest::prelude::*;
 
 fn roundtrip(corpus: &Corpus) -> Corpus {

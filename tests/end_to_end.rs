@@ -1,6 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from workload
 //! generation through scheduling, simulation and the experiment runners.
 
+use heterovliw::exec::Executor;
 use heterovliw::explore::experiments::{
     figure6, mean_normalized, profile_suite, table2, ExperimentOptions,
 };
@@ -49,8 +50,9 @@ fn figure6_shape_holds_on_reduced_suite() {
         generate(&spec_fp2000()[5], 8),
         generate(&spec_fp2000()[1], 8),
     ];
-    let profiled = profile_suite(&benches, 1, &ScheduleOptions::default()).unwrap();
-    let rows = figure6(&profiled, &ExperimentOptions::default()).unwrap();
+    let serial = Executor::serial();
+    let profiled = profile_suite(&benches, 1, &ScheduleOptions::default(), &serial, None).unwrap();
+    let rows = figure6(&profiled, &ExperimentOptions::default(), &serial).unwrap();
     assert_eq!(rows.len(), 3);
     let sixtrack = rows.iter().find(|r| r.benchmark == "200.sixtrack").unwrap();
     let swim = rows.iter().find(|r| r.benchmark == "171.swim").unwrap();
@@ -72,7 +74,7 @@ fn figure6_shape_holds_on_reduced_suite() {
 /// Table 2's class mix is exact by construction.
 #[test]
 fn table2_matches_paper_rows() {
-    let rows = table2(&suite(12));
+    let rows = table2(&suite(12), &Executor::serial());
     let find = |name: &str| rows.iter().find(|r| r.benchmark == name).unwrap();
     assert!((find("171.swim").resource_pct - 100.0).abs() < 1e-6);
     assert!((find("200.sixtrack").recurrence_pct - 99.92).abs() < 1e-6);

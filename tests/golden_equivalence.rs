@@ -1,17 +1,18 @@
-//! Golden refactor-equivalence tests.
+//! Golden refactor-equivalence tests through the front door.
 //!
 //! The fixtures under `tests/golden/` were captured from the pipeline
-//! *before* the dense-IR/workspace refactor (PR 3). These tests pin the
-//! current pipeline's figure6, figure7 and table2 JSON **byte-identical**
-//! to that output, at both `--jobs 1` and `--jobs 4` — the acceptance
-//! criterion that the data-layer rebuild changed where scratch memory
-//! lives, never what is computed.
+//! *before* the dense-IR/workspace refactor. These tests send the wire
+//! request behind each fixture to [`Engine::run`] at one and four
+//! workers and pin the figure6, figure7 and table2 bodies **byte for
+//! byte** to that output — the data-layer rebuild changed where scratch
+//! memory lives, never what is computed. `tests/search_golden.rs` does
+//! the same for the seeded search frontiers.
 //!
 //! If an *intentional* behaviour change lands later, regenerate the
-//! fixtures with the commands recorded in each fixture's test below and
-//! say so in the commit message.
+//! fixtures with the `paper` invocation recorded above each test and say
+//! so in the commit message.
 
-use heterovliw_core::Study;
+use heterovliw::api::{Engine, Request};
 
 fn golden(name: &str) -> String {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -20,61 +21,45 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-fn pretty<T: serde::Serialize>(rows: &T) -> String {
-    serde_json::to_string_pretty(rows).expect("serialise rows")
+/// Runs `wire` through [`Engine::run`] at one and four workers and
+/// asserts each body equals the fixture `file` byte for byte.
+fn check(wire: &str, file: &str) {
+    let fixture = golden(file);
+    let req = Request::from_json_str(wire).expect("golden requests are well formed");
+    for jobs in [1usize, 4] {
+        let resp = Engine::new(jobs).run(&req);
+        assert!(resp.ok, "{file} at {jobs} worker(s): {:?}", resp.error);
+        assert_eq!(
+            resp.body.as_deref(),
+            Some(fixture.as_str()),
+            "{file} drifted from the pre-refactor golden at {jobs} worker(s)"
+        );
+    }
 }
 
 /// `paper --experiment figure6 --loops 5 --buses 1` (pre-refactor seed).
 #[test]
 fn figure6_json_is_byte_identical_to_pre_refactor_output() {
-    let fixture = golden("figure6_loops5_buses1.json");
-    for jobs in [1usize, 4] {
-        let rows = Study::new()
-            .with_loops_per_benchmark(5)
-            .with_buses(1)
-            .with_jobs(jobs)
-            .figure6()
-            .expect("figure6 pipeline runs");
-        assert_eq!(
-            pretty(&rows),
-            fixture,
-            "figure6 rows drifted from the pre-refactor golden at --jobs {jobs}"
-        );
-    }
+    check(
+        r#"{"kind":"figure6","loops":5,"buses":"1","seed":0}"#,
+        "figure6_loops5_buses1.json",
+    );
 }
 
 /// `paper --experiment figure7 --loops 4 --buses 1` (pre-refactor seed).
 #[test]
 fn figure7_json_is_byte_identical_to_pre_refactor_output() {
-    let fixture = golden("figure7_loops4_buses1.json");
-    for jobs in [1usize, 4] {
-        let rows = Study::new()
-            .with_loops_per_benchmark(4)
-            .with_buses(1)
-            .with_jobs(jobs)
-            .figure7()
-            .expect("figure7 pipeline runs");
-        assert_eq!(
-            pretty(&rows),
-            fixture,
-            "figure7 rows drifted from the pre-refactor golden at --jobs {jobs}"
-        );
-    }
+    check(
+        r#"{"kind":"figure7","loops":4,"buses":"1","seed":0}"#,
+        "figure7_loops4_buses1.json",
+    );
 }
 
 /// `paper --experiment table2 --loops 5` (pre-refactor seed).
 #[test]
 fn table2_json_is_byte_identical_to_pre_refactor_output() {
-    let fixture = golden("table2_loops5.json");
-    for jobs in [1usize, 4] {
-        let rows = Study::new()
-            .with_loops_per_benchmark(5)
-            .with_jobs(jobs)
-            .table2();
-        assert_eq!(
-            pretty(&rows),
-            fixture,
-            "table2 rows drifted from the pre-refactor golden at --jobs {jobs}"
-        );
-    }
+    check(
+        r#"{"kind":"table2","loops":5,"seed":0}"#,
+        "table2_loops5.json",
+    );
 }
