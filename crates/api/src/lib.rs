@@ -44,5 +44,5 @@ pub use client::{loadgen, Client, LoadgenOptions, LoadgenReport};
 pub use engine::Engine;
 pub use request::{BusSel, Request, RequestBuilder, RunParams, SearchParams};
 pub use response::{CacheStats, Response, FORMAT_VERSION};
-pub use serve::{serve, ServeOptions};
+pub use serve::{serve, ServeOptions, MAX_LINE_BYTES};
 pub use vliw_store::StoreConfig;

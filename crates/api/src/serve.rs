@@ -11,6 +11,9 @@
 //!   and the reply is one array of responses in request order;
 //! * a malformed line yields a per-request error response — the
 //!   connection (and the daemon) stay up;
+//! * a line longer than [`MAX_LINE_BYTES`] is answered with one error
+//!   response and its connection is closed, so a client that never
+//!   sends a newline cannot grow the daemon's memory;
 //! * `{"kind":"shutdown"}` is acknowledged, then the daemon stops
 //!   accepting, unblocks every open connection and exits the serve loop
 //!   once all handler threads have drained (graceful shutdown).
@@ -22,7 +25,7 @@
 //! makes observable.
 
 use std::fs;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
@@ -34,6 +37,11 @@ use crate::artifacts::persist_response;
 use crate::engine::Engine;
 use crate::request::Request;
 use crate::response::Response;
+
+/// The longest request line the daemon reads, newline excluded: far
+/// above any batch a client sends, small enough that a connection's
+/// buffer stays bounded.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -136,11 +144,40 @@ fn handle_connection(
     };
     let _span = vliw_obs::span("serve.connection");
     let _in_flight = InFlightConnection::new();
-    let reader = BufReader::new(read_half);
+    let mut reader = BufReader::new(read_half);
     let mut writer = stream;
-    for line in reader.lines() {
-        let Ok(line) = line else {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        // Read at most one byte past the cap: enough to tell an
+        // over-long line from one that fits exactly.
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        let Ok(n) = reader.by_ref().take(limit).read_until(b'\n', &mut buf) else {
             break; // peer vanished or the daemon is shutting down
+        };
+        if n == 0 {
+            break;
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+        } else if buf.len() > MAX_LINE_BYTES {
+            vliw_obs::counter("serve_errors_total").inc();
+            let reply = Response::protocol_error(format!(
+                "request line exceeds {MAX_LINE_BYTES} bytes; closing the connection"
+            ))
+            .to_json_line();
+            let _ = writer
+                .write_all(reply.as_bytes())
+                .and_then(|()| writer.write_all(b"\n"));
+            // Shut the socket down rather than only dropping this handle:
+            // the shutdown list holds a clone, and a client still writing
+            // must see the connection end instead of blocking.
+            let _ = writer.shutdown(Shutdown::Both);
+            eprintln!("[serve] over-long request line: connection closed");
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break; // not text: the peer is not speaking the protocol
         };
         let line = line.trim();
         if line.is_empty() {

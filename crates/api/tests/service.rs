@@ -281,3 +281,51 @@ fn stale_socket_files_are_recovered() {
     assert!(client.request(&Request::Shutdown).expect("shutdown").ok);
     server.join().expect("serve thread").expect("serve result");
 }
+
+#[test]
+fn an_unterminated_oversized_line_gets_one_error_and_its_connection_closes() {
+    with_daemon(
+        |socket| ServeOptions {
+            socket,
+            results: None,
+            store: StoreConfig::none(),
+        },
+        |opts| {
+            let errors = vliw_obs::counter("serve_errors_total");
+            let before = errors.get();
+            let mut raw = UnixStream::connect(&opts.socket).expect("connect");
+            // A daemon that waits for the newline must fail this test,
+            // not hang it.
+            raw.set_read_timeout(Some(Duration::from_secs(30)))
+                .expect("read timeout");
+            let mut reader = BufReader::new(raw.try_clone().expect("clone"));
+            // 2 MiB and no newline. The daemon stops reading at its cap
+            // and shuts the connection down, so the tail of this write
+            // may fail.
+            let line = vec![b'x'; 2 << 20];
+            assert!(line.len() > vliw_api::MAX_LINE_BYTES);
+            let _ = raw.write_all(&line);
+            let mut reply = String::new();
+            reader.read_line(&mut reply).expect("receive the error");
+            let resp = Response::from_json_str(reply.trim_end()).expect("parse");
+            assert!(!resp.ok);
+            let err = resp.error.expect("error message");
+            assert!(err.contains("exceeds"), "{err}");
+            let mut rest = String::new();
+            assert_eq!(
+                reader.read_line(&mut rest).unwrap_or(0),
+                0,
+                "the daemon closed the connection: {rest:?}"
+            );
+            // Sibling tests share the process-wide counter, so only a
+            // lower bound on its growth holds.
+            assert!(errors.get() > before, "the fault is counted");
+
+            // The daemon itself is unharmed.
+            let mut client = Client::connect(&opts.socket).expect("connect again");
+            let pong = client.request(&Request::Ping).expect("ping");
+            assert!(pong.ok);
+            assert_eq!(pong.text, "pong\n");
+        },
+    );
+}

@@ -8,8 +8,8 @@
 //! cycle time, while energy follows §3.1 directly.
 
 use vliw_exec::Executor;
-use vliw_machine::{ClockedConfig, MachineDesign, Time, Voltages};
-use vliw_power::PowerModel;
+use vliw_machine::{ClockedConfig, DomainId, MachineDesign, Time, Voltages};
+use vliw_power::{ConfigScaling, DomainScaling, PowerModel, UsageProfile};
 
 use crate::profile::BenchmarkProfile;
 
@@ -28,7 +28,7 @@ pub struct HomogChoice {
 
 /// Cycle-time grid explored for the homogeneous baseline, as multiples of
 /// the reference cycle.
-const CYCLE_FACTORS: [f64; 17] = [
+pub const HOMOG_CYCLE_FACTORS: [f64; 17] = [
     0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10, 1.15, 1.20, 1.25, 1.30, 1.35, 1.40, 1.45, 1.50, 1.55,
     1.60,
 ];
@@ -72,7 +72,7 @@ pub fn optimum_homogeneous_suite(
     exec: &Executor,
 ) -> SuiteBaseline {
     assert!(!profiles.is_empty(), "empty suite");
-    let candidates = exec.map(&CYCLE_FACTORS, |_, &factor| {
+    let candidates = exec.map(&HOMOG_CYCLE_FACTORS, |_, &factor| {
         suite_candidate(profiles, design, power, factor)
     });
     let mut best: Option<SuiteBaseline> = None;
@@ -96,19 +96,11 @@ fn suite_candidate(
         .iter()
         .map(|p| crate::profile::reference_usage_scaled(p, design.num_clusters, factor))
         .collect();
-    let evaluate = |voltages: Voltages| -> Option<f64> {
-        if !voltages.in_range() {
-            return None;
-        }
-        let config = ClockedConfig::homogeneous(design, cycle).with_voltages(voltages);
-        let mut total = 0.0;
-        for usage in &usages {
-            total += power.estimate_energy(&config, usage)?;
-        }
-        Some(total)
-    };
-    let voltages = optimise_voltages(design, evaluate)?;
-    let config = ClockedConfig::homogeneous(design, cycle).with_voltages(voltages);
+    // All clusters share one frequency, hence one optimal supply.
+    let base = ClockedConfig::homogeneous(design, cycle);
+    let all: Vec<usize> = (0..usize::from(design.num_clusters)).collect();
+    let voltages = optimise_voltages_grouped(&base, &[all], power, &usages)?;
+    let config = base.with_voltages(voltages);
     let mut per_benchmark = Vec::with_capacity(profiles.len());
     let mut suite_ed2 = 0.0;
     for usage in &usages {
@@ -130,26 +122,54 @@ fn suite_candidate(
     })
 }
 
-/// Coordinate-descent voltage optimisation for a *homogeneous* machine:
-/// all clusters share one frequency, hence one optimal supply.
-pub(crate) fn optimise_voltages(
-    design: MachineDesign,
-    evaluate: impl Fn(Voltages) -> Option<f64>,
-) -> Option<Voltages> {
-    let all: Vec<usize> = (0..usize::from(design.num_clusters)).collect();
-    optimise_voltages_grouped(design, &[all], evaluate)
-}
-
 /// Coordinate-descent voltage optimisation with independent supplies per
 /// cluster *speed group* (fast clusters want high voltage, slow clusters
-/// low voltage — the heterogeneous design's central lever). Energy is
+/// low voltage — the heterogeneous design's central lever), minimising
+/// the summed energy of `usages` at `base`'s cycle times. Energy is
 /// separable per clock domain, so sweeping each group, the ICN and the
 /// cache independently is exact.
-pub(crate) fn optimise_voltages_grouped(
-    design: MachineDesign,
+///
+/// A domain's δ/σ depend only on its cycle time and supply, and the
+/// descent never changes a cycle time, so every supply grid is tabulated
+/// once per descent — one row per cluster, one for the ICN, one for the
+/// cache — and each candidate is priced from those rows without
+/// allocating. The 1 V start point and the range-maximum fallback are
+/// priced directly.
+///
+/// Returns `None` when neither start point is electrically feasible.
+///
+/// # Panics
+///
+/// Panics if a usage or a group names a cluster count or index the
+/// design does not have.
+#[must_use]
+pub fn optimise_voltages_grouped(
+    base: &ClockedConfig,
     cluster_groups: &[Vec<usize>],
-    evaluate: impl Fn(Voltages) -> Option<f64>,
+    power: &PowerModel,
+    usages: &[UsageProfile],
 ) -> Option<Voltages> {
+    let design = base.design();
+    // Start at 1 V everywhere; fall back to the highest supplies if that
+    // is infeasible (very fast cycle times need more voltage).
+    let mut descent = Descent::start(
+        base,
+        power,
+        usages,
+        Voltages::reference(design.num_clusters),
+    )
+    .or_else(|| {
+        let mut v = Voltages::reference(design.num_clusters);
+        for c in &mut v.clusters {
+            *c = Voltages::CLUSTER_RANGE.1;
+        }
+        v.icn = Voltages::ICN_RANGE.1;
+        v.cache = Voltages::CACHE_RANGE.1;
+        Descent::start(base, power, usages, v)
+    })?;
+
+    // The `hi + 1e-9` bound is `Voltages::in_range`'s own tolerance, so
+    // every grid point is in range and candidates need no range check.
     let grid = |(lo, hi): (f64, f64)| -> Vec<f64> {
         let mut v = Vec::new();
         let mut x = lo;
@@ -159,64 +179,121 @@ pub(crate) fn optimise_voltages_grouped(
         }
         v
     };
-    let mut current = Voltages::reference(design.num_clusters);
-    // Ensure a feasible starting point exists at all.
-    let mut current_e = evaluate(current.clone());
-    // Fall back to the highest supplies if the reference point is
-    // infeasible (very fast cycle times need more voltage).
-    if current_e.is_none() {
-        let mut v = Voltages::reference(design.num_clusters);
-        for c in &mut v.clusters {
-            *c = Voltages::CLUSTER_RANGE.1;
-        }
-        v.icn = Voltages::ICN_RANGE.1;
-        v.cache = Voltages::CACHE_RANGE.1;
-        current_e = evaluate(v.clone());
-        current = v;
-    }
-    current_e?;
+    let row = |domain: DomainId, grid: &[f64]| -> Row {
+        let cycle = base.domain_cycle(domain);
+        let row = grid.iter().map(|&vdd| power.scaling(cycle, vdd)).collect();
+        (domain, row)
+    };
+    let cluster_grid = grid(Voltages::CLUSTER_RANGE);
+    let icn_grid = grid(Voltages::ICN_RANGE);
+    let cache_grid = grid(Voltages::CACHE_RANGE);
+    let cluster_rows: Vec<_> = design
+        .clusters()
+        .map(|c| row(DomainId::Cluster(c), &cluster_grid))
+        .collect();
+    let icn_row = row(DomainId::Icn, &icn_grid);
+    let cache_row = row(DomainId::Cache, &cache_grid);
 
-    // One pass per component family is exact by separability; a second
-    // pass guards the (non-separable) corner cases defensively.
+    // The coordinates in sweep order. Clusters within one speed group
+    // share a frequency, hence one optimal supply; different groups are
+    // swept independently, then the ICN, then the cache.
+    let mut coordinates: Vec<(&[f64], Vec<&Row>)> = cluster_groups
+        .iter()
+        .map(|group| {
+            let members = group.iter().map(|&c| &cluster_rows[c]).collect();
+            (&cluster_grid[..], members)
+        })
+        .collect();
+    coordinates.push((&icn_grid, vec![&icn_row]));
+    coordinates.push((&cache_grid, vec![&cache_row]));
+
+    // One pass per coordinate is exact by separability; a second pass
+    // guards the (non-separable) corner cases defensively.
     for _ in 0..2 {
-        // Clusters within one speed group share a frequency, hence one
-        // optimal supply; different groups are swept independently.
-        for group in cluster_groups {
-            for vdd in grid(Voltages::CLUSTER_RANGE) {
-                let mut cand = current.clone();
-                for &c in group {
-                    cand.clusters[c] = vdd;
-                }
-                if let Some(e) = evaluate(cand.clone()) {
-                    if current_e.is_none_or(|c| e < c) {
-                        current = cand;
-                        current_e = Some(e);
-                    }
-                }
-            }
+        for (grid, members) in &coordinates {
+            descent.sweep(grid, members);
         }
-        for vdd in grid(Voltages::ICN_RANGE) {
-            let mut cand = current.clone();
-            cand.icn = vdd;
-            if let Some(e) = evaluate(cand.clone()) {
-                if current_e.is_none_or(|c| e < c) {
-                    current = cand;
-                    current_e = Some(e);
-                }
-            }
+    }
+    Some(descent.voltages)
+}
+
+/// A domain with its tabulated scaling at every supply of its grid
+/// (`None` where the supply cannot sustain the domain's frequency).
+type Row = (DomainId, Vec<Option<DomainScaling>>);
+
+/// One voltage descent's state: the current supplies with their domain
+/// scalings and priced energy, plus a candidate buffer every move reuses.
+struct Descent<'a> {
+    power: &'a PowerModel,
+    usages: &'a [UsageProfile],
+    voltages: Voltages,
+    scaling: ConfigScaling,
+    energy: f64,
+    candidate: ConfigScaling,
+}
+
+impl<'a> Descent<'a> {
+    /// Starts at `voltages` on `base`'s cycle times, priced directly, or
+    /// `None` when some domain cannot sustain its frequency there.
+    fn start(
+        base: &ClockedConfig,
+        power: &'a PowerModel,
+        usages: &'a [UsageProfile],
+        voltages: Voltages,
+    ) -> Option<Self> {
+        let mut scaling = ConfigScaling::default();
+        let config = base.clone().with_voltages(voltages.clone());
+        if !power.scale_config(&config, &mut scaling) {
+            return None;
         }
-        for vdd in grid(Voltages::CACHE_RANGE) {
-            let mut cand = current.clone();
-            cand.cache = vdd;
-            if let Some(e) = evaluate(cand.clone()) {
-                if current_e.is_none_or(|c| e < c) {
-                    current = cand;
-                    current_e = Some(e);
+        let energy = total_energy(power, usages, &scaling);
+        Some(Descent {
+            power,
+            usages,
+            voltages,
+            candidate: scaling.clone(),
+            scaling,
+            energy,
+        })
+    }
+
+    /// Moves every domain of `members` together through each supply of
+    /// `grid`, keeping a move when it strictly lowers the energy.
+    fn sweep(&mut self, grid: &[f64], members: &[&Row]) {
+        // Only the members' entries differ between candidates, and every
+        // feasible candidate overwrites all of them.
+        self.candidate.clone_from(&self.scaling);
+        for (k, &vdd) in grid.iter().enumerate() {
+            let mut feasible = true;
+            for &(domain, row) in members {
+                let Some(s) = row[k] else {
+                    feasible = false;
+                    break;
+                };
+                *self.candidate.domain_mut(*domain) = s;
+            }
+            if !feasible {
+                continue;
+            }
+            let e = total_energy(self.power, self.usages, &self.candidate);
+            if e < self.energy {
+                for &(domain, _) in members {
+                    *self.voltages.domain_mut(*domain) = vdd;
                 }
+                self.scaling.clone_from(&self.candidate);
+                self.energy = e;
             }
         }
     }
-    current_e.map(|_| current)
+}
+
+/// The energy of every usage at `scaling`, summed in usage order.
+fn total_energy(power: &PowerModel, usages: &[UsageProfile], scaling: &ConfigScaling) -> f64 {
+    let mut total = 0.0;
+    for usage in usages {
+        total += power.price(scaling, usage);
+    }
+    total
 }
 
 #[cfg(test)]
@@ -269,7 +346,9 @@ mod tests {
         let choice = &baseline.per_benchmark[0];
         let factor = choice.config.fastest_cluster_cycle().as_ns();
         assert!(
-            CYCLE_FACTORS.iter().any(|f| (f - factor).abs() < 1e-9),
+            HOMOG_CYCLE_FACTORS
+                .iter()
+                .any(|f| (f - factor).abs() < 1e-9),
             "cycle factor {factor} comes from the grid"
         );
         assert!(choice.energy > 0.0);

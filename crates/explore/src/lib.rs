@@ -40,7 +40,10 @@ mod select;
 pub mod store_keys;
 
 pub use estimate::{estimate_loop_it, estimate_program, estimate_usage, price_usage, HetEstimate};
-pub use homog::{optimum_homogeneous_suite, HomogChoice, SuiteBaseline};
+pub use homog::{
+    optimise_voltages_grouped, optimum_homogeneous_suite, HomogChoice, SuiteBaseline,
+    HOMOG_CYCLE_FACTORS,
+};
 pub use profile::{
     profile_benchmark, reference_usage_scaled, suite_reference, BenchmarkProfile, LoopProfile,
     T_TOTAL,

@@ -40,7 +40,7 @@ use crate::estimate::estimate_usage;
 use crate::experiments::{ExperimentOptions, ProfiledSuite};
 use crate::homog::optimise_voltages_grouped;
 use crate::profile::{reference_usage_scaled, suite_reference};
-use crate::select::{FAST_FACTORS, SLOW_RATIOS};
+use crate::select::{speed_groups, FAST_FACTORS, SLOW_RATIOS};
 
 /// Extended fast-cluster cycle-time factors (×reference cycle).
 pub const EXT_FAST_FACTORS: [f64; 7] = [0.85, 0.90, 0.95, 1.00, 1.05, 1.10, 1.15];
@@ -377,23 +377,8 @@ impl<'a> SearchContext<'a> {
                 }
             })
             .collect();
-        let usages = usages?;
-        let groups: Vec<Vec<usize>> = if slow_ratio > 1.0 {
-            vec![vec![0], (1..usize::from(design.num_clusters)).collect()]
-        } else {
-            vec![(0..usize::from(design.num_clusters)).collect()]
-        };
-        optimise_voltages_grouped(design, &groups, |voltages| {
-            if !voltages.in_range() {
-                return None;
-            }
-            let candidate = base.clone().with_voltages(voltages);
-            let mut total = 0.0;
-            for usage in &usages {
-                total += bus.power.estimate_energy(&candidate, usage)?;
-            }
-            Some(total)
-        })
+        let groups = speed_groups(design, slow_ratio);
+        optimise_voltages_grouped(base, &groups, &bus.power, &usages?)
     }
 
     /// Measures `config` on every benchmark of `bus`'s suite and totals
@@ -532,13 +517,10 @@ impl<'a> SearchContext<'a> {
 /// sustain its frequency (the expensive measurement is skipped for
 /// candidates that fail it).
 fn electrically_feasible(power: &PowerModel, config: &ClockedConfig) -> bool {
-    let probe = UsageProfile {
-        weighted_ins_per_cluster: vec![0.0; usize::from(config.design().num_clusters)],
-        comms: 0,
-        mem_accesses: 0,
-        exec_time: Time::from_ns(1.0),
-    };
-    power.estimate_energy(config, &probe).is_some()
+    config
+        .domains()
+        .into_iter()
+        .all(|d| power.domain_scaling(config, d).is_some())
 }
 
 /// One Pareto-frontier row of a search report: the decoded configuration

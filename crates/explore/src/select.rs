@@ -99,11 +99,7 @@ fn evaluate_candidate(
     // profile is computed once per candidate and the coordinate descent
     // below prices voltages against it, with independent supplies for the
     // fast and slow groups.
-    let groups: Vec<Vec<usize>> = if slow_ratio > 1.0 {
-        vec![vec![0], (1..usize::from(design.num_clusters)).collect()]
-    } else {
-        vec![(0..usize::from(design.num_clusters)).collect()]
-    };
+    let groups = speed_groups(design, slow_ratio);
     // Homogeneous candidates are evaluated with the *exact* model (§5.1:
     // the schedule is the reference schedule, so counts are known);
     // heterogeneous ones use the §3.2 estimators.
@@ -113,17 +109,22 @@ fn evaluate_candidate(
     } else {
         estimate_usage(profile, &base, menu)?
     };
-    let evaluate = |voltages: vliw_machine::Voltages| {
-        if !voltages.in_range() {
-            return None;
-        }
-        let candidate = base.clone().with_voltages(voltages);
-        power.estimate_energy(&candidate, &usage)
-    };
-    let voltages = optimise_voltages_grouped(design, &groups, evaluate)?;
+    let voltages = optimise_voltages_grouped(&base, &groups, power, std::slice::from_ref(&usage))?;
     let config = base.with_voltages(voltages);
     let estimate = price_usage(&usage, &config, power)?;
     Some(HeteroChoice { config, estimate })
+}
+
+/// The cluster speed groups of a §3.3 candidate, each swept with one
+/// supply: the fast cluster 0 and the slow rest when `slow_ratio > 1`,
+/// otherwise every cluster together.
+pub(crate) fn speed_groups(design: MachineDesign, slow_ratio: f64) -> Vec<Vec<usize>> {
+    let nc = usize::from(design.num_clusters);
+    if slow_ratio > 1.0 {
+        vec![vec![0], (1..nc).collect()]
+    } else {
+        vec![(0..nc).collect()]
+    }
 }
 
 #[cfg(test)]

@@ -72,6 +72,19 @@ impl Voltages {
         }
     }
 
+    /// The supply of `domain`, for in-place updates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cluster id is out of range.
+    pub fn domain_mut(&mut self, domain: DomainId) -> &mut f64 {
+        match domain {
+            DomainId::Cluster(c) => &mut self.clusters[c.index()],
+            DomainId::Icn => &mut self.icn,
+            DomainId::Cache => &mut self.cache,
+        }
+    }
+
     /// Whether every supply lies inside its legal range.
     #[must_use]
     pub fn in_range(&self) -> bool {

@@ -49,7 +49,7 @@ impl UsageProfile {
 
 /// Voltage/frequency scaling factors of one clock domain relative to the
 /// reference machine.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DomainScaling {
     /// Dynamic-energy ratio δ.
     pub delta: f64,
@@ -57,6 +57,56 @@ pub struct DomainScaling {
     pub sigma: f64,
     /// The threshold voltage the α-power model selected.
     pub vth: f64,
+}
+
+/// The scaling factors of every clock domain of one configuration: all
+/// the §3.1.3 pricing needs besides the usage profile.
+///
+/// A domain's δ/σ depend only on its cycle time and supply, so a caller
+/// that prices many usages, or many supplies at fixed cycle times, fills
+/// this once (with [`PowerModel::scale_config`], or from tabulated
+/// [`PowerModel::scaling`] values) and prices each usage with
+/// [`PowerModel::price`].
+#[derive(Debug, Default, PartialEq)]
+pub struct ConfigScaling {
+    /// One entry per cluster, in cluster order.
+    pub clusters: Vec<DomainScaling>,
+    /// The interconnect's scaling.
+    pub icn: DomainScaling,
+    /// The memory hierarchy's scaling.
+    pub cache: DomainScaling,
+}
+
+impl Clone for ConfigScaling {
+    fn clone(&self) -> Self {
+        ConfigScaling {
+            clusters: self.clusters.clone(),
+            icn: self.icn,
+            cache: self.cache,
+        }
+    }
+
+    /// Reuses `self`'s cluster buffer.
+    fn clone_from(&mut self, source: &Self) {
+        self.clusters.clone_from(&source.clusters);
+        self.icn = source.icn;
+        self.cache = source.cache;
+    }
+}
+
+impl ConfigScaling {
+    /// The scaling of `domain`, for in-place updates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cluster id is out of range.
+    pub fn domain_mut(&mut self, domain: DomainId) -> &mut DomainScaling {
+        match domain {
+            DomainId::Cluster(c) => &mut self.clusters[c.index()],
+            DomainId::Icn => &mut self.icn,
+            DomainId::Cache => &mut self.cache,
+        }
+    }
 }
 
 /// The calibrated §3 energy model: estimates the energy any clocked
@@ -124,18 +174,16 @@ impl PowerModel {
         self.design
     }
 
-    /// Scaling factors for one domain of `config`, or `None` when the
-    /// domain's frequency is unreachable at its supply voltage (no valid
-    /// threshold exists).
+    /// Scaling factors of a clock domain with cycle time `cycle` supplied
+    /// with `vdd`, or `None` when that frequency is unreachable at that
+    /// supply (no valid threshold exists).
+    ///
+    /// Nothing else of a configuration enters a domain's δ/σ, so callers
+    /// pricing many configurations over a fixed set of (cycle, supply)
+    /// pairs tabulate this once per pair.
     #[must_use]
-    pub fn domain_scaling(
-        &self,
-        config: &ClockedConfig,
-        domain: DomainId,
-    ) -> Option<DomainScaling> {
-        let vdd = config.voltages().domain(domain);
-        let freq = config.domain_cycle(domain).freq_ghz();
-        let vth = self.alpha.threshold_for(freq, vdd)?;
+    pub fn scaling(&self, cycle: Time, vdd: f64) -> Option<DomainScaling> {
+        let vth = self.alpha.threshold_for(cycle.freq_ghz(), vdd)?;
         Some(DomainScaling {
             delta: dynamic_scale(vdd, self.alpha.vdd_ref()),
             sigma: static_scale(
@@ -149,14 +197,83 @@ impl PowerModel {
         })
     }
 
-    /// Estimates the total energy `config` spends executing `usage`
-    /// (§3.1.3):
+    /// Scaling factors for one domain of `config`, or `None` when the
+    /// domain's frequency is unreachable at its supply voltage.
+    #[must_use]
+    pub fn domain_scaling(
+        &self,
+        config: &ClockedConfig,
+        domain: DomainId,
+    ) -> Option<DomainScaling> {
+        self.scaling(
+            config.domain_cycle(domain),
+            config.voltages().domain(domain),
+        )
+    }
+
+    /// Fills `out` with the scaling of every domain of `config`, reusing
+    /// its cluster buffer. Returns `false`, leaving `out` partly filled,
+    /// when some domain's (frequency, voltage) pair is electrically
+    /// infeasible.
+    pub fn scale_config(&self, config: &ClockedConfig, out: &mut ConfigScaling) -> bool {
+        out.clusters.clear();
+        for c in self.design.clusters() {
+            match self.domain_scaling(config, DomainId::Cluster(c)) {
+                Some(s) => out.clusters.push(s),
+                None => return false,
+            }
+        }
+        let (Some(icn), Some(cache)) = (
+            self.domain_scaling(config, DomainId::Icn),
+            self.domain_scaling(config, DomainId::Cache),
+        ) else {
+            return false;
+        };
+        out.icn = icn;
+        out.cache = cache;
+        true
+    }
+
+    /// Prices `usage` at precomputed domain scalings (§3.1.3):
     ///
     /// ```text
     /// E_het = Σ_c Ins_c·E_ins·δ_c + Comms·E_comm·δ_ICN
     ///       + MemIns·E_access·δ_cache
     ///       + T · (Σ_c E_s_C·σ_c + E_s_ICN·σ_ICN + E_s_cache·σ_cache)
     /// ```
+    ///
+    /// This is the model's only pricing body:
+    /// [`estimate_energy`](Self::estimate_energy) is
+    /// [`scale_config`](Self::scale_config) followed by this.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `usage` or `scaling` has a different cluster count than
+    /// the design.
+    #[must_use]
+    pub fn price(&self, scaling: &ConfigScaling, usage: &UsageProfile) -> f64 {
+        let nc = usize::from(self.design.num_clusters);
+        assert_eq!(
+            usage.weighted_ins_per_cluster.len(),
+            nc,
+            "usage profile must cover every cluster"
+        );
+        assert_eq!(scaling.clusters.len(), nc, "one scaling per cluster");
+        let mut dynamic = 0.0;
+        let mut static_per_s = 0.0;
+        for (&ins, s) in usage.weighted_ins_per_cluster.iter().zip(&scaling.clusters) {
+            dynamic += ins * self.units.e_ins * s.delta;
+            static_per_s += self.units.e_static_cluster_per_s * s.sigma;
+        }
+        dynamic += usage.comms as f64 * self.units.e_comm * scaling.icn.delta;
+        static_per_s += self.units.e_static_icn_per_s * scaling.icn.sigma;
+        dynamic += usage.mem_accesses as f64 * self.units.e_access * scaling.cache.delta;
+        static_per_s += self.units.e_static_cache_per_s * scaling.cache.sigma;
+        dynamic + static_per_s * usage.exec_time.as_secs()
+    }
+
+    /// Estimates the total energy `config` spends executing `usage`: the
+    /// scaling of every domain, then [`price`](Self::price).
     ///
     /// Returns `None` when any domain's (frequency, voltage) pair is
     /// electrically infeasible.
@@ -166,26 +283,9 @@ impl PowerModel {
     /// Panics if `usage` has a different cluster count than the design.
     #[must_use]
     pub fn estimate_energy(&self, config: &ClockedConfig, usage: &UsageProfile) -> Option<f64> {
-        assert_eq!(
-            usage.weighted_ins_per_cluster.len(),
-            usize::from(self.design.num_clusters),
-            "usage profile must cover every cluster"
-        );
-        let secs = usage.exec_time.as_secs();
-        let mut dynamic = 0.0;
-        let mut static_per_s = 0.0;
-        for c in self.design.clusters() {
-            let s = self.domain_scaling(config, DomainId::Cluster(c))?;
-            dynamic += usage.weighted_ins_per_cluster[c.index()] * self.units.e_ins * s.delta;
-            static_per_s += self.units.e_static_cluster_per_s * s.sigma;
-        }
-        let icn = self.domain_scaling(config, DomainId::Icn)?;
-        dynamic += usage.comms as f64 * self.units.e_comm * icn.delta;
-        static_per_s += self.units.e_static_icn_per_s * icn.sigma;
-        let cache = self.domain_scaling(config, DomainId::Cache)?;
-        dynamic += usage.mem_accesses as f64 * self.units.e_access * cache.delta;
-        static_per_s += self.units.e_static_cache_per_s * cache.sigma;
-        Some(dynamic + static_per_s * secs)
+        let mut scaling = ConfigScaling::default();
+        self.scale_config(config, &mut scaling)
+            .then(|| self.price(&scaling, usage))
     }
 
     /// A stable 64-bit fingerprint of every quantity that influences this

@@ -54,7 +54,7 @@ mod reference;
 mod scaling;
 
 pub use alpha::AlphaPowerModel;
-pub use estimate::{DomainScaling, PowerModel, UsageProfile};
+pub use estimate::{ConfigScaling, DomainScaling, PowerModel, UsageProfile};
 pub use reference::{EnergyShares, EnergyUnits, ReferenceProfile};
 pub use scaling::{dynamic_scale, static_scale, SUBTHRESHOLD_SWING_V};
 
@@ -80,5 +80,6 @@ const _: () = {
     _assert_send_sync::<EnergyUnits>();
     _assert_send_sync::<ReferenceProfile>();
     _assert_send_sync::<UsageProfile>();
+    _assert_send_sync::<ConfigScaling>();
     _assert_send_sync::<AlphaPowerModel>();
 };

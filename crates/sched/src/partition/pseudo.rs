@@ -19,7 +19,7 @@
 use vliw_ir::{Ddg, DepKind, FuKind, Recurrence};
 use vliw_machine::Time;
 use vliw_machine::{ClockedConfig, ClusterId, DomainId};
-use vliw_power::UsageProfile;
+use vliw_power::{ConfigScaling, PowerModel, UsageProfile};
 
 use super::{fu_slot, PartitionObjective};
 use crate::timing::LoopClocks;
@@ -71,9 +71,9 @@ pub fn evaluate_partition(
 }
 
 /// [`evaluate_partition`] with caller-provided scratch buffers. The
-/// refiner evaluates hundreds of candidate moves per loop; reusing the
-/// scratch removes every per-evaluation allocation except the energy
-/// model's usage profile.
+/// refiner evaluates hundreds of candidate moves per loop; once the
+/// scratch is warm, an evaluation allocates nothing, with or without a
+/// power model.
 ///
 /// # Panics
 ///
@@ -89,7 +89,7 @@ pub fn evaluate_partition_ws(
     scratch: &mut PartitionScratch,
 ) -> PseudoEval {
     let mut ctx = std::mem::take(&mut scratch.ctx);
-    ctx.build(ddg, config, clocks);
+    ctx.build(ddg, config, clocks, objective.power);
     let eval = evaluate_partition_ctx(
         ddg,
         assignment,
@@ -103,9 +103,10 @@ pub fn evaluate_partition_ws(
     eval
 }
 
-/// Everything about one (DDG, config, clocks) triple that candidate
-/// evaluations share, precomputed so the `O(V + E)` body of
-/// [`evaluate_partition_ctx`] is pure table lookups.
+/// Everything about one (DDG, config, clocks, power model) tuple that
+/// candidate evaluations share, precomputed so the `O(V + E)` body of
+/// [`evaluate_partition_ctx`] is pure table lookups and the energy term
+/// prices from cached domain scalings.
 ///
 /// The refiner prices hundreds of candidate moves against the *same*
 /// graph and clocks; only the assignment changes. Each table entry is
@@ -144,11 +145,25 @@ pub(crate) struct EvalCtx {
     /// `itlen` is ≥ this (fp-monotone argument in
     /// [`evaluate_partition_ctx`]).
     cp_min_max: f64,
+    /// Per-op finish times of that min-latency critical-path pass.
+    cp_min: Vec<f64>,
+    /// The config's domain scalings under the objective's power model
+    /// (filled only when the context is built with one).
+    scaling: ConfigScaling,
+    /// Whether every domain of the config can sustain its frequency at its
+    /// supply; a power-objective evaluation is infeasible otherwise.
+    power_feasible: bool,
 }
 
 impl EvalCtx {
     /// (Re)builds the context in place, reusing retained buffers.
-    pub(crate) fn build(&mut self, ddg: &Ddg, config: &ClockedConfig, clocks: &LoopClocks) {
+    pub(crate) fn build(
+        &mut self,
+        ddg: &Ddg,
+        config: &ClockedConfig,
+        clocks: &LoopClocks,
+        power: Option<&PowerModel>,
+    ) {
         let design = config.design();
         let n = ddg.num_ops();
         self.nc = usize::from(design.num_clusters);
@@ -208,25 +223,28 @@ impl EvalCtx {
             self.pred_off
                 .push(u32::try_from(self.preds.len()).expect("edge count fits u32"));
         }
-        // Minimum-latency critical path (see the field doc). `finish` here
-        // is a local scratch-free pass over the cached topo order.
+        // Minimum-latency critical path (see the field doc): one pass
+        // over the cached topo order.
         self.cp_min_max = 0.0;
         if let Ok(order) = ddg.topo_order() {
-            let mut cpmin = vec![0.0f64; n];
+            self.cp_min.clear();
+            self.cp_min.resize(n, 0.0);
             for &v in order {
                 let mut start = 0.0f64;
                 let row = self.pred_off[v.index()] as usize..self.pred_off[v.index() + 1] as usize;
                 for &(src, _) in &self.preds[row] {
-                    start = start.max(cpmin[src as usize]);
+                    start = start.max(self.cp_min[src as usize]);
                 }
                 let mut min_lat = f64::INFINITY;
                 for c in 0..self.nc {
                     min_lat = min_lat.min(self.lat[v.index() * self.nc + c]);
                 }
-                cpmin[v.index()] = start + min_lat;
-                self.cp_min_max = self.cp_min_max.max(cpmin[v.index()]);
+                self.cp_min[v.index()] = start + min_lat;
+                self.cp_min_max = self.cp_min_max.max(self.cp_min[v.index()]);
             }
         }
+        // The config's δ/σ are fixed for the whole refinement run.
+        self.power_feasible = power.is_some_and(|p| p.scale_config(config, &mut self.scaling));
     }
 }
 
@@ -462,8 +480,13 @@ pub(crate) fn evaluate_partition_bounded(
         // baseline \[3\] also prefers comm-lean partitions among equals,
         // and comm-lean partitions schedule more robustly.
         None => 1.0 + 0.002 * comms as f64,
+        Some(_) if !ctx.power_feasible => return infeasible,
         Some(power) => {
-            let mut weighted = vec![0.0f64; usize::from(design.num_clusters)];
+            // The usage borrows the scratch's per-cluster buffer for the
+            // pricing and hands it back, so nothing is allocated.
+            let mut weighted = std::mem::take(&mut scratch.weighted);
+            weighted.clear();
+            weighted.resize(ctx.nc, 0.0);
             for op in ddg.ops() {
                 weighted[assignment[op.id().index()].index()] +=
                     op.class().relative_energy() * trips;
@@ -474,10 +497,9 @@ pub(crate) fn evaluate_partition_bounded(
                 mem_accesses: ddg.count_memory_ops() as u64 * objective.trip_count,
                 exec_time: Time::from_ns(est_exec_ns),
             };
-            match power.estimate_energy(config, &usage) {
-                Some(e) => e,
-                None => return infeasible,
-            }
+            let energy = power.price(&ctx.scaling, &usage);
+            scratch.weighted = usage.weighted_ins_per_cluster;
+            energy
         }
     };
     let secs = est_exec_ns * 1e-9;

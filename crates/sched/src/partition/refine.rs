@@ -47,10 +47,11 @@ pub(crate) fn refine(
     // group's ops, not the whole array.
     let mut induced = std::mem::take(&mut scratch.induced);
     let mut group_version = std::mem::take(&mut scratch.group_version);
-    // The evaluation context (latency tables, edge lists) is fixed for the
-    // whole refinement run — built once, shared by every candidate pricing.
+    // The evaluation context (latency tables, edge lists, the config's
+    // domain scalings) is fixed for the whole refinement run — built once,
+    // shared by every candidate pricing.
     let mut ctx = std::mem::take(&mut scratch.ctx);
-    ctx.build(ddg, config, clocks);
+    ctx.build(ddg, config, clocks, objective.power);
 
     // Move counter for the rejection-skip below: bumped on every accepted
     // move, i.e. whenever the global assignment changes.

@@ -57,6 +57,9 @@ pub struct PartitionScratch {
     pub(crate) rec_epoch: u32,
     /// ASAP finish times over the distance-0 subgraph.
     pub(crate) finish: Vec<f64>,
+    /// Per-cluster energy-weighted instruction counts of the candidate a
+    /// power objective is pricing.
+    pub(crate) weighted: Vec<f64>,
     /// Refinement's per-op induced-assignment buffer.
     pub(crate) induced: Vec<ClusterId>,
     /// Refinement's per-group rejection versions (see
@@ -64,7 +67,8 @@ pub struct PartitionScratch {
     /// had every candidate move rejected.
     pub(crate) group_version: Vec<u64>,
     /// The prebuilt evaluation context shared by every candidate pricing
-    /// of one refinement run (latency tables, flow-edge lists, pred CSR).
+    /// of one refinement run (latency tables, flow-edge lists, pred CSR,
+    /// the config's domain scalings).
     pub(crate) ctx: crate::partition::EvalCtx,
 }
 

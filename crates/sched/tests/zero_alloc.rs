@@ -62,9 +62,11 @@ fn allocations() -> u64 {
 }
 
 use vliw_ir::{Ddg, DdgBuilder, OpClass};
-use vliw_machine::{ClockedConfig, ClusterId, FrequencyMenu, MachineDesign, Time};
+use vliw_machine::{ClockedConfig, ClusterId, FrequencyMenu, MachineDesign, Time, Voltages};
+use vliw_power::{EnergyShares, PowerModel, ReferenceProfile};
 use vliw_sched::ims;
-use vliw_sched::{ExtGraph, LoopClocks, SchedWorkspace};
+use vliw_sched::partition::evaluate_partition_ws;
+use vliw_sched::{ExtGraph, LoopClocks, PartitionObjective, PartitionScratch, SchedWorkspace};
 
 /// A representative loop body: loads feeding a multiply/add tree with an
 /// accumulator recurrence and a store — chains, fans, a carried cycle and
@@ -324,4 +326,79 @@ fn multi_word_mrt_reuse_allocates_nothing_once_warm() {
         0,
         "multi-word MRT reuse must not allocate once buffers are warm"
     );
+}
+
+/// A power-objective pseudo-schedule evaluation prices the candidate from
+/// the domain scalings its context cached when it was built, through the
+/// scratch's per-cluster buffer, so a warm `evaluate_partition_ws` with
+/// an energy model allocates nothing.
+#[test]
+fn power_objective_evaluation_allocates_nothing_once_warm() {
+    let design = MachineDesign::paper_machine(1);
+    let config = ClockedConfig::heterogeneous(design, Time::from_ns(1.0), 1, Time::from_ns(1.25))
+        .with_voltages(Voltages {
+            clusters: vec![1.0, 0.8, 0.8, 0.8],
+            icn: 1.0,
+            cache: 1.0,
+        });
+    let clocks =
+        LoopClocks::select(&config, &FrequencyMenu::unrestricted(), Time::from_ns(5.0)).unwrap();
+    let power = PowerModel::calibrate(
+        design,
+        EnergyShares::PAPER,
+        &ReferenceProfile {
+            weighted_ins: 10_000.0,
+            comms: 500,
+            mem_accesses: 2_000,
+            exec_time: Time::from_ns(10_000.0),
+        },
+    );
+    let objective = PartitionObjective {
+        power: Some(&power),
+        trip_count: 100,
+    };
+    let ddg = representative_ddg();
+    ddg.validate_schedulable().unwrap();
+    let recurrences = ddg.recurrences();
+    let assignment = [
+        ClusterId(0),
+        ClusterId(1),
+        ClusterId(2),
+        ClusterId(0),
+        ClusterId(1),
+        ClusterId(0),
+        ClusterId(0),
+        ClusterId(3),
+        ClusterId(2),
+    ];
+
+    let mut scratch = PartitionScratch::new();
+    let first = evaluate_partition_ws(
+        &ddg,
+        &assignment,
+        recurrences,
+        &config,
+        &clocks,
+        &objective,
+        &mut scratch,
+    );
+    assert!(first.energy.is_finite(), "the configuration is feasible");
+
+    let before = allocations();
+    let second = evaluate_partition_ws(
+        &ddg,
+        &assignment,
+        recurrences,
+        &config,
+        &clocks,
+        &objective,
+        &mut scratch,
+    );
+    let after = allocations();
+    assert_eq!(
+        after - before,
+        0,
+        "a warm power-objective evaluation must not allocate"
+    );
+    assert_eq!(second, first, "scratch reuse must not change the estimate");
 }
