@@ -3,8 +3,7 @@
 //! [`Client`] speaks the newline-delimited JSON protocol of
 //! [`serve`](crate::serve::serve) over a Unix socket; [`loadgen`]
 //! drives N concurrent clients against a daemon and reports p50/p99
-//! latency and requests per second (the perf gate's
-//! `serve_requests_per_second` metric).
+//! latency and requests per second.
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
@@ -95,9 +94,8 @@ pub struct LoadgenOptions {
     pub request: Request,
 }
 
-/// What one `loadgen` run measured. Like the throughput benches this
-/// carries wall-clock numbers, so it is not byte-stable; it feeds the
-/// perf gate's `serve_requests_per_second` metric.
+/// What one `loadgen` run measured. It carries wall-clock numbers, so
+/// it is not byte-stable.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct LoadgenReport {
     /// Always `"loadgen"` (artefact self-description).

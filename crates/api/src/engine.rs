@@ -23,20 +23,16 @@
 //! Rendering is ported line-for-line from the historical `paper` CLI:
 //! [`Response::text`] is byte-identical to the CLI's stdout and
 //! [`Response::body`] / [`Response::meta`] to its JSON artefacts, for
-//! every request kind. The two deliberate exceptions to caching:
+//! every request kind.
 //!
-//! * `searchbench` profiles a **fresh** suite outside the cache — it
-//!   measures cold-cache candidate-evaluation throughput, and a warm
-//!   memo cache would inflate the metric;
-//! * `schedbench` does not profile a suite at all (it times the
-//!   scheduler directly); with the `profile` knob it additionally turns
-//!   on the workspace's per-phase timers and re-validates every
-//!   schedule through `vliw-sim`, reporting the phase breakdown in the
-//!   JSON record.
+//! A request that panics is answered with an error response, like any
+//! other failure. The engine's caches stay usable: a suite or store is
+//! inserted only after it was built, so a lock poisoned by the panic
+//! still guards a consistent map and is recovered.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -46,7 +42,7 @@ use vliw_explore::experiments::{self, ExperimentOptions, ProfiledSuite};
 use vliw_explore::{run_search_scaled, run_search_shard, SpaceKind};
 use vliw_ir::OpClass;
 use vliw_machine::{ClockedConfig, MachineDesign, Time};
-use vliw_sched::{schedule_loop_ws, Phase, SchedWorkspace, ScheduleOptions};
+use vliw_sched::{schedule_loop_ws, SchedWorkspace, ScheduleOptions};
 use vliw_sim::validate;
 use vliw_store::{MeasureStore, StoreConfig};
 use vliw_workloads::{classify, family_suite_seeded, suite_seeded, Benchmark, Corpus, LoopClass};
@@ -134,7 +130,7 @@ impl Engine {
         let Some(dir) = effective.dir.clone() else {
             return Ok(None);
         };
-        let mut stores = self.stores.lock().expect("engine store registry poisoned");
+        let mut stores = recover(&self.stores);
         if let Some(s) = stores.get(&dir) {
             return Ok(Some(Arc::clone(s)));
         }
@@ -154,14 +150,9 @@ impl Engine {
 
     /// A snapshot of the engine's caches (profiled suites plus the
     /// measurement memo caches they carry).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the suite cache lock was poisoned by a panicking
-    /// request.
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        let suites = self.suites.lock().expect("engine suite cache poisoned");
+        let suites = recover(&self.suites);
         let mut stats = CacheStats {
             profiled_suites: suites.len(),
             ..CacheStats::default()
@@ -175,7 +166,7 @@ impl Engine {
             stats.measure_hits += s.cache().hits() + s.cache().misses() - measured;
             stats.measure_misses += measured;
         }
-        let stores = self.stores.lock().expect("engine store registry poisoned");
+        let stores = recover(&self.stores);
         for store in stores.values() {
             if let Ok(s) = store.stats() {
                 stats.store_hits += s.hits;
@@ -188,9 +179,9 @@ impl Engine {
         stats
     }
 
-    /// Runs one request to completion. Failures become error responses
-    /// (with any partially rendered text preserved), never a panic or a
-    /// process exit.
+    /// Runs one request to completion. Failures — a panic included —
+    /// become error responses (with any partially rendered text
+    /// preserved), never a panic or a process exit.
     #[must_use]
     pub fn run(&self, req: &Request) -> Response {
         let kind = req.kind();
@@ -198,7 +189,10 @@ impl Engine {
         let _span = vliw_obs::span_kv("engine.run", "kind", kind);
         let start = vliw_obs::timer_start();
         let mut text = String::new();
-        let result = self.run_inner(req, &mut text);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| self.run_inner(req, &mut text)))
+            .unwrap_or_else(|payload| {
+                Err(format!("request panicked: {}", panic_message(&*payload)))
+            });
         if let Some(s) = start {
             vliw_obs::histogram_with("engine_request_nanos", "kind", kind)
                 .record(vliw_obs::elapsed_nanos(s));
@@ -242,12 +236,16 @@ impl Engine {
             buses,
             store: store.as_ref().map(|s| s.dir().to_path_buf()),
         };
-        let mut suites = self.suites.lock().expect("engine suite cache poisoned");
+        let mut suites = recover(&self.suites);
         if let Some(s) = suites.get(&key) {
             vliw_obs::counter("engine_suite_cache_hits_total").inc();
             return Ok(Arc::clone(s));
         }
         vliw_obs::counter("engine_suite_cache_misses_total").inc();
+        #[cfg(test)]
+        if tests::PANIC_WHILE_PROFILING.with(|p| p.replace(false)) {
+            panic!("injected panic while profiling");
+        }
         let suite = if family {
             family_suite_seeded(p.loops, p.seed)
         } else {
@@ -277,10 +275,8 @@ impl Engine {
             Request::Figure7(p) => self.figure7(p, text),
             Request::Figure8(p) => self.figure8(p, text),
             Request::Figure9(p) => self.figure9(p, text),
-            Request::SchedBench(p) => self.schedbench(p, text),
             Request::FamilySweep(p) => self.familysweep(p, text),
             Request::Search { params, search } => self.search(params, *search, text),
-            Request::SearchBench(p) => self.searchbench(p, text),
             Request::CorpusSchedule { params, input } => {
                 self.corpus_schedule(params, input.as_deref(), text)
             }
@@ -510,118 +506,6 @@ impl Engine {
         Ok((Some(pretty(&all)), Some(run_meta("figure9", p))))
     }
 
-    fn schedbench(&self, p: &RunParams, text: &mut String) -> Result<Artifacts, String> {
-        let _ = writeln!(
-            text,
-            "\n== schedbench: scheduler throughput (loops/second) =="
-        );
-        let suite = suite_seeded(p.loops, p.seed);
-        let design = MachineDesign::paper_machine(1);
-        let configs = [
-            ClockedConfig::reference(design),
-            ClockedConfig::heterogeneous(design, Time::from_ns(1.0), 1, Time::from_ns(1.5)),
-        ];
-        let base_opts = ScheduleOptions::default();
-        // One workspace for the whole run, exactly as the exploration
-        // pipeline holds one per worker thread.
-        let mut ws = SchedWorkspace::new();
-        if p.profile {
-            ws.enable_profiling();
-        }
-        let mut scheduled = 0u64;
-        let start = Instant::now();
-        for bench in &suite {
-            for l in &bench.loops {
-                let mut opts = base_opts.clone();
-                opts.trip_count = l.trip_count();
-                for config in &configs {
-                    let sched = schedule_loop_ws(l.ddg(), config, None, &opts, &mut ws)
-                        .map_err(|e| format!("schedbench: {e}"))?;
-                    scheduled += 1;
-                    // The profiled variant also re-validates each
-                    // schedule through `vliw-sim`, timed as the
-                    // `validate` phase — the one pipeline phase the
-                    // scheduler itself never runs.
-                    if p.profile {
-                        let t0 = Instant::now();
-                        validate(l.ddg(), config, &sched)
-                            .map_err(|v| format!("schedbench: validation failed: {v:?}"))?;
-                        let elapsed = t0.elapsed();
-                        if let Some(prof) = ws.profile_mut() {
-                            prof.add(Phase::Validate, elapsed);
-                        }
-                    }
-                }
-            }
-        }
-        let wall = start.elapsed().as_secs_f64();
-        let lps = if wall > 0.0 {
-            scheduled as f64 / wall
-        } else {
-            f64::INFINITY
-        };
-        let _ = writeln!(
-            text,
-            "scheduled {scheduled} loops in {wall:.3} s => {lps:.1} loops/s"
-        );
-        let phases = ws.profile().map(|prof| {
-            let mut rows = Vec::with_capacity(Phase::ALL.len());
-            for ph in Phase::ALL {
-                // Mirror the profile into the process-wide registry so a
-                // scrape sees the phase breakdown as histograms. The
-                // profile only carries per-phase totals, so each phase
-                // is folded in at its mean entry cost.
-                vliw_obs::histogram_with("sched_phase_nanos", "phase", ph.name())
-                    .record_aggregate(prof.nanos(ph), prof.count(ph));
-                let row = PhaseRow {
-                    phase: ph.name().to_owned(),
-                    nanos: prof.nanos(ph),
-                    entries: prof.count(ph),
-                    share_of_wall: if wall > 0.0 {
-                        prof.seconds(ph) / wall
-                    } else {
-                        0.0
-                    },
-                };
-                let _ = writeln!(
-                    text,
-                    "  phase {:<9} {:>9.3} ms  ({:>5.1}% of wall, {} entries)",
-                    row.phase,
-                    row.nanos as f64 / 1e6,
-                    row.share_of_wall * 100.0,
-                    row.entries
-                );
-                rows.push(row);
-            }
-            let accounted = prof.total_nanos();
-            let _ = writeln!(
-                text,
-                "  phases account for {:.3} ms of {:.3} ms wall",
-                accounted as f64 / 1e6,
-                wall * 1e3
-            );
-            rows
-        });
-        let body = match phases {
-            Some(phases) => pretty(&SchedBenchProfiledRecord {
-                experiment: "schedbench".to_owned(),
-                loops_per_benchmark: p.loops,
-                loops_scheduled: scheduled,
-                wall_time_s: wall,
-                loops_per_second: lps,
-                phases,
-            }),
-            None => pretty(&SchedBenchRecord {
-                experiment: "schedbench".to_owned(),
-                loops_per_benchmark: p.loops,
-                loops_scheduled: scheduled,
-                wall_time_s: wall,
-                loops_per_second: lps,
-            }),
-        };
-        Ok((Some(body), None))
-    }
-
     fn familysweep(&self, p: &RunParams, text: &mut String) -> Result<Artifacts, String> {
         let _ = writeln!(
             text,
@@ -756,76 +640,6 @@ impl Engine {
             screened: result.stats.screened,
         });
         Ok((Some(pretty(report)), Some(meta)))
-    }
-
-    fn searchbench(&self, p: &RunParams, text: &mut String) -> Result<Artifacts, String> {
-        use vliw_search::Strategy;
-
-        let _ = writeln!(
-            text,
-            "\n== searchbench: candidate evaluations/second (paper grid) =="
-        );
-        let opts = ExperimentOptions::default();
-        // Deliberately cold: a fresh profile outside the engine's suite
-        // cache AND outside any configured disk store, so the
-        // evals/second metric is comparable across runs instead of
-        // inflated by a warm memo cache or a pre-populated store.
-        let suite = suite_seeded(p.loops, p.seed);
-        let profiled = experiments::profile_suite(&suite, 1, &opts.sched, &self.exec, None)
-            .map_err(|e| e.to_string())?;
-        let budget = 64; // > grid size, so every run spends exactly 20 evals
-        let start = Instant::now();
-        // Racing is on: the bench measures the throughput of the search
-        // as it actually runs at scale, screens included.
-        let result = run_search_scaled(
-            SpaceKind::Paper,
-            Strategy::HillClimb,
-            budget,
-            p.seed,
-            &[&profiled],
-            &opts,
-            &self.exec,
-            true,
-        );
-        let wall = start.elapsed().as_secs_f64();
-        let report = &result.report;
-        let screened = result.stats.screened;
-        let eps = if wall > 0.0 {
-            report.evaluations as f64 / wall
-        } else {
-            f64::INFINITY
-        };
-        // A screened candidate is a disposed candidate too: the search
-        // learned its subsample rank without paying a full-suite
-        // measurement for it.
-        let effective = if wall > 0.0 {
-            (report.evaluations + screened) as f64 / wall
-        } else {
-            f64::INFINITY
-        };
-        let _ = writeln!(
-            text,
-            "evaluated {} candidates (+{screened} screened) in {wall:.3} s => {eps:.2} evals/s \
-             ({effective:.2} effective)",
-            report.evaluations
-        );
-        let measure_misses = profiled.measured();
-        let _ = writeln!(
-            text,
-            "{measure_misses} measurements executed cold (disk store bypassed)"
-        );
-        let record = SearchBenchRecord {
-            experiment: "searchbench".to_owned(),
-            loops_per_benchmark: p.loops,
-            budget,
-            evaluations: report.evaluations,
-            screened,
-            measure_misses,
-            wall_time_s: wall,
-            search_evals_per_second: eps,
-            effective_evals_per_second: effective,
-        };
-        Ok((Some(pretty(&record)), None))
     }
 
     fn corpus_schedule(
@@ -1060,6 +874,21 @@ fn pretty<T: serde::Serialize>(rows: &T) -> String {
     serde_json::to_string_pretty(rows).expect("serialise rows")
 }
 
+/// Locks an engine map, recovering it from a panicked request. Both
+/// maps insert only fully built values, so a poisoned map is whole.
+fn recover<T>(map: &Mutex<T>) -> MutexGuard<'_, T> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The message a panic was raised with.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a non-string panic payload")
+}
+
 /// Sidecar metadata describing which suite scale a row dump came from.
 #[derive(serde::Serialize)]
 struct DumpMeta {
@@ -1085,62 +914,6 @@ struct Table1Row {
     class: String,
     latency: u32,
     relative_energy: f64,
-}
-
-/// One `schedbench` record: raw scheduler throughput on the synthetic
-/// suite (wall-clock; not byte-stable — it feeds the CI perf gate).
-#[derive(serde::Serialize)]
-struct SchedBenchRecord {
-    experiment: String,
-    loops_per_benchmark: usize,
-    loops_scheduled: u64,
-    wall_time_s: f64,
-    loops_per_second: f64,
-}
-
-/// The `schedbench --profile` record: the throughput fields of
-/// [`SchedBenchRecord`] plus the per-phase breakdown. A separate shape
-/// (rather than an optional field) so unprofiled records stay
-/// byte-compatible with their historical form.
-#[derive(serde::Serialize)]
-struct SchedBenchProfiledRecord {
-    experiment: String,
-    loops_per_benchmark: usize,
-    loops_scheduled: u64,
-    wall_time_s: f64,
-    loops_per_second: f64,
-    phases: Vec<PhaseRow>,
-}
-
-/// One phase of the profiled `schedbench` breakdown.
-#[derive(serde::Serialize)]
-struct PhaseRow {
-    phase: String,
-    nanos: u64,
-    entries: u64,
-    share_of_wall: f64,
-}
-
-/// One `searchbench` record: candidate-evaluation throughput
-/// (wall-clock; not byte-stable — it feeds the CI perf gate).
-#[derive(serde::Serialize)]
-struct SearchBenchRecord {
-    experiment: String,
-    loops_per_benchmark: usize,
-    budget: u64,
-    evaluations: u64,
-    /// Candidates ranked on the subsample suite by the racing screen
-    /// (the bench always races).
-    screened: u64,
-    /// Configurations actually measured (scheduler executions). Equal
-    /// whether or not a warm store exists on disk — the bench bypasses
-    /// it by design.
-    measure_misses: u64,
-    wall_time_s: f64,
-    search_evals_per_second: f64,
-    /// Candidates disposed of per second: full measurements plus
-    /// subsample screens, over the same wall clock.
-    effective_evals_per_second: f64,
 }
 
 /// The `store_stats` admin record (disk state; not byte-stable).
@@ -1247,13 +1020,19 @@ mod tests {
     use super::*;
     use crate::request::{BusSel, SearchParams};
 
+    thread_local! {
+        /// Makes the next suite profiling on this thread panic while it
+        /// holds the suite cache lock.
+        pub(super) static PANIC_WHILE_PROFILING: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
+
     fn small() -> RunParams {
         RunParams {
             loops: 2,
             buses: BusSel::One,
             seed: 0,
             store: StoreConfig::none(),
-            profile: false,
         }
     }
 
@@ -1317,6 +1096,29 @@ mod tests {
             "partial text is preserved: {:?}",
             resp.text
         );
+    }
+
+    /// A panic while profiling poisons the suite cache lock; the engine
+    /// answers that request with an error and every later request as a
+    /// fresh engine would.
+    #[test]
+    fn a_panicking_request_leaves_the_engine_serving() {
+        let errors = || vliw_obs::counter_with("engine_request_errors_total", "kind", "figure6");
+        let errors_before = errors().get();
+        let engine = Engine::new(1);
+        PANIC_WHILE_PROFILING.with(|p| p.set(true));
+        let failed = engine.run(&Request::Figure6(small()));
+        assert!(!failed.ok);
+        assert_eq!(
+            failed.error.as_deref(),
+            Some("request panicked: injected panic while profiling")
+        );
+        assert!(errors().get() > errors_before, "the panic is counted");
+
+        let fresh = Engine::new(1);
+        assert_eq!(engine.run(&Request::Ping), fresh.run(&Request::Ping));
+        let f6 = Request::Figure6(small());
+        assert_eq!(engine.run(&f6), fresh.run(&f6));
     }
 
     #[test]
@@ -1398,50 +1200,6 @@ mod tests {
             warm.cache.measure_hits,
             cold.cache.measure_hits + cold.cache.measure_misses,
             "every lookup of the cold run is a hit on the warm one"
-        );
-
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn searchbench_bypasses_the_warm_store() {
-        let dir = temp_store("searchbench");
-        let stored = RunParams {
-            store: StoreConfig::at(&dir),
-            ..small()
-        };
-        // Warm the store with exactly the measurements searchbench's
-        // internal run performs (paper grid, hillclimb, budget 64, same
-        // loops/seed, 1 bus).
-        let warmup = Engine::new(1).run(&Request::Search {
-            params: stored.clone(),
-            search: SearchParams::default(),
-        });
-        assert!(warmup.ok, "{:?}", warmup.error);
-
-        let misses = |resp: &Response| -> u64 {
-            let body: serde_json::Value =
-                serde_json::from_str(resp.body.as_deref().expect("record body")).expect("json");
-            body.get("measure_misses")
-                .and_then(serde_json::Value::as_u64)
-                .expect("measure_misses field")
-        };
-        let with_store = Engine::new(1).run(&Request::SearchBench(stored));
-        assert!(with_store.ok, "{:?}", with_store.error);
-        let without_store = Engine::new(1).run(&Request::SearchBench(small()));
-        assert!(without_store.ok, "{:?}", without_store.error);
-
-        // Cold-path honesty: the warm store on disk changed nothing —
-        // every candidate measurement was executed, not loaded.
-        assert!(misses(&with_store) > 0, "the bench measured something");
-        assert_eq!(
-            misses(&with_store),
-            misses(&without_store),
-            "a warm store must not shortcut the throughput bench"
-        );
-        assert_eq!(
-            with_store.cache.store_hits, 0,
-            "the bench never touched the store"
         );
 
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,14 +1,13 @@
 //! Request/response service core for the `heterovliw` experiment layer.
 //!
 //! Every entry point of the reproduction — the paper's tables and
-//! figures, the throughput benches, the corpus analyses and the
-//! design-space search — is expressed here as a serialisable
-//! [`Request`]. One shared [`Engine`] executes requests against
-//! process-lifetime caches (reference profiles and the measurement memo
-//! cache survive across requests), and every [`Response`] wraps the
-//! exact byte-stable text and JSON artefacts the one-shot `paper` CLI
-//! has always produced, plus [`CacheStats`] so cache reuse is
-//! observable.
+//! figures, the corpus analyses and the design-space search — is
+//! expressed here as a serialisable [`Request`]. One shared [`Engine`]
+//! executes requests against process-lifetime caches (reference
+//! profiles and the measurement memo cache survive across requests),
+//! and every [`Response`] wraps the exact byte-stable text and JSON
+//! artefacts the one-shot `paper` CLI has always produced, plus
+//! [`CacheStats`] so cache reuse is observable.
 //!
 //! On top of the engine sit three thin transports:
 //!

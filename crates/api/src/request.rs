@@ -81,10 +81,9 @@ impl BusSel {
 }
 
 /// The global knobs shared by every experiment request: suite scale,
-/// bus selection, generation seed, the persistent measurement store
-/// backing the run and the scheduler phase-profiling switch (the CLI's
-/// `--loops-per-benchmark`, `--buses`, `--seed`, `--store` and
-/// `--profile`).
+/// bus selection, generation seed and the persistent measurement store
+/// backing the run (the CLI's `--loops-per-benchmark`, `--buses`,
+/// `--seed` and `--store`).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunParams {
     /// Loops generated per benchmark (default 40, the interactive
@@ -98,11 +97,6 @@ pub struct RunParams {
     /// default (everything stays in memory); the wire key is `store`,
     /// omitted when disabled so pre-store wire lines stay valid.
     pub store: StoreConfig,
-    /// Collect and report a per-phase timing breakdown of the scheduler
-    /// (`schedbench` only; the CLI's `--profile`). The wire key is
-    /// `profile`, omitted when false so pre-profile wire lines stay
-    /// valid.
-    pub profile: bool,
 }
 
 impl Default for RunParams {
@@ -112,7 +106,6 @@ impl Default for RunParams {
             buses: BusSel::Both,
             seed: 0,
             store: StoreConfig::none(),
-            profile: false,
         }
     }
 }
@@ -171,8 +164,6 @@ pub enum Request {
     Figure8(RunParams),
     /// Figure 9: leakage-share sensitivity.
     Figure9(RunParams),
-    /// Scheduler-throughput bench (wall-clock; not byte-stable).
-    SchedBench(RunParams),
     /// Generator-family sensitivity sweep.
     FamilySweep(RunParams),
     /// Seeded metaheuristic design-space search.
@@ -182,10 +173,6 @@ pub enum Request {
         /// Strategy, budget and space.
         search: SearchParams,
     },
-    /// Search-throughput bench (wall-clock; not byte-stable). The bench
-    /// deliberately bypasses any configured store: it measures
-    /// cold-path candidate-evaluation throughput.
-    SearchBench(RunParams),
     /// Schedule and validate every loop of a corpus.
     CorpusSchedule {
         /// Suite scale and seed (buses is not a corpus knob).
@@ -221,7 +208,7 @@ pub enum Request {
 
 impl Request {
     /// Every kind name, in canonical order (the wire `kind` values).
-    pub const KINDS: [&'static str; 17] = [
+    pub const KINDS: [&'static str; 15] = [
         "ping",
         "shutdown",
         "table1",
@@ -230,10 +217,8 @@ impl Request {
         "figure7",
         "figure8",
         "figure9",
-        "schedbench",
         "familysweep",
         "search",
-        "searchbench",
         "corpus_schedule",
         "corpus_stats",
         "store_stats",
@@ -264,10 +249,8 @@ impl Request {
             Request::Figure7(_) => "figure7",
             Request::Figure8(_) => "figure8",
             Request::Figure9(_) => "figure9",
-            Request::SchedBench(_) => "schedbench",
             Request::FamilySweep(_) => "familysweep",
             Request::Search { .. } => "search",
-            Request::SearchBench(_) => "searchbench",
             Request::CorpusSchedule { .. } => "corpus_schedule",
             Request::CorpusStats { .. } => "corpus_stats",
             Request::StoreStats { .. } => "store_stats",
@@ -302,19 +285,14 @@ impl Request {
     }
 
     /// Whether the response body is byte-stable across runs, machines
-    /// and job counts. The two throughput benches embed wall-clock
-    /// measurements, the store admin requests report mutable disk
+    /// and job counts. The store admin requests report mutable disk
     /// state and `metrics` reports live process state, so they are the
     /// exceptions.
     #[must_use]
     pub const fn is_byte_stable(&self) -> bool {
         !matches!(
             self,
-            Request::SchedBench(_)
-                | Request::SearchBench(_)
-                | Request::StoreStats { .. }
-                | Request::StoreCompact { .. }
-                | Request::Metrics
+            Request::StoreStats { .. } | Request::StoreCompact { .. } | Request::Metrics
         )
     }
 
@@ -333,9 +311,7 @@ impl Request {
             | Request::Figure7(p)
             | Request::Figure8(p)
             | Request::Figure9(p)
-            | Request::SchedBench(p)
             | Request::FamilySweep(p)
-            | Request::SearchBench(p)
             | Request::Search { params: p, .. }
             | Request::CorpusSchedule { params: p, .. }
             | Request::CorpusStats { params: p, .. } => Some(p),
@@ -374,9 +350,6 @@ impl Request {
             let mut encoded = String::new();
             serde::write_json_str(&dir.display().to_string(), &mut encoded);
             out.push_str(&format!(",\"store\":{encoded}"));
-        }
-        if self.params().is_some_and(|p| p.profile) {
-            out.push_str(",\"profile\":true");
         }
         if let Request::Search { search, .. } = self {
             out.push_str(&format!(
@@ -472,12 +445,6 @@ impl Request {
                     })?;
                     b = b.store(StoreConfig::at(path));
                 }
-                "profile" => {
-                    b =
-                        b.profile(v.as_bool().ok_or_else(|| {
-                            format!("profile must be a bool, got {}", v.type_name())
-                        })?);
-                }
                 "strategy" => {
                     let name = v.as_str().ok_or_else(|| {
                         format!("strategy must be a string, got {}", v.type_name())
@@ -541,7 +508,6 @@ pub struct RequestBuilder {
     params: RunParams,
     params_seen: bool,
     store_seen: bool,
-    profile_seen: bool,
     search: SearchParams,
     search_seen: bool,
     input: Option<PathBuf>,
@@ -578,15 +544,6 @@ impl RequestBuilder {
     pub fn store(mut self, store: StoreConfig) -> Self {
         self.params.store = store;
         self.store_seen = true;
-        self
-    }
-
-    /// Whether to collect the scheduler's per-phase timing breakdown
-    /// (`schedbench` only).
-    #[must_use]
-    pub fn profile(mut self, profile: bool) -> Self {
-        self.params.profile = profile;
-        self.profile_seen = true;
         self
     }
 
@@ -652,7 +609,6 @@ impl RequestBuilder {
             params,
             params_seen,
             store_seen,
-            profile_seen,
             search,
             search_seen,
             input,
@@ -666,9 +622,6 @@ impl RequestBuilder {
             if i < 1 || i > n {
                 return Err(format!("shard {i}/{n} is not \"i/n\" with 1 <= i <= n"));
             }
-        }
-        if profile_seen && kind != "schedbench" {
-            return Err("profile only applies to the schedbench kind".to_owned());
         }
         if input.is_some() && !kind.starts_with("corpus_") {
             return Err(
@@ -711,10 +664,8 @@ impl RequestBuilder {
             "figure7" => Ok(Request::Figure7(params)),
             "figure8" => Ok(Request::Figure8(params)),
             "figure9" => Ok(Request::Figure9(params)),
-            "schedbench" => Ok(Request::SchedBench(params)),
             "familysweep" => Ok(Request::FamilySweep(params)),
             "search" => Ok(Request::Search { params, search }),
-            "searchbench" => Ok(Request::SearchBench(params)),
             "corpus_schedule" => Ok(Request::CorpusSchedule { params, input }),
             "corpus_stats" => Ok(Request::CorpusStats { params, input }),
             "store_stats" => {
@@ -747,14 +698,9 @@ mod tests {
             buses: BusSel::One,
             seed: 3,
             store: StoreConfig::none(),
-            profile: false,
         };
         let stored = RunParams {
             store: StoreConfig::at("/tmp/paper store"),
-            ..params.clone()
-        };
-        let profiled = RunParams {
-            profile: true,
             ..params.clone()
         };
         let reqs = [
@@ -767,8 +713,6 @@ mod tests {
             Request::Figure7(params.clone()),
             Request::Figure8(params.clone()),
             Request::Figure9(params.clone()),
-            Request::SchedBench(params.clone()),
-            Request::SchedBench(profiled),
             Request::FamilySweep(params.clone()),
             Request::Search {
                 params: stored.clone(),
@@ -790,7 +734,6 @@ mod tests {
                     shard: Some((2, 3)),
                 },
             },
-            Request::SearchBench(params.clone()),
             Request::CorpusSchedule {
                 params: params.clone(),
                 input: Some(PathBuf::from("/tmp/a corpus.json")),
@@ -842,7 +785,6 @@ mod tests {
             buses: BusSel::One,
             seed: 3,
             store: StoreConfig::none(),
-            profile: false,
         });
         assert_eq!(
             req.to_json_string(),
@@ -904,10 +846,6 @@ mod tests {
             ),
             (Request::builder("search").shard(0, 2), "1 <= i <= n"),
             (Request::builder("search").shard(3, 2), "1 <= i <= n"),
-            (
-                Request::builder("figure6").profile(true),
-                "only applies to the schedbench",
-            ),
             (Request::builder("store_stats").seed(1), "do not apply"),
             (Request::builder("search").input("x"), "corpus_schedule"),
             (Request::builder("nope"), "unknown request kind"),
@@ -922,6 +860,12 @@ mod tests {
         for (json, needle) in [
             ("[1]", "must be a JSON object"),
             ("{\"kind\":\"nope\"}", "unknown request kind"),
+            ("{\"kind\":\"schedbench\"}", "unknown request kind"),
+            ("{\"kind\":\"searchbench\"}", "unknown request kind"),
+            (
+                "{\"kind\":\"figure6\",\"profile\":true}",
+                "unknown request key",
+            ),
             ("{\"loops\":5}", "missing the kind"),
             ("{\"kind\":\"figure6\",\"frobs\":1}", "unknown request key"),
             (

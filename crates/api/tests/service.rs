@@ -71,7 +71,6 @@ fn small() -> RunParams {
         buses: vliw_api::BusSel::One,
         seed: 0,
         store: StoreConfig::none(),
-        profile: false,
     }
 }
 

@@ -24,10 +24,10 @@
 //!                                    [EXPERIMENT] [flags]
 //!
 //! EXPERIMENT: table1 | table2 | figure6 | figure7 | figure8 | figure9 |
-//!             schedbench | familysweep | search | searchbench | metrics | all
-//!             (default: all — which runs the table/figure set; search and
-//!             the bench experiments are invoked explicitly. Positional
-//!             and --experiment are equivalent.)
+//!             familysweep | search | metrics | all
+//!             (default: all — which runs the table/figure set; the others
+//!             are invoked explicitly. Positional and --experiment are
+//!             equivalent.)
 //! --loops-per-benchmark N
 //!             loops generated per benchmark (default 40 — the interactive
 //!             10x scale-down; ~400 reproduces the paper's suite size).
@@ -57,15 +57,13 @@
 //!             artifact; fold the per-shard artifacts with
 //!             `paper search merge` — the merged frontier's bytes are
 //!             independent of N and of merge order (`search` only)
-//! --profile   collect the scheduler's per-phase timing breakdown
-//!             (clocks, partition, extgraph, place, eject, regs plus a
-//!             vliw-sim validation pass) and report it in the JSON
-//!             record (`schedbench` only)
 //! --metrics   turn on the clock reads behind the latency histograms for
-//!             a one-shot run (`paper serve` always has them on). The
-//!             `metrics` experiment name renders the process-wide
-//!             registry as Prometheus-style text exposition; scrape a
-//!             live daemon with `paper client --socket PATH metrics`
+//!             a one-shot run (`paper serve` always has them on),
+//!             including the scheduler's per-phase times
+//!             (`sched_phase_nanos{phase}`). The `metrics` experiment
+//!             name renders the process-wide registry as
+//!             Prometheus-style text exposition; scrape a live daemon
+//!             with `paper client --socket PATH metrics`
 //! --trace FILE
 //!             write structured span trace events (newline-JSON, with
 //!             monotonic `seq` ordering and parent/child span IDs) to
@@ -106,8 +104,9 @@
 //! clients and reports p50/p99 latency and requests/s.
 //!
 //! Each experiment's elapsed wall-time is reported on stderr as
-//! `[time] <experiment>: <seconds> s`, so CI perf gates and humans get
-//! timing without external tooling.
+//! `[time] <experiment>: <seconds> s`, so scripts and humans get timing
+//! without external tooling (CI's instrumentation-overhead check reads
+//! it).
 //!
 //! Every suite-scale row dump (`table2`, `figure6`–`figure9`,
 //! `familysweep`) is accompanied by a `<name>.meta.json` sidecar
@@ -118,9 +117,8 @@
 //! the generation scale for in-memory suites, the `--in` path for loaded
 //! corpora (whose own scale is whatever the file was dumped at) — and
 //! `corpus dump` writes its sidecar next to the `--out` file. `table1`
-//! is scale-independent and `schedbench` embeds its scale in the record,
-//! so neither writes a sidecar. All artefact writes go through the one
-//! shared atomic write path in `vliw_api::artifacts`.
+//! is scale-independent, so it writes no sidecar. All artefact writes
+//! go through the one shared atomic write path in `vliw_api::artifacts`.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -140,7 +138,6 @@ struct Args {
     jobs: usize,
     seed: u64,
     store: StoreConfig,
-    profile: bool,
 }
 
 impl Args {
@@ -150,7 +147,6 @@ impl Args {
             buses: self.buses,
             seed: self.seed,
             store: self.store.clone(),
-            profile: self.profile,
         }
     }
 }
@@ -170,7 +166,6 @@ fn main() -> ExitCode {
         jobs: 0,
         seed: 0,
         store: StoreConfig::none(),
-        profile: false,
     };
     let mut search_args = SearchParams::default();
     let mut search_flag_seen = false;
@@ -204,7 +199,6 @@ fn main() -> ExitCode {
                 Some(p) => args.store = StoreConfig::at(PathBuf::from(p)),
                 None => return usage("--store needs a directory path"),
             },
-            "--profile" => args.profile = true,
             "--strategy" => match it.next().map(|v| v.parse()) {
                 Some(Ok(s)) => {
                     search_args.strategy = s;
@@ -304,18 +298,6 @@ fn main() -> ExitCode {
     }
     if mode != Some("loadgen") && (clients.is_some() || requests.is_some()) {
         return usage("--clients/--requests only apply to loadgen");
-    }
-    // --profile only drives the schedbench phase breakdown; anywhere
-    // else it would be a silent no-op, which this CLI treats as an
-    // error (like --store on table1).
-    if args.profile {
-        let is_schedbench = experiment_flag.as_deref() == Some("schedbench")
-            || mode == Some("schedbench")
-            || (matches!(mode, Some("client" | "loadgen"))
-                && positionals.get(1).map(String::as_str) == Some("schedbench"));
-        if !is_schedbench {
-            return usage("--profile only applies to the schedbench experiment");
-        }
     }
 
     match mode {
@@ -555,13 +537,11 @@ fn experiment_request(
         "figure7" => Ok(Request::Figure7(p)),
         "figure8" => Ok(Request::Figure8(p)),
         "figure9" => Ok(Request::Figure9(p)),
-        "schedbench" => Ok(Request::SchedBench(p)),
         "familysweep" => Ok(Request::FamilySweep(p)),
         "search" => Ok(Request::Search {
             params: p,
             search: search_args,
         }),
-        "searchbench" => Ok(Request::SearchBench(p)),
         other => Err(format!("unknown experiment {other}")),
     }
 }
@@ -718,7 +698,8 @@ fn run_remote(socket: &Path, req: &Request) -> Result<(), AnyError> {
     emit(resp)
 }
 
-/// Drives the load generator and dumps its report for the perf gate.
+/// Drives the load generator and dumps its report
+/// (`target/paper-results/loadgen.json`).
 fn run_loadgen(socket: &Path, opts: &LoadgenOptions) -> Result<(), AnyError> {
     println!("\n== loadgen: daemon latency/throughput ==");
     let report = loadgen(socket, opts)?;
@@ -741,10 +722,10 @@ fn usage(msg: &str) -> ExitCode {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: paper [table1|table2|figure6|figure7|figure8|figure9|schedbench|familysweep|\
-         search|searchbench|metrics|all] \
+        "usage: paper [table1|table2|figure6|figure7|figure8|figure9|familysweep|\
+         search|metrics|all] \
          [--experiment NAME] [--loops-per-benchmark N] [--buses 1|2|both] [--jobs N] [--seed S] \
-         [--store DIR] [--profile (schedbench only)] [--metrics] [--trace FILE]\n\
+         [--store DIR] [--metrics] [--trace FILE]\n\
          \x20      paper search [--strategy hillclimb|anneal|ga|exhaustive] [--budget N] \
          [--space paper|extended] [--racing] [--shard I/N] [--seed S] [--store DIR]\n\
          \x20      paper search merge SHARD_FILE... [--out FILE]\n\

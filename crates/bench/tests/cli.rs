@@ -42,6 +42,8 @@ fn bad_args_exit_nonzero() {
         &["--experiment", "fig42"], // unknown experiment
         &["--frobnicate"],          // unknown flag
         &["figure42"],              // unknown experiment
+        &["schedbench"],            // removed experiment
+        &["figure6", "--profile"],  // removed flag
     ];
     for args in cases {
         let out = paper(args);

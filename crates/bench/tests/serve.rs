@@ -113,7 +113,6 @@ fn cli_and_daemon_agree_byte_for_byte_across_job_counts() {
         buses: BusSel::One,
         seed: 0,
         store: StoreConfig::none(),
-        profile: false,
     });
     let mut bodies = Vec::new();
     for jobs in ["1", "4"] {
@@ -210,7 +209,6 @@ fn warm_daemon_requests_do_no_new_measurements() {
         buses: BusSel::One,
         seed: 0,
         store: StoreConfig::none(),
-        profile: false,
     });
     let daemon = Daemon::start("warm", "2");
     let cold = daemon.raw_request(&figure9);
@@ -232,7 +230,7 @@ fn warm_daemon_requests_do_no_new_measurements() {
 }
 
 /// `paper loadgen` drives a live daemon and reports a latency/throughput
-/// summary plus a JSON artefact for the perf gate.
+/// summary plus a JSON artefact.
 #[test]
 fn loadgen_reports_percentiles_against_a_live_daemon() {
     let daemon = Daemon::start("loadgen", "2");

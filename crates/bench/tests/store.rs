@@ -176,7 +176,6 @@ fn second_search_process_reuses_the_store_byte_for_byte() {
             buses: BusSel::One,
             seed: 0,
             store: StoreConfig::none(), // daemon default store applies
-            profile: false,
         },
         search: SearchParams {
             budget: 30,

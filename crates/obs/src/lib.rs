@@ -4,8 +4,7 @@
 //! text exposition, a structured span [tracer](crate::trace) writing
 //! newline-JSON events with monotonic ordering and parent/child span
 //! IDs, and the shared [nearest-rank percentile](crate::percentile)
-//! used by loadgen, the daemon's server-side quantiles and the perf
-//! gate.
+//! used by loadgen and the daemon's server-side quantiles.
 //!
 //! # Cost model
 //!
@@ -18,6 +17,10 @@
 //! the tracer being [installed](trace::init) (`--trace FILE`) — with
 //! neither consumer active the instrumentation is near-zero-cost and
 //! the scheduler's steady-state zero-allocation discipline holds.
+//! Where an event is too frequent even for one atomic add — an IMS
+//! placement or ejection — the producer counts it in a plain integer
+//! and adds the total once per unit of work (the scheduler flushes
+//! once per loop).
 //!
 //! # Naming conventions
 //!

@@ -156,21 +156,6 @@ impl Histogram {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records an aggregate of `entries` samples totalling `total`:
-    /// each sample is bucketed at the aggregate's mean. This is the
-    /// adapter for pre-aggregated sources like the scheduler's
-    /// `PhaseProfile`, which keeps per-phase `(nanos, entries)` pairs
-    /// rather than individual samples.
-    pub fn record_aggregate(&self, total: u64, entries: u64) {
-        if entries == 0 {
-            return;
-        }
-        let mean = total / entries;
-        self.buckets[Histogram::bucket_index(mean)].fetch_add(entries, Ordering::Relaxed);
-        self.sum.fetch_add(total, Ordering::Relaxed);
-        self.count.fetch_add(entries, Ordering::Relaxed);
-    }
-
     /// Number of recorded samples.
     #[must_use]
     pub fn count(&self) -> u64 {
@@ -569,17 +554,6 @@ mod tests {
         assert_eq!(h.quantile(99.0), Some(1024));
         assert_eq!(h.sum(), 1114);
         assert_eq!(h.count(), 5);
-    }
-
-    #[test]
-    fn record_aggregate_buckets_at_the_mean() {
-        let h = Histogram::new();
-        h.record_aggregate(1000, 10); // mean 100 -> bucket bound 256
-        assert_eq!(h.count(), 10);
-        assert_eq!(h.sum(), 1000);
-        assert_eq!(h.quantile(50.0), Some(256));
-        h.record_aggregate(0, 0); // no-op
-        assert_eq!(h.count(), 10);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Nearest-rank percentile — the one shared implementation behind
-//! loadgen's client-side p50/p99, the daemon's server-side histogram
-//! quantiles and the perf gate's derived fields.
+//! loadgen's client-side p50/p99 and the daemon's server-side histogram
+//! quantiles.
 
 /// Zero-based index of the nearest-rank `q`-th percentile in an
 /// ascending sample of `n` elements: `⌈q/100 · n⌉` clamped to `1..=n`,

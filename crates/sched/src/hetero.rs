@@ -8,9 +8,9 @@ use crate::comm::ExtGraph;
 use crate::error::SchedError;
 use crate::ims;
 use crate::partition::{compute_partition_ws, Partition, PartitionObjective};
-use crate::profile::{commit, probe, Phase};
 use crate::schedule::ScheduledLoop;
 use crate::timing::{compute_mit, next_it_candidate, LoopClocks};
+use crate::work::{self, phase_done, Phase};
 use crate::workspace::SchedWorkspace;
 
 /// Knobs for [`schedule_loop`].
@@ -133,24 +133,30 @@ fn schedule_impl(
     ws: &mut SchedWorkspace,
 ) -> Result<ScheduledLoop, SchedError> {
     // Process-wide scheduling telemetry. Handles are interned once and
-    // cached; the steady-state cost is one relaxed atomic add for the
-    // counter and — only when a metrics consumer enabled timing — two
-    // clock reads plus a lock-free histogram record. Nothing here
-    // allocates after the first call, preserving the zero-alloc
-    // discipline the allocator-counting test pins (with metrics on).
+    // cached; the steady-state cost is a handful of relaxed atomic adds
+    // per loop for the counters (the work counts accumulate as plain
+    // integers in the workspace and are flushed here) and — only when a
+    // metrics consumer enabled timing — clock reads plus lock-free
+    // histogram records per phase. Nothing here allocates after the
+    // first call, preserving the zero-alloc discipline.
     use std::sync::{Arc, OnceLock};
     static LOOPS: OnceLock<Arc<vliw_obs::Counter>> = OnceLock::new();
     static NANOS: OnceLock<Arc<vliw_obs::Histogram>> = OnceLock::new();
     LOOPS
         .get_or_init(|| vliw_obs::counter("sched_loops_scheduled_total"))
         .inc();
+    // Counts left by direct IMS or partitioner calls belong to no loop.
+    let _ = ws.take_work();
     let start = vliw_obs::timer_start();
+    ws.timed = start.is_some();
     let result = schedule_impl_untimed(ddg, config, power, opts, fixed, ws);
+    ws.timed = false;
     if let Some(s) = start {
         NANOS
             .get_or_init(|| vliw_obs::histogram("sched_schedule_nanos"))
             .record(vliw_obs::elapsed_nanos(s));
     }
+    work::flush(ws);
     result
 }
 
@@ -169,9 +175,9 @@ fn schedule_impl_untimed(
     if let Some(p) = fixed {
         assert_eq!(p.len(), ddg.num_ops(), "fixed partition must cover the DDG");
     }
-    let clocks_start = probe(&ws.profile);
+    let clocks_start = ws.phase_start();
     let mit = compute_mit(ddg, config, &opts.menu);
-    commit(&mut ws.profile, Phase::Clocks, clocks_start);
+    phase_done(Phase::Clocks, clocks_start);
     let mit = mit?;
     let mut it = mit;
     let objective = PartitionObjective {
@@ -179,11 +185,12 @@ fn schedule_impl_untimed(
         trip_count: opts.trip_count,
     };
 
-    for attempt in 0..opts.max_it_attempts {
-        let clocks_start = probe(&ws.profile);
+    for _ in 0..opts.max_it_attempts {
+        let clocks_start = ws.phase_start();
         let selected = LoopClocks::select(config, &opts.menu, it);
-        commit(&mut ws.profile, Phase::Clocks, clocks_start);
+        phase_done(Phase::Clocks, clocks_start);
         let Some(clocks) = selected else {
+            ws.it_retries += 1;
             it = next_it_candidate(config, &opts.menu, it);
             continue;
         };
@@ -193,7 +200,7 @@ fn schedule_impl_untimed(
         // consistent between profiling (time-objective) and heterogeneous
         // (ED²-objective) runs.
         let mut candidates: Vec<Vec<ClusterId>> = Vec::new();
-        let partition_start = probe(&ws.profile);
+        let partition_start = ws.phase_start();
         match fixed {
             Some(p) => candidates.push(p.assignment.clone()),
             None => {
@@ -224,18 +231,19 @@ fn schedule_impl_untimed(
                     }
                 }
                 if candidates.is_empty() {
-                    commit(&mut ws.profile, Phase::Partition, partition_start);
+                    phase_done(Phase::Partition, partition_start);
+                    ws.it_retries += 1;
                     it = next_it_candidate(config, &opts.menu, it);
                     continue;
                 }
             }
         }
-        commit(&mut ws.profile, Phase::Partition, partition_start);
+        phase_done(Phase::Partition, partition_start);
         let mut best: Option<ScheduledLoop> = None;
         for assignment in candidates {
-            let ext_start = probe(&ws.profile);
+            let ext_start = ws.phase_start();
             let graph = ExtGraph::build(ddg, &assignment, config, &clocks);
-            commit(&mut ws.profile, Phase::ExtGraph, ext_start);
+            phase_done(Phase::ExtGraph, ext_start);
             if ims::schedule_into(&graph, config, &clocks, opts.budget_ratio, ws).is_ok() {
                 let scheduled = ScheduledLoop::from_ims(
                     ddg,
@@ -258,13 +266,11 @@ fn schedule_impl_untimed(
                 }
             }
         }
-        match best {
-            Some(s) => return Ok(s),
-            None => {
-                let _ = attempt;
-                it = next_it_candidate(config, &opts.menu, it);
-            }
+        if let Some(s) = best {
+            return Ok(s);
         }
+        ws.it_retries += 1;
+        it = next_it_candidate(config, &opts.menu, it);
     }
     Err(SchedError::NoSchedule {
         loop_name: ddg.name().to_owned(),

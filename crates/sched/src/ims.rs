@@ -16,9 +16,9 @@ use vliw_machine::{ClockedConfig, DomainId};
 
 use crate::comm::{ExtGraph, NodeId, NodePlace};
 use crate::mrt::{kind_slot, BusMrt, ClusterMrt};
-use crate::profile::{commit, probe, Phase};
 use crate::regs::max_lives_maintained_into;
 use crate::timing::LoopClocks;
+use crate::work::{phase_done, Phase};
 use crate::workspace::SchedWorkspace;
 
 const WORD_BITS: usize = 64;
@@ -111,25 +111,68 @@ pub fn schedule_into(
         ws.max_live.resize(num_clusters, 0);
         return Ok(());
     }
-    // Phase accounting: everything from here to the register sweep is
-    // `Place`, except the time inside ejection sites, which accumulates
-    // into `Eject` and is carved out of the enclosing measurement.
-    let place_start = probe(&ws.profile);
-    let eject_before = ws.profile.as_ref().map_or(0, |p| p.nanos(Phase::Eject));
-    let commit_place = |profile: &mut Option<crate::profile::PhaseProfile>| {
-        if let (Some(p), Some(t0)) = (profile.as_mut(), place_start) {
-            let elapsed = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            let ejected = p.nanos(Phase::Eject) - eject_before;
-            p.add(
-                Phase::Place,
-                std::time::Duration::from_nanos(elapsed.saturating_sub(ejected)),
-            );
-        }
-    };
+    let place_start = ws.phase_start();
+    let placed = place(graph, config, clocks, budget_ratio, ws);
+    phase_done(Phase::Place, place_start);
+    placed?;
 
+    // Materialise the placement into the workspace's result buffers.
+    let SchedWorkspace {
+        sched,
+        issue_cycles,
+        issue_ticks,
+        node_cyc_ticks,
+        ..
+    } = ws;
+    issue_cycles.extend(sched.iter().map(|s| s.expect("all scheduled")));
+    issue_ticks.extend(
+        issue_cycles
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| c * node_cyc_ticks[i]),
+    );
+    let regs_start = ws.phase_start();
+    let SchedWorkspace {
+        issue_ticks,
+        regs,
+        max_live,
+        reg_last_read,
+        reg_readers,
+        ..
+    } = ws;
+    max_lives_maintained_into(
+        graph,
+        clocks,
+        design.num_clusters,
+        issue_ticks,
+        reg_last_read,
+        reg_readers,
+        regs,
+        max_live,
+    );
+    phase_done(Phase::Regs, regs_start);
+    let over = max_live.iter().any(|&lv| lv > design.cluster.registers);
+    if over {
+        return Err(ImsFailure::RegisterPressure(ws.max_live.clone()));
+    }
+    Ok(())
+}
+
+/// The placement loop of [`schedule_into`]: places every node of a
+/// non-empty `graph`, forcing and ejecting within the budget, and leaves
+/// the placement in `ws.sched` and the register-pressure state current.
+fn place(
+    graph: &ExtGraph,
+    config: &ClockedConfig,
+    clocks: &LoopClocks,
+    budget_ratio: u32,
+    ws: &mut SchedWorkspace,
+) -> Result<(), ImsFailure> {
+    let n = graph.num_nodes();
+    let design = config.design();
+    let num_clusters = usize::from(design.num_clusters);
     let l = clocks.ticks_per_it();
     if !compute_heights_into(graph, l, &mut ws.heights) {
-        commit_place(&mut ws.profile);
         return Err(ImsFailure::PositiveCycle);
     }
 
@@ -164,7 +207,8 @@ pub fn schedule_into(
         node_cyc_ticks,
         reg_last_read,
         reg_readers,
-        profile,
+        placements,
+        ejections,
         ..
     } = ws;
     let heights: &[i64] = heights;
@@ -227,7 +271,6 @@ pub fn schedule_into(
         }
         let Some(v) = v else { break };
         if budget == 0 {
-            commit_place(profile);
             return Err(ImsFailure::BudgetExhausted);
         }
         budget -= 1;
@@ -253,7 +296,6 @@ pub fn schedule_into(
             estart = estart.max(p + 1);
         }
         if estart > CYCLE_CAP {
-            commit_place(profile);
             return Err(ImsFailure::BudgetExhausted);
         }
 
@@ -269,7 +311,6 @@ pub fn schedule_into(
         let cycle = window_slot.unwrap_or(estart);
 
         if window_slot.is_none() {
-            let t0 = probe(profile);
             eject_conflicting(
                 graph,
                 v,
@@ -297,9 +338,10 @@ pub fn schedule_into(
                     reg_readers,
                 );
             }
-            commit(profile, Phase::Eject, t0);
+            *ejections += eject.len() as u64;
         }
         reserve(graph, v, cycle, cluster_mrts, bus_mrt);
+        *placements += 1;
         set_res_bit(graph, v, res_sched, nw, num_clusters, true);
         sched[v.index()] = Some(cycle);
         prev_cycle[v.index()] = Some(cycle);
@@ -333,71 +375,26 @@ pub fn schedule_into(
                 }
             }
         }
-        if !eject.is_empty() {
-            let t0 = probe(profile);
-            for &(w, c) in eject.iter() {
-                if sched[w.index()].take().is_some() {
-                    release(graph, w, c, cluster_mrts, bus_mrt);
-                    set_res_bit(graph, w, res_sched, nw, num_clusters, false);
-                    let p = pos[w.index()] as usize;
-                    ready[p / WORD_BITS] |= 1u64 << (p % WORD_BITS);
-                    ready_hint = ready_hint.min(p / WORD_BITS);
-                    regs_on_eject(
-                        graph,
-                        w,
-                        c,
-                        l,
-                        sched,
-                        node_cyc_ticks,
-                        reg_last_read,
-                        reg_readers,
-                    );
-                }
+        for &(w, c) in eject.iter() {
+            if sched[w.index()].take().is_some() {
+                *ejections += 1;
+                release(graph, w, c, cluster_mrts, bus_mrt);
+                set_res_bit(graph, w, res_sched, nw, num_clusters, false);
+                let p = pos[w.index()] as usize;
+                ready[p / WORD_BITS] |= 1u64 << (p % WORD_BITS);
+                ready_hint = ready_hint.min(p / WORD_BITS);
+                regs_on_eject(
+                    graph,
+                    w,
+                    c,
+                    l,
+                    sched,
+                    node_cyc_ticks,
+                    reg_last_read,
+                    reg_readers,
+                );
             }
-            commit(profile, Phase::Eject, t0);
         }
-    }
-    commit_place(profile);
-
-    // Materialise the placement into the workspace's result buffers.
-    let SchedWorkspace {
-        sched,
-        issue_cycles,
-        issue_ticks,
-        node_cyc_ticks,
-        ..
-    } = ws;
-    issue_cycles.extend(sched.iter().map(|s| s.expect("all scheduled")));
-    issue_ticks.extend(
-        issue_cycles
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| c * node_cyc_ticks[i]),
-    );
-    let SchedWorkspace {
-        issue_ticks,
-        regs,
-        max_live,
-        reg_last_read,
-        reg_readers,
-        profile,
-        ..
-    } = ws;
-    let regs_start = probe(profile);
-    max_lives_maintained_into(
-        graph,
-        clocks,
-        design.num_clusters,
-        issue_ticks,
-        reg_last_read,
-        reg_readers,
-        regs,
-        max_live,
-    );
-    commit(profile, Phase::Regs, regs_start);
-    let over = max_live.iter().any(|&lv| lv > design.cluster.registers);
-    if over {
-        return Err(ImsFailure::RegisterPressure(ws.max_live.clone()));
     }
     Ok(())
 }

@@ -38,6 +38,12 @@
 //! per worker thread; [`schedule_loop`] is the allocating convenience
 //! wrapper.
 //!
+//! The workspace also counts the work it does — IMS placements and
+//! ejections, IT retries, refinement pricings and accepted moves — in
+//! plain integers, and [`schedule_loop_ws`] adds them to the `vliw_obs`
+//! counters once per loop. While obs timing is on, it also records each
+//! phase's wall time into `sched_phase_nanos{phase}`.
+//!
 //! All side tables are dense and indexed by `vliw_ir::OpId` order — see
 //! the `vliw_ir` crate docs for the index-stability invariants
 //! ([`ExtGraph`] extends that numbering with copy nodes at
@@ -80,10 +86,10 @@ mod hetero;
 pub mod ims;
 mod mrt;
 pub mod partition;
-pub mod profile;
 mod regs;
 mod schedule;
 pub mod timing;
+mod work;
 mod workspace;
 
 pub use comm::{ExtEdge, ExtGraph, NodeId, NodePlace};
@@ -94,7 +100,6 @@ pub use partition::{
     compute_partition, compute_partition_unrefined, compute_partition_ws, Partition,
     PartitionObjective,
 };
-pub use profile::{Phase, PhaseProfile};
 pub use regs::{lifetime_sum_ticks, max_lives};
 pub use schedule::{ScheduledCopy, ScheduledLoop};
 pub use timing::LoopClocks;

@@ -71,6 +71,7 @@ pub(crate) fn refine(
         induce_into(ddg, hierarchy, &base_assign, &mut induced);
         let mut current_eval =
             evaluate_partition_ctx(ddg, &induced, recurrences, config, objective, &ctx, scratch);
+        scratch.pricings += 1;
         for _pass in 0..PASS_LIMIT {
             let mut improved = false;
             for (gi, bgs) in groups.iter().enumerate() {
@@ -103,6 +104,7 @@ pub(crate) fn refine(
                         scratch,
                         Some(best.as_ref().map_or(current_eval.ed2, |(_, b)| b.ed2)),
                     );
+                    scratch.pricings += 1;
                     if eval.ed2 < current_eval.ed2
                         && best.as_ref().is_none_or(|(_, b)| eval.ed2 < b.ed2)
                     {
@@ -115,6 +117,7 @@ pub(crate) fn refine(
                         current_eval = eval;
                         improved = true;
                         version += 1;
+                        scratch.moves += 1;
                     }
                     None => {
                         move_group(hierarchy, bgs, from, &mut base_assign, &mut induced);

@@ -23,12 +23,15 @@
 //! `crates/sched/tests/zero_alloc.rs`). The workspace never changes *what*
 //! is computed — results are byte-identical with a fresh workspace per
 //! call.
+//!
+//! The workspace also counts the work it does (see [`crate::work`]).
+
+use std::time::Instant;
 
 use vliw_machine::ClusterId;
 
 use crate::comm::NodeId;
 use crate::mrt::{BusMrt, ClusterMrt};
-use crate::profile::PhaseProfile;
 
 /// Scratch for the register-pressure (MaxLives) analysis.
 #[derive(Debug, Clone, Default)]
@@ -70,6 +73,10 @@ pub struct PartitionScratch {
     /// of one refinement run (latency tables, flow-edge lists, pred CSR,
     /// the config's domain scalings).
     pub(crate) ctx: crate::partition::EvalCtx,
+    /// Pseudo-schedule pricings made by refinement.
+    pub(crate) pricings: u64,
+    /// Refinement moves accepted.
+    pub(crate) moves: u64,
 }
 
 impl PartitionScratch {
@@ -128,10 +135,15 @@ pub struct SchedWorkspace {
     // --- analysis scratch ---
     pub(crate) regs: RegScratch,
     pub(crate) part: PartitionScratch,
-    // --- observability ---
-    /// Phase-time accumulator; `None` (the default) keeps the hot path
-    /// timer-free.
-    pub(crate) profile: Option<PhaseProfile>,
+    // --- work counts of the current `schedule_loop_ws` call ---
+    /// Nodes placed by the IMS.
+    pub(crate) placements: u64,
+    /// Placed nodes the IMS ejected again.
+    pub(crate) ejections: u64,
+    /// Initiation times given up on.
+    pub(crate) it_retries: u64,
+    /// Whether the current `schedule_loop_ws` call times its phases.
+    pub(crate) timed: bool,
 }
 
 impl SchedWorkspace {
@@ -158,36 +170,29 @@ impl SchedWorkspace {
             max_live: Vec::new(),
             regs: RegScratch::default(),
             part: PartitionScratch::default(),
-            profile: None,
+            placements: 0,
+            ejections: 0,
+            it_retries: 0,
+            timed: false,
         }
     }
 
-    /// Turns on phase profiling: subsequent scheduling calls through this
-    /// workspace accumulate per-phase wall time into [`PhaseProfile`]
-    /// (readable via [`SchedWorkspace::profile`]). Off by default; when
-    /// off the pipeline reads no timers at all.
-    pub fn enable_profiling(&mut self) {
-        if self.profile.is_none() {
-            self.profile = Some(PhaseProfile::new());
-        }
+    /// Reads the clock when the current call times its phases.
+    pub(crate) fn phase_start(&self) -> Option<Instant> {
+        self.timed.then(Instant::now)
     }
 
-    /// Turns phase profiling off and discards any accumulated profile.
-    pub fn disable_profiling(&mut self) {
-        self.profile = None;
-    }
-
-    /// The accumulated phase profile, if profiling is enabled.
-    #[must_use]
-    pub fn profile(&self) -> Option<&PhaseProfile> {
-        self.profile.as_ref()
-    }
-
-    /// Mutable access to the accumulated profile (e.g. to add a
-    /// [`crate::profile::Phase::Validate`] entry timed by the caller, or
-    /// to reset between runs), if profiling is enabled.
-    pub fn profile_mut(&mut self) -> Option<&mut PhaseProfile> {
-        self.profile.as_mut()
+    /// The work counts (placements, ejections, IT retries, pricings,
+    /// accepted moves), zeroing them.
+    pub(crate) fn take_work(&mut self) -> [u64; 5] {
+        use std::mem::take;
+        [
+            take(&mut self.placements),
+            take(&mut self.ejections),
+            take(&mut self.it_retries),
+            take(&mut self.part.pricings),
+            take(&mut self.part.moves),
+        ]
     }
 
     /// Issue cycle of every extended-graph node (domain-local cycles),

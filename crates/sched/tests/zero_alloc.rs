@@ -207,42 +207,6 @@ fn it_retry_reuse_allocates_nothing_once_warm() {
     );
 }
 
-/// Phase profiling must preserve the zero-alloc steady state: the
-/// [`PhaseProfile`] lives inline in the workspace and every probe only
-/// reads the monotonic clock, so an enabled profile adds no allocations
-/// to a warm pass.
-///
-/// [`PhaseProfile`]: vliw_sched::PhaseProfile
-#[test]
-fn profiling_enabled_steady_state_allocates_nothing() {
-    let config = ClockedConfig::reference(MachineDesign::paper_machine(1));
-    let clocks =
-        LoopClocks::select(&config, &FrequencyMenu::unrestricted(), Time::from_ns(6.0)).unwrap();
-    let ddg = representative_ddg();
-    ddg.validate_schedulable().unwrap();
-    let _ = ddg.rec_mii();
-    let assignment = [ClusterId(0); 9];
-    let graph = ExtGraph::build(&ddg, &assignment, &config, &clocks);
-
-    let mut ws = SchedWorkspace::new();
-    ws.enable_profiling();
-    ims::schedule_into(&graph, &config, &clocks, ims::DEFAULT_BUDGET_RATIO, &mut ws).unwrap();
-
-    let before = allocations();
-    ims::schedule_into(&graph, &config, &clocks, ims::DEFAULT_BUDGET_RATIO, &mut ws).unwrap();
-    let after = allocations();
-    assert_eq!(
-        after - before,
-        0,
-        "profiled steady-state scheduling must not allocate"
-    );
-    let profile = ws.profile().expect("profiling stays enabled");
-    assert!(
-        profile.count(vliw_sched::Phase::Place) >= 2,
-        "both passes were profiled"
-    );
-}
-
 /// Observability must not break the steady-state discipline: with
 /// timing enabled and the metric handles warm (exactly the state of the
 /// instrumented `schedule_loop` wrapper after its first call), a

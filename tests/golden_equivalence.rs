@@ -46,6 +46,17 @@ fn figure6_json_is_byte_identical_to_pre_refactor_output() {
     );
 }
 
+/// `paper --experiment figure6 --loops 16 --buses 1`, the scale CI's
+/// instrumentation-overhead check runs (mean `ed2_normalized`
+/// 0.897499455236866, mean `exec_time_het_ns` 964531.1935389999).
+#[test]
+fn figure6_loops16_json_is_byte_identical() {
+    check(
+        r#"{"kind":"figure6","loops":16,"buses":"1","seed":0}"#,
+        "figure6_loops16_buses1.json",
+    );
+}
+
 /// `paper --experiment figure7 --loops 4 --buses 1` (pre-refactor seed).
 #[test]
 fn figure7_json_is_byte_identical_to_pre_refactor_output() {
