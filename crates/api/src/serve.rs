@@ -24,13 +24,14 @@
 //! what the per-response [`CacheStats`](crate::response::CacheStats)
 //! makes observable.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::artifacts::persist_response;
@@ -80,9 +81,9 @@ pub fn serve(engine: &Engine, opts: &ServeOptions) -> io::Result<()> {
         eprintln!("[serve] measurement store at {}", dir.display());
     }
     let shutdown = AtomicBool::new(false);
-    let conns: Mutex<Vec<UnixStream>> = Mutex::new(Vec::new());
+    let conns = Connections::default();
     std::thread::scope(|scope| {
-        for stream in listener.incoming() {
+        for (id, stream) in (0u64..).zip(listener.incoming()) {
             if shutdown.load(Ordering::SeqCst) {
                 break;
             }
@@ -93,12 +94,14 @@ pub fn serve(engine: &Engine, opts: &ServeOptions) -> io::Result<()> {
                     continue;
                 }
             };
-            if let Ok(clone) = stream.try_clone() {
-                conns.lock().expect("connection list poisoned").push(clone);
-            }
+            let registered = stream
+                .try_clone()
+                .ok()
+                .map(|clone| Registered::new(&conns, id, clone));
             let shutdown = &shutdown;
             let conns = &conns;
             scope.spawn(move || {
+                let _registered = registered;
                 handle_connection(engine, stream, opts, shutdown, conns);
             });
         }
@@ -136,7 +139,7 @@ fn handle_connection(
     stream: UnixStream,
     opts: &ServeOptions,
     shutdown: &AtomicBool,
-    conns: &Mutex<Vec<UnixStream>>,
+    conns: &Connections,
 ) {
     let Ok(read_half) = stream.try_clone() else {
         eprintln!("[serve] could not clone connection");
@@ -329,13 +332,44 @@ impl Drop for InFlightConnection {
     }
 }
 
+/// A clone of every live connection under its connection id, so that a
+/// shutdown can wake each handler.
+type Connections = Mutex<HashMap<u64, UnixStream>>;
+
+/// A connection's entry in [`Connections`]: dropping it, when the
+/// handler returns on any path (panics included), closes the clone, so
+/// the daemon holds no descriptor for a connection it has finished.
+struct Registered<'a> {
+    conns: &'a Connections,
+    id: u64,
+}
+
+impl<'a> Registered<'a> {
+    fn new(conns: &'a Connections, id: u64, clone: UnixStream) -> Self {
+        lock(conns).insert(id, clone);
+        Registered { conns, id }
+    }
+}
+
+impl Drop for Registered<'_> {
+    fn drop(&mut self) {
+        lock(self.conns).remove(&self.id);
+    }
+}
+
+/// The connection map is only inserted into and removed from, so a
+/// panic elsewhere cannot leave it inconsistent: poisoning is ignored.
+fn lock(conns: &Connections) -> MutexGuard<'_, HashMap<u64, UnixStream>> {
+    conns.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Graceful shutdown: stop accepting (a self-connect unblocks the
 /// accept loop) and wake every open connection so its handler thread
 /// sees EOF and drains.
-fn initiate_shutdown(socket: &Path, shutdown: &AtomicBool, conns: &Mutex<Vec<UnixStream>>) {
+fn initiate_shutdown(socket: &Path, shutdown: &AtomicBool, conns: &Connections) {
     shutdown.store(true, Ordering::SeqCst);
     let _ = UnixStream::connect(socket);
-    for conn in conns.lock().expect("connection list poisoned").iter() {
+    for conn in lock(conns).values() {
         let _ = conn.shutdown(Shutdown::Both);
     }
 }

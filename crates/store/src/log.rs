@@ -27,8 +27,10 @@
 //! ([`StoreStats::skipped_lines`]). Every other malformed line is a
 //! hard [`StoreError::Corrupt`] naming the file, line and JSON path —
 //! silent data loss is never an option for lines the format says are
-//! complete.
+//! complete. The writer's own lines are read in one pass; any other
+//! line, and so every error, goes through the strict tree decoder.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
@@ -39,7 +41,9 @@ use std::sync::Mutex;
 
 use vliw_ir::SerialError;
 
-use crate::record::{EvalRecord, MeasureRecord, ProfileRecord, Record, StoreKey};
+use crate::record::{
+    decode_canonical_line, EvalRecord, MeasureRecord, ProfileRecord, Record, StoreKey,
+};
 
 /// Process-wide store telemetry: interned-once counter handles. These
 /// aggregate over every store a process opens — the I/O view `store
@@ -233,42 +237,29 @@ struct Maps {
 }
 
 impl Maps {
-    fn insert(&mut self, record: Record, path: &str) -> Result<bool, StoreError> {
+    /// Merges `record`: `Ok(true)` if its key is new, `Ok(false)` if the
+    /// same payload is already stored, `Err(key)` if a different one is.
+    fn insert(&mut self, record: Record) -> Result<bool, StoreKey> {
         match record {
-            Record::Measure { key, value } => match self.measures.get(&key) {
-                None => {
-                    self.measures.insert(key, value);
-                    Ok(true)
-                }
-                Some(existing) if *existing == value => Ok(false),
-                Some(_) => Err(StoreError::Conflict {
-                    key,
-                    path: path.to_owned(),
-                }),
-            },
-            Record::Profile { key, value } => match self.profiles.get(&key) {
-                None => {
-                    self.profiles.insert(key, value);
-                    Ok(true)
-                }
-                Some(existing) if *existing == value => Ok(false),
-                Some(_) => Err(StoreError::Conflict {
-                    key,
-                    path: path.to_owned(),
-                }),
-            },
-            Record::Eval { key, value } => match self.evals.get(&key) {
-                None => {
-                    self.evals.insert(key, value);
-                    Ok(true)
-                }
-                Some(existing) if *existing == value => Ok(false),
-                Some(_) => Err(StoreError::Conflict {
-                    key,
-                    path: path.to_owned(),
-                }),
-            },
+            Record::Measure { key, value } => merge(&mut self.measures, key, value),
+            Record::Profile { key, value } => merge(&mut self.profiles, key, value),
+            Record::Eval { key, value } => merge(&mut self.evals, key, value),
         }
+    }
+}
+
+fn merge<V: PartialEq>(
+    map: &mut HashMap<StoreKey, V>,
+    key: StoreKey,
+    value: V,
+) -> Result<bool, StoreKey> {
+    match map.entry(key) {
+        Entry::Vacant(slot) => {
+            slot.insert(value);
+            Ok(true)
+        }
+        Entry::Occupied(slot) if *slot.get() == value => Ok(false),
+        Entry::Occupied(_) => Err(key),
     }
 }
 
@@ -409,7 +400,13 @@ impl MeasureStore {
     fn put(&self, record: Record) -> Result<(), StoreError> {
         let mut inner = self.inner.lock().unwrap();
         let line = record.to_json_line();
-        let fresh = inner.maps.insert(record, "<put>")?;
+        let fresh = inner
+            .maps
+            .insert(record)
+            .map_err(|key| StoreError::Conflict {
+                key,
+                path: "<put>".to_owned(),
+            })?;
         if !fresh {
             return Ok(());
         }
@@ -570,48 +567,67 @@ fn log_paths(dir: &Path) -> Result<Vec<PathBuf>, StoreError> {
 fn load_log(path: &Path, maps: &mut Maps) -> Result<u64, StoreError> {
     let content = fs::read_to_string(path).map_err(|e| io_err(path, e))?;
     obs::bytes_read().add(content.len() as u64);
-    let name = path
-        .file_name()
-        .and_then(|n| n.to_str())
-        .unwrap_or("<log>")
-        .to_owned();
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("<log>");
+    // A line the one-pass decoder reads needs its label only if it
+    // conflicts or is dropped.
+    let label = |i: usize| format!("{name}#{}", i + 1);
     let terminated = content.ends_with('\n');
-    let lines: Vec<&str> = content.lines().collect();
-    for (i, line) in lines.iter().enumerate() {
-        let truncated_tail = !terminated && i + 1 == lines.len();
-        let label = format!("{name}#{}", i + 1);
-        let parsed = parse_line(line, i == 0, &label);
-        match parsed {
+    let mut lines = content.lines().enumerate().peekable();
+    while let Some((i, line)) = lines.next() {
+        let truncated_tail = !terminated && lines.peek().is_none();
+        match parse_line(line, i == 0, || label(i)) {
+            Ok(None) => {} // header
+            // A record with no newline *could* still be a prefix of a
+            // longer line that happens to parse; the only safe reading
+            // of an unterminated tail, valid or not, is "the writer died
+            // here", so drop it.
+            _ if truncated_tail => {
+                eprintln!(
+                    "[store] warning: skipping truncated final line {}",
+                    label(i)
+                );
+                obs::skipped_lines().inc();
+                return Ok(1);
+            }
             Ok(Some(record)) => {
-                if truncated_tail {
-                    // A record with no newline *could* still be a prefix
-                    // of a longer line that happens to parse; the only
-                    // safe reading of an unterminated tail is "the
-                    // writer died here", so drop it.
-                    eprintln!("[store] warning: skipping truncated final line {label}");
-                    obs::skipped_lines().inc();
-                    return Ok(1);
-                }
-                maps.insert(record, &label)?;
+                maps.insert(record).map_err(|key| StoreError::Conflict {
+                    key,
+                    path: label(i),
+                })?;
                 obs::records_read().inc();
             }
-            Ok(None) => {} // header
-            Err(err) => {
-                if truncated_tail {
-                    eprintln!("[store] warning: skipping truncated final line {label}");
-                    obs::skipped_lines().inc();
-                    return Ok(1);
-                }
-                return Err(err);
-            }
+            Err(err) => return Err(err),
         }
     }
     Ok(0)
 }
 
 /// Parses one log line: `Ok(None)` for the header, `Ok(Some(_))` for a
-/// record.
-fn parse_line(line: &str, is_header: bool, label: &str) -> Result<Option<Record>, StoreError> {
+/// record. The writer's own lines take the one-pass decoder; every other
+/// line goes through the strict tree decoder, which names `label()` in
+/// its errors.
+fn parse_line(
+    line: &str,
+    is_header: bool,
+    label: impl FnOnce() -> String,
+) -> Result<Option<Record>, StoreError> {
+    if is_header {
+        if line == LOG_HEADER {
+            return Ok(None);
+        }
+    } else if let Some(record) = decode_canonical_line(line) {
+        return Ok(Some(record));
+    }
+    parse_line_strict(line, is_header, &label())
+}
+
+/// [`parse_line`] through a parsed JSON tree, for any valid line and
+/// every error.
+fn parse_line_strict(
+    line: &str,
+    is_header: bool,
+    label: &str,
+) -> Result<Option<Record>, StoreError> {
     let value = serde_json::from_str(line).map_err(|e| {
         StoreError::Corrupt(SerialError {
             path: label.to_owned(),
@@ -740,8 +756,11 @@ fn open_writer(dir: &Path) -> Result<Writer, StoreError> {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
-    use crate::record::{LoopProfileRecord, ProfileRecord};
+    use crate::record::tests::{arb_record, float_bits};
+    use crate::record::{EvalObjectives, LoopProfileRecord, ProfileRecord};
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -1088,5 +1107,191 @@ mod tests {
         );
         assert_eq!(leftover.len(), 1);
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A canonical log and a hand-written one holding the same records
+    /// valid but not canonical: spaces after `:` and `,`, keys out of
+    /// order, an escaped loop name and floats in exponent form. The
+    /// tree decoder reads the second, and both answer alike.
+    #[test]
+    fn non_canonical_lines_read_as_their_canonical_twins() {
+        let measure_key = StoreKey {
+            content: 0x00c5_0000_0000_0001,
+            config: 0xabcd,
+        };
+        let profile_key = StoreKey {
+            content: 7,
+            config: 8,
+        };
+        let eval_key = StoreKey {
+            content: 9,
+            config: 1,
+        };
+        let infeasible_key = StoreKey {
+            content: 9,
+            config: 2,
+        };
+        let canonical = tmp_dir("canonical-twin");
+        {
+            let store = MeasureStore::open(&canonical).unwrap();
+            let measure = MeasureRecord {
+                weighted_ins_per_cluster: vec![2.5, 0.1 + 0.2, -0.0],
+                comms: 40,
+                mem_accesses: 11,
+                exec_time_fs: 1_250_000,
+            };
+            store.put_measure(measure_key, measure).unwrap();
+            let mut swim = profile("171.swim");
+            swim.loops[0].name = "l\"0\"é".to_owned();
+            swim.loops[0].weight = 0.25;
+            store.put_profile(profile_key, swim).unwrap();
+            let objectives = EvalObjectives {
+                exec_time_ns: 1234.5,
+                energy: 3e-300,
+                ed2: 500.0,
+            };
+            let eval = EvalRecord {
+                objectives: Some(objectives),
+            };
+            store.put_eval(eval_key, eval).unwrap();
+            let infeasible = EvalRecord { objectives: None };
+            store.put_eval(infeasible_key, infeasible).unwrap();
+        }
+        let hand_written = [
+            r#"{"version": 1, "format": "heterovliw-store"}"#,
+            r#"{"ins": [2.5e0, 0.30000000000000004, -0.0], "kind": "measure", "exec_fs": 1250000, "config": "000000000000abcd", "mems": 11, "content": "00c5000000000001", "comms": 40}"#,
+            r#"{"kind": "profile", "name": "171.swim", "content": "0000000000000007", "config": "0000000000000008", "loops": [{"invocations": 1E0, "name": "l\"0\"é", "weight": 2.5e-1, "trips": 10, "rec_mii": 2, "fu": [1, 2, 3], "comms": 4, "lifetime_fs": 5, "it_length_fs": 6, "it_ref_fs": 7, "ins": 8.0, "rec_ins": 1.0, "mems": 9, "exec_fs": 10}], "ref_ins": 8e0, "ref_comms": 4, "ref_mems": 9, "ref_exec_fs": 10}"#,
+            r#"{"kind": "eval", "content": "0000000000000009", "config": "0000000000000001", "ed2": 5e2, "time_ns": 1.2345e3, "energy": 3e-300}"#,
+            r#"{"infeasible": true, "kind": "eval", "content": "0000000000000009", "config": "0000000000000002"}"#,
+        ];
+        for line in &hand_written[1..] {
+            assert!(decode_canonical_line(line).is_none(), "{line}");
+        }
+        let hand = tmp_dir("hand-written-twin");
+        fs::create_dir_all(&hand).unwrap();
+        fs::write(
+            hand.join("writer-1-0.jsonl"),
+            hand_written.join("\n") + "\n",
+        )
+        .unwrap();
+
+        // Canonical lines compare records bit for bit: `-0` is not `0`.
+        let answers = |dir: &Path| -> Vec<String> {
+            let store = MeasureStore::open(dir).unwrap();
+            let value = store.get_measure(measure_key).expect("measure");
+            let measure = Record::Measure {
+                key: measure_key,
+                value,
+            };
+            let value = store.get_profile(profile_key).expect("profile");
+            let profile = Record::Profile {
+                key: profile_key,
+                value,
+            };
+            let evals = [eval_key, infeasible_key].map(|key| Record::Eval {
+                key,
+                value: store.get_eval(key).expect("eval"),
+            });
+            [measure, profile]
+                .iter()
+                .chain(&evals)
+                .map(Record::to_json_line)
+                .collect()
+        };
+        assert_eq!(answers(&hand), answers(&canonical));
+        fs::remove_dir_all(&canonical).unwrap();
+        fs::remove_dir_all(&hand).unwrap();
+    }
+
+    /// A second log repeating a key with a float one ULP away is a
+    /// conflict labelled with that log's file and line.
+    #[test]
+    fn one_ulp_conflict_names_the_losing_line() {
+        let dir = tmp_dir("ulp-conflict");
+        fs::create_dir_all(&dir).unwrap();
+        let line = |key, value| Record::Measure { key, value }.to_json_line();
+        let mut nudged = measure(1);
+        nudged.weighted_ins_per_cluster[1] = f64::from_bits(0.5f64.to_bits() + 1);
+        fs::write(
+            dir.join("writer-1-0.jsonl"),
+            format!("{LOG_HEADER}\n{}\n", line(key(1), measure(1))),
+        )
+        .unwrap();
+        fs::write(
+            dir.join("writer-1-1.jsonl"),
+            format!(
+                "{LOG_HEADER}\n{}\n{}\n",
+                line(key(2), measure(2)),
+                line(key(1), nudged)
+            ),
+        )
+        .unwrap();
+        match MeasureStore::open(&dir).unwrap_err() {
+            StoreError::Conflict { key: k, path } => {
+                assert_eq!(k, key(1));
+                assert_eq!(path, "writer-1-1.jsonl#3");
+            }
+            other => panic!("expected a conflict, got {other}"),
+        }
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Bytes an edit writes: digits and number signs, JSON structure,
+    /// an escape, a control byte and a byte that is never UTF-8.
+    const EDIT_BYTES: &[u8] = b"0123456789-+.eE\":,{}[] \\tu\x01\xff";
+
+    /// A canonical line cut at a random byte, or with 1-4 random byte
+    /// edits (replace, delete or insert).
+    fn arb_mangled_line() -> impl Strategy<Value = String> {
+        let edit = (0u8..3, 0usize..1 << 16, 0..EDIT_BYTES.len());
+        (arb_record(), 0u8..5, proptest::collection::vec(edit, 1..5)).prop_map(
+            |(record, pick, edits)| {
+                let mut bytes = record.to_json_line().into_bytes();
+                if pick == 0 {
+                    bytes.truncate(edits[0].1 % bytes.len());
+                } else {
+                    for (op, at, b) in edits {
+                        let at = at % bytes.len();
+                        match op {
+                            0 => bytes[at] = EDIT_BYTES[b],
+                            1 => drop(bytes.remove(at)),
+                            _ => bytes.insert(at, EDIT_BYTES[b]),
+                        }
+                    }
+                }
+                String::from_utf8_lossy(&bytes).into_owned()
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// On a mangled canonical line the store's line decoding returns
+        /// what `serde_json::from_str` + `Record::from_json_value` return
+        /// under the same label: the same record bit for bit, or the
+        /// same error.
+        #[test]
+        fn mangled_lines_decode_as_the_tree_decoder_does(line in arb_mangled_line()) {
+            let label = "writer-1-0.jsonl#2";
+            let tree = serde_json::from_str(&line)
+                .map_err(|e| {
+                    StoreError::Corrupt(SerialError {
+                        path: label.to_owned(),
+                        message: format!("not valid JSON: {e}"),
+                    })
+                })
+                .and_then(|value| {
+                    Record::from_json_value(&value, label).map_err(StoreError::Corrupt)
+                });
+            match (parse_line(&line, false, || label.to_owned()), tree) {
+                (Ok(Some(got)), Ok(want)) => prop_assert!(
+                    got == want && float_bits(&got) == float_bits(&want),
+                    "{line}: read {got:?}, want {want:?}"
+                ),
+                (Err(got), Err(want)) => prop_assert_eq!(got.to_string(), want.to_string()),
+                (got, want) => panic!("{line}: read {got:?}, the tree decoder {want:?}"),
+            }
+        }
     }
 }

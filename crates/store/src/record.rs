@@ -19,7 +19,10 @@
 //! Parsing is strict and path-addressed: unknown fields, missing fields
 //! and wrong types all fail with a [`SerialError`] naming the offending
 //! JSON path (`writer-42-0.jsonl#3.ins[1]` style), mirroring the corpus
-//! loader's discipline.
+//! loader's discipline. The store reads the lines its own writer emits
+//! with a one-pass decoder of exactly that layout
+//! (`decode_canonical_line`); any other line, and so every error, goes
+//! through the strict tree decoder ([`Record::from_json_value`]).
 
 use serde::write_json_str;
 use serde_json::Value;
@@ -433,6 +436,235 @@ fn parse_loop(value: &Value, path: &str) -> Result<LoopProfileRecord, SerialErro
     })
 }
 
+/// Decodes a line laid out exactly as [`Record::to_json_line`] writes
+/// it: the writer's key order, no whitespace, strings with nothing to
+/// escape, lowercase hex keys. Returns `None` for any other line, valid
+/// or not, so the caller can hand it to the strict tree decoder.
+///
+/// Numbers follow the JSON grammar and go through the same
+/// `str::parse::<f64>` (finite only) and `str::parse::<u64>` calls as
+/// [`serde_json::Number`], so whenever this returns a record,
+/// `serde_json::from_str` + [`Record::from_json_value`] return the same
+/// record bit for bit.
+pub(crate) fn decode_canonical_line(line: &str) -> Option<Record> {
+    let mut c = Canonical { line, pos: 0 };
+    c.lit("{\"kind\":")?;
+    let kind = c.str()?;
+    c.lit(",\"content\":")?;
+    let content = c.hex()?;
+    c.lit(",\"config\":")?;
+    let key = StoreKey {
+        content,
+        config: c.hex()?,
+    };
+    // Struct fields are evaluated in the order written, which below is
+    // always the order the writer puts them on the line.
+    let record = match kind {
+        "measure" => {
+            c.lit(",\"ins\":[")?;
+            Record::Measure {
+                key,
+                value: MeasureRecord {
+                    weighted_ins_per_cluster: c.list(Canonical::f64)?,
+                    comms: c.field_u64(",\"comms\":")?,
+                    mem_accesses: c.field_u64(",\"mems\":")?,
+                    exec_time_fs: c.field_u64(",\"exec_fs\":")?,
+                },
+            }
+        }
+        "profile" => {
+            c.lit(",\"name\":")?;
+            let name = c.str()?.to_owned();
+            let ref_weighted_ins = c.field_f64(",\"ref_ins\":")?;
+            let ref_comms = c.field_u64(",\"ref_comms\":")?;
+            let ref_mem_accesses = c.field_u64(",\"ref_mems\":")?;
+            let ref_exec_time_fs = c.field_u64(",\"ref_exec_fs\":")?;
+            c.lit(",\"loops\":[")?;
+            let loops = c.list(Canonical::loop_profile)?;
+            Record::Profile {
+                key,
+                value: ProfileRecord {
+                    name,
+                    loops,
+                    ref_weighted_ins,
+                    ref_comms,
+                    ref_mem_accesses,
+                    ref_exec_time_fs,
+                },
+            }
+        }
+        "eval" => {
+            let objectives = if c.lit(",\"infeasible\":true").is_some() {
+                None
+            } else {
+                Some(EvalObjectives {
+                    exec_time_ns: c.field_f64(",\"time_ns\":")?,
+                    energy: c.field_f64(",\"energy\":")?,
+                    ed2: c.field_f64(",\"ed2\":")?,
+                })
+            };
+            Record::Eval {
+                key,
+                value: EvalRecord { objectives },
+            }
+        }
+        _ => return None,
+    };
+    c.lit("}")?;
+    (c.pos == line.len()).then_some(record)
+}
+
+/// A cursor over one line for [`decode_canonical_line`]. Every method
+/// consumes what it matched or returns `None`; it never panics, because
+/// it slices `line` only next to ASCII bytes (or through `str::get`).
+struct Canonical<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Canonical<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consumes `b` if it is next.
+    fn eat(&mut self, b: u8) -> bool {
+        let hit = self.peek() == Some(b);
+        self.pos += usize::from(hit);
+        hit
+    }
+
+    /// Consumes the literal `s`.
+    fn lit(&mut self, s: &str) -> Option<()> {
+        self.line.as_bytes()[self.pos..]
+            .starts_with(s.as_bytes())
+            .then(|| self.pos += s.len())
+    }
+
+    fn digits(&mut self) -> usize {
+        let start = self.pos;
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
+    /// A string with no escape and no control character, unquoted.
+    fn str(&mut self) -> Option<&'a str> {
+        self.lit("\"")?;
+        let start = self.pos;
+        loop {
+            match self.peek()? {
+                b'"' => break,
+                b'\\' | 0..=0x1f => return None,
+                _ => self.pos += 1,
+            }
+        }
+        self.pos += 1;
+        Some(&self.line[start..self.pos - 1])
+    }
+
+    /// A key: 16 lowercase hex digits in quotes.
+    fn hex(&mut self) -> Option<u64> {
+        self.lit("\"")?;
+        let digits = self.line.get(self.pos..self.pos + 16)?;
+        if !digits
+            .bytes()
+            .all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'))
+        {
+            return None;
+        }
+        self.pos += 16;
+        self.lit("\"")?;
+        u64::from_str_radix(digits, 16).ok()
+    }
+
+    /// The lexeme of a JSON number:
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`.
+    fn number(&mut self) -> Option<&'a str> {
+        let start = self.pos;
+        self.eat(b'-');
+        if !self.eat(b'0') && self.digits() == 0 {
+            return None;
+        }
+        if self.eat(b'.') && self.digits() == 0 {
+            return None;
+        }
+        if self.eat(b'e') || self.eat(b'E') {
+            if !self.eat(b'+') {
+                self.eat(b'-');
+            }
+            if self.digits() == 0 {
+                return None;
+            }
+        }
+        Some(&self.line[start..self.pos])
+    }
+
+    fn f64(&mut self) -> Option<f64> {
+        self.number()?.parse::<f64>().ok().filter(|v| v.is_finite())
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.number()?.parse().ok()
+    }
+
+    fn field_f64(&mut self, key: &str) -> Option<f64> {
+        self.lit(key)?;
+        self.f64()
+    }
+
+    fn field_u64(&mut self, key: &str) -> Option<u64> {
+        self.lit(key)?;
+        self.u64()
+    }
+
+    /// The items of an array whose `[` is already consumed, through
+    /// its `]`.
+    fn list<T>(&mut self, item: impl Fn(&mut Self) -> Option<T>) -> Option<Vec<T>> {
+        let mut items = Vec::new();
+        if self.eat(b']') {
+            return Some(items);
+        }
+        loop {
+            items.push(item(self)?);
+            if self.eat(b']') {
+                return Some(items);
+            }
+            self.lit(",")?;
+        }
+    }
+
+    fn loop_profile(&mut self) -> Option<LoopProfileRecord> {
+        self.lit("{\"name\":")?;
+        let name = self.str()?.to_owned();
+        let weight = self.field_f64(",\"weight\":")?;
+        let trips = self.field_u64(",\"trips\":")?;
+        let rec_mii = u32::try_from(self.field_u64(",\"rec_mii\":")?).ok()?;
+        let fu0 = self.field_u64(",\"fu\":[")?;
+        let fu1 = self.field_u64(",")?;
+        let fu2 = self.field_u64(",")?;
+        let record = LoopProfileRecord {
+            name,
+            weight,
+            trips,
+            rec_mii,
+            fu_counts: [fu0, fu1, fu2],
+            comms: self.field_u64("],\"comms\":")?,
+            lifetime_fs: self.field_u64(",\"lifetime_fs\":")?,
+            it_length_fs: self.field_u64(",\"it_length_fs\":")?,
+            it_ref_fs: self.field_u64(",\"it_ref_fs\":")?,
+            weighted_ins: self.field_f64(",\"ins\":")?,
+            rec_weighted_ins: self.field_f64(",\"rec_ins\":")?,
+            mem_accesses: self.field_u64(",\"mems\":")?,
+            exec_time_fs: self.field_u64(",\"exec_fs\":")?,
+            invocations: self.field_f64(",\"invocations\":")?,
+        };
+        self.lit("}")?;
+        Some(record)
+    }
+}
+
 /// Writes a finite `f64` in shortest round-trip form.
 ///
 /// # Panics
@@ -500,7 +732,9 @@ fn get_array_field<'v>(v: &'v Value, path: &str, key: &str) -> Result<&'v [Value
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn measure() -> Record {
@@ -632,5 +866,220 @@ mod tests {
         let value = serde_json::from_str(line).unwrap();
         let err = Record::from_json_value(&value, "log#3").unwrap_err();
         assert_eq!(err.path, "log#3.ins[0]");
+    }
+
+    /// `u64`s with the edges forced in: 0, `u64::MAX` and short counts
+    /// besides raw draws.
+    fn arb_u64() -> impl Strategy<Value = u64> {
+        (0u8..4, 0u64..=u64::MAX).prop_map(|(pick, raw)| match pick {
+            0 => 0,
+            1 => u64::MAX,
+            2 => raw % 1000,
+            _ => raw,
+        })
+    }
+
+    /// Finite `f64`s drawn from raw bits, with `-0.0`, subnormals and
+    /// short decimals forced in besides raw draws.
+    fn arb_f64() -> impl Strategy<Value = f64> {
+        (0u8..5, 0u64..=u64::MAX).prop_map(|(pick, bits)| {
+            let v = match pick {
+                0 => -0.0,
+                1 => f64::from_bits(bits & 0x800f_ffff_ffff_ffff), // zero exponent
+                2 => (bits % 100_000) as f64 / 64.0,
+                _ => f64::from_bits(bits),
+            };
+            if v.is_finite() {
+                v
+            } else {
+                f64::from_bits(bits & 0x800f_ffff_ffff_ffff)
+            }
+        })
+    }
+
+    /// Characters `write_json_str` writes as they are, and ones it
+    /// escapes.
+    const PLAIN: &[char] = &[
+        'a', 'Z', '0', '9', '.', '_', '-', ' ', '/', 'é', '→', '\u{7f}',
+    ];
+    const ESCAPED: &[char] = &['"', '\\', '\n', '\t', '\u{1}'];
+
+    /// Names with escaped characters allowed in one name in four.
+    fn arb_name() -> impl Strategy<Value = String> {
+        let n = PLAIN.len() + ESCAPED.len();
+        (0u8..4, proptest::collection::vec(0..n, 0..10)).prop_map(|(pick, ix)| {
+            let alphabet: Vec<char> = match pick {
+                0 => PLAIN.iter().chain(ESCAPED).copied().collect(),
+                _ => PLAIN.to_vec(),
+            };
+            ix.into_iter()
+                .map(|i| alphabet[i % alphabet.len()])
+                .collect()
+        })
+    }
+
+    fn arb_key() -> impl Strategy<Value = StoreKey> {
+        (arb_u64(), arb_u64()).prop_map(|(content, config)| StoreKey { content, config })
+    }
+
+    fn arb_loop() -> impl Strategy<Value = LoopProfileRecord> {
+        (
+            (
+                arb_name(),
+                arb_f64(),
+                arb_u64(),
+                arb_u64(),
+                arb_u64(),
+                arb_u64(),
+            ),
+            (
+                arb_u64(),
+                arb_u64(),
+                arb_u64(),
+                arb_u64(),
+                arb_u64(),
+                arb_u64(),
+            ),
+            (arb_f64(), arb_f64(), arb_u64(), arb_f64()),
+        )
+            .prop_map(
+                |(
+                    (name, weight, trips, rec_mii, it_length_fs, it_ref_fs),
+                    (fu0, fu1, fu2, comms, lifetime_fs, mem_accesses),
+                    (weighted_ins, rec_weighted_ins, exec_time_fs, invocations),
+                )| LoopProfileRecord {
+                    name,
+                    weight,
+                    trips,
+                    rec_mii: rec_mii as u32,
+                    fu_counts: [fu0, fu1, fu2],
+                    comms,
+                    lifetime_fs,
+                    it_length_fs,
+                    it_ref_fs,
+                    weighted_ins,
+                    rec_weighted_ins,
+                    mem_accesses,
+                    exec_time_fs,
+                    invocations,
+                },
+            )
+    }
+
+    /// Any record the writer can emit: each kind a third of the time,
+    /// with empty `ins` and `loops` and infeasible evals among them.
+    pub(crate) fn arb_record() -> impl Strategy<Value = Record> {
+        let measure = (
+            proptest::collection::vec(arb_f64(), 0..6),
+            (arb_u64(), arb_u64(), arb_u64()),
+        );
+        let profile = (
+            arb_name(),
+            proptest::collection::vec(arb_loop(), 0..3),
+            arb_f64(),
+            (arb_u64(), arb_u64(), arb_u64()),
+        );
+        let eval = proptest::option::of((arb_f64(), arb_f64(), arb_f64()));
+        (0u8..3, arb_key(), measure, profile, eval).prop_map(
+            |(
+                kind,
+                key,
+                (ins, (comms, mems, exec)),
+                (name, loops, ref_ins, (rc, rm, re)),
+                eval,
+            )| {
+                match kind {
+                    0 => Record::Measure {
+                        key,
+                        value: MeasureRecord {
+                            weighted_ins_per_cluster: ins,
+                            comms,
+                            mem_accesses: mems,
+                            exec_time_fs: exec,
+                        },
+                    },
+                    1 => Record::Profile {
+                        key,
+                        value: ProfileRecord {
+                            name,
+                            loops,
+                            ref_weighted_ins: ref_ins,
+                            ref_comms: rc,
+                            ref_mem_accesses: rm,
+                            ref_exec_time_fs: re,
+                        },
+                    },
+                    _ => Record::Eval {
+                        key,
+                        value: EvalRecord {
+                            objectives: eval.map(|(exec_time_ns, energy, ed2)| EvalObjectives {
+                                exec_time_ns,
+                                energy,
+                                ed2,
+                            }),
+                        },
+                    },
+                }
+            },
+        )
+    }
+
+    /// Every float of a record as raw bits. Together with `==`, which
+    /// cannot tell `-0.0` from `0.0`, this compares records bit for bit.
+    pub(crate) fn float_bits(record: &Record) -> Vec<u64> {
+        match record {
+            Record::Measure { value, .. } => value
+                .weighted_ins_per_cluster
+                .iter()
+                .map(|v| v.to_bits())
+                .collect(),
+            Record::Profile { value, .. } => {
+                std::iter::once(value.ref_weighted_ins)
+                    .chain(value.loops.iter().flat_map(|l| {
+                        [l.weight, l.weighted_ins, l.rec_weighted_ins, l.invocations]
+                    }))
+                    .map(f64::to_bits)
+                    .collect()
+            }
+            Record::Eval { value, .. } => value
+                .objectives
+                .iter()
+                .flat_map(|o| [o.exec_time_ns, o.energy, o.ed2])
+                .map(f64::to_bits)
+                .collect(),
+        }
+    }
+
+    /// Whether no name in `record` has a character the writer escapes.
+    fn names_are_plain(record: &Record) -> bool {
+        let plain = |s: &str| s.chars().all(|c| c != '"' && c != '\\' && c >= ' ');
+        match record {
+            Record::Profile { value, .. } => {
+                plain(&value.name) && value.loops.iter().all(|l| plain(&l.name))
+            }
+            Record::Measure { .. } | Record::Eval { .. } => true,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Every line the writer emits decodes in one pass, bit for bit,
+        /// unless a name needed escaping: those lines are the tree
+        /// decoder's.
+        #[test]
+        fn canonical_lines_decode_in_one_pass(record in arb_record()) {
+            let line = record.to_json_line();
+            match decode_canonical_line(&line) {
+                Some(back) => {
+                    prop_assert!(names_are_plain(&record), "escaped name decoded: {line}");
+                    prop_assert!(
+                        back == record && float_bits(&back) == float_bits(&record),
+                        "{line} decoded as {back:?}"
+                    );
+                }
+                None => prop_assert!(!names_are_plain(&record), "not decoded: {line}"),
+            }
+        }
     }
 }
