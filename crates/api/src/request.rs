@@ -13,16 +13,18 @@
 //! {"kind":"corpus_stats","input":"target/paper-results/corpus.json"}
 //! ```
 //!
-//! Parsing is strict, mirroring the CLI's flag validation: unknown keys
-//! are rejected, and a knob that does not apply to the requested kind
-//! (`budget` on `figure6`, `input` on `search`, `store` on `ping`, …)
-//! is an error rather than a silent no-op — dropping a caller's path
-//! would misreport what ran. Omitted knobs take the CLI defaults, so
-//! `{"kind":"figure6"}` and a bare `paper figure6` run identically.
+//! Parsing is strict: unknown keys are rejected, and a knob that does
+//! not apply to the requested kind (`budget` on `figure6`, `input` on
+//! `search`, `store` on `ping`, …) is an error rather than a silent
+//! no-op — dropping a caller's path would misreport what ran. Omitted
+//! knobs take their defaults, so `{"kind":"figure6"}` and a bare
+//! `paper figure6` run identically.
 //!
-//! Both the wire parser and the programmatic [`RequestBuilder`]
-//! assemble through one validation path ([`RequestBuilder::build`]), so
-//! "which knob applies to which kind" is defined exactly once.
+//! [`KNOBS`] lists every knob key with the shape of its value. The wire
+//! parser and the `paper` CLI, which turns each `--key value` flag into
+//! the pair `"key": value`, both decode knobs through
+//! [`RequestBuilder::set`] and assemble through [`RequestBuilder::build`],
+//! so "which knob applies to which kind" is defined exactly once.
 //!
 //! The vendored serde derive has no enum support, so [`Request`]
 //! serialises by hand ([`Request::to_json_string`]) and parses through
@@ -82,8 +84,7 @@ impl BusSel {
 
 /// The global knobs shared by every experiment request: suite scale,
 /// bus selection, generation seed and the persistent measurement store
-/// backing the run (the CLI's `--loops-per-benchmark`, `--buses`,
-/// `--seed` and `--store`).
+/// backing the run (the `loops`, `buses`, `seed` and `store` knobs).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunParams {
     /// Loops generated per benchmark (default 40, the interactive
@@ -110,8 +111,8 @@ impl Default for RunParams {
     }
 }
 
-/// The knobs of the `search` experiment (the CLI's `--strategy`,
-/// `--budget`, `--space`, `--racing` and `--shard`).
+/// The knobs of the `search` experiment (`strategy`, `budget`, `space`,
+/// `racing` and `shard`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SearchParams {
     /// The optimizer to run.
@@ -321,11 +322,14 @@ impl Request {
     /// The store configuration this request carries: the shared run
     /// params' store for experiment kinds, the admin variants' own, and
     /// `None` for kinds no store can apply to (`ping`, `shutdown`,
-    /// `table1`).
+    /// `table1`, `metrics` and the corpus kinds, which measure nothing).
+    /// The wire form writes this store, so a corpus request's params
+    /// store never reaches the wire, where the decoder would refuse it.
     #[must_use]
     pub fn store(&self) -> Option<&StoreConfig> {
         match self {
             Request::StoreStats { store } | Request::StoreCompact { store } => Some(store),
+            Request::CorpusSchedule { .. } | Request::CorpusStats { .. } => None,
             _ => self.params().map(|p| &p.store),
         }
     }
@@ -408,85 +412,13 @@ impl Request {
         let mut kind = None;
         let mut b = RequestBuilder::default();
         for (key, v) in pairs {
-            match key.as_str() {
-                "kind" => {
-                    kind = Some(
-                        v.as_str()
-                            .ok_or_else(|| format!("kind must be a string, got {}", v.type_name()))?
-                            .to_owned(),
-                    );
-                }
-                "loops" => {
-                    b = b.loops(
-                        v.as_u64()
-                            .filter(|&n| n > 0)
-                            .and_then(|n| usize::try_from(n).ok())
-                            .ok_or("loops must be a positive integer")?,
-                    );
-                }
-                "buses" => {
-                    let name = match v {
-                        Value::String(s) => s.clone(),
-                        _ => v
-                            .as_u64()
-                            .ok_or_else(|| {
-                                format!("buses takes 1, 2 or both, got {}", v.type_name())
-                            })?
-                            .to_string(),
-                    };
-                    b = b.buses(BusSel::from_name(&name).ok_or("buses takes 1, 2 or both")?);
-                }
-                "seed" => {
-                    b = b.seed(v.as_u64().ok_or("seed must be a non-negative integer")?);
-                }
-                "store" => {
-                    let path = v.as_str().ok_or_else(|| {
-                        format!("store must be a string path, got {}", v.type_name())
-                    })?;
-                    b = b.store(StoreConfig::at(path));
-                }
-                "strategy" => {
-                    let name = v.as_str().ok_or_else(|| {
-                        format!("strategy must be a string, got {}", v.type_name())
-                    })?;
-                    b = b.strategy(name.parse()?);
-                }
-                "budget" => {
-                    b = b.budget(
-                        v.as_u64()
-                            .filter(|&n| n > 0)
-                            .ok_or("budget must be a positive integer")?,
-                    );
-                }
-                "space" => {
-                    let name = v
-                        .as_str()
-                        .ok_or_else(|| format!("space must be a string, got {}", v.type_name()))?;
-                    b = b.space(SpaceKind::from_name(name).ok_or("space takes paper or extended")?);
-                }
-                "racing" => {
-                    b =
-                        b.racing(v.as_bool().ok_or_else(|| {
-                            format!("racing must be a bool, got {}", v.type_name())
-                        })?);
-                }
-                "shard" => {
-                    let text = v.as_str().ok_or_else(|| {
-                        format!("shard must be a string \"i/n\", got {}", v.type_name())
-                    })?;
-                    let (i, n) = text
-                        .split_once('/')
-                        .and_then(|(i, n)| Some((i.parse().ok()?, n.parse().ok()?)))
-                        .ok_or("shard must be \"i/n\" with positive integers")?;
-                    b = b.shard(i, n);
-                }
-                "input" => {
-                    let path = v.as_str().ok_or_else(|| {
-                        format!("input must be a string path, got {}", v.type_name())
-                    })?;
-                    b = b.input(path);
-                }
-                other => return Err(format!("unknown request key {other:?}")),
+            if key == "kind" {
+                let name = v
+                    .as_str()
+                    .ok_or_else(|| format!("kind must be a string, got {}", v.type_name()))?;
+                kind = Some(name.to_owned());
+            } else {
+                b = b.set(key, v)?;
             }
         }
         b.kind = kind.ok_or("request is missing the kind key")?;
@@ -494,14 +426,104 @@ impl Request {
     }
 }
 
+/// How a knob's value is written: a JSON value on the wire, the word
+/// after `--key` on the `paper` command line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KnobShape {
+    /// A non-negative integer (`"budget":8`, `--budget 8`).
+    Integer,
+    /// A string (`"store":"DIR"`, `--store DIR`).
+    Text,
+    /// `true` when given (`"racing":true`, `--racing`).
+    Switch,
+}
+
+/// One request knob: a key [`RequestBuilder::set`] accepts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Knob {
+    /// The wire key, which is also the CLI flag `--key`.
+    pub key: &'static str,
+    /// The shape of its value.
+    pub shape: KnobShape,
+    /// The value's placeholder in `paper --help` (empty for a switch).
+    pub arg: &'static str,
+    /// What the knob does, and its default.
+    pub help: &'static str,
+}
+
+/// Every request knob, in wire order. [`RequestBuilder::set`] decodes
+/// exactly these keys, and [`RequestBuilder::build`] decides which kinds
+/// take which.
+pub const KNOBS: [Knob; 10] = [
+    Knob {
+        key: "loops",
+        shape: KnobShape::Integer,
+        arg: "N",
+        help: "loops generated per benchmark (default 40; ~400 is the paper's suite size)",
+    },
+    Knob {
+        key: "buses",
+        shape: KnobShape::Text,
+        arg: "1|2|both",
+        help: "bus configurations to run (default both)",
+    },
+    Knob {
+        key: "seed",
+        shape: KnobShape::Integer,
+        arg: "S",
+        help: "workload and search seed (default 0, the committed fixtures)",
+    },
+    Knob {
+        key: "store",
+        shape: KnobShape::Text,
+        arg: "DIR",
+        help: "measurement store to reuse and extend (default: memory only)",
+    },
+    Knob {
+        key: "strategy",
+        shape: KnobShape::Text,
+        arg: "hillclimb|anneal|ga|exhaustive",
+        help: "search optimizer (default hillclimb)",
+    },
+    Knob {
+        key: "budget",
+        shape: KnobShape::Integer,
+        arg: "N",
+        help: "distinct candidate evaluations a search may spend (default 64)",
+    },
+    Knob {
+        key: "space",
+        shape: KnobShape::Text,
+        arg: "paper|extended",
+        help: "search space (default paper)",
+    },
+    Knob {
+        key: "racing",
+        shape: KnobShape::Switch,
+        arg: "",
+        help: "screen each search batch on a loop subsample first (same frontier)",
+    },
+    Knob {
+        key: "shard",
+        shape: KnobShape::Text,
+        arg: "I/N",
+        help: "search shard I of an N-way split of the grid, for search merge",
+    },
+    Knob {
+        key: "input",
+        shape: KnobShape::Text,
+        arg: "FILE",
+        help: "corpus file to load (default: the in-memory suite)",
+    },
+];
+
 /// Incremental, programmatic construction of a [`Request`].
 ///
-/// The builder and the JSON wire parser share this one assembly point:
-/// [`Request::from_json_value`] fills a builder key by key and calls
-/// [`RequestBuilder::build`], so the "which knob applies to which
-/// kind" rules cannot drift between the two paths, and the per-variant
-/// shared knobs (loops/buses/seed/store) are defined once instead of
-/// being repeated per constructor.
+/// The wire parser and the `paper` CLI fill a builder key by key through
+/// [`RequestBuilder::set`] and call [`RequestBuilder::build`], so a knob's
+/// decoding and the "which knob applies to which kind" rules are defined
+/// once for every front end. The typed setters are the programmatic
+/// form of the same knobs.
 #[derive(Debug, Clone, Default)]
 pub struct RequestBuilder {
     kind: String,
@@ -595,6 +617,67 @@ impl RequestBuilder {
         self
     }
 
+    /// Sets the knob `key` from its wire value. This is the one decoder of
+    /// knob values: the wire parser calls it for each key of a request
+    /// object, and the `paper` CLI for each request flag.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the key when it is not one of [`KNOBS`]
+    /// or its value has the wrong shape or range. Whether the knob
+    /// applies to the kind is [`RequestBuilder::build`]'s check.
+    pub fn set(self, key: &str, v: &Value) -> Result<Self, String> {
+        if !KNOBS.iter().any(|k| k.key == key) {
+            return Err(format!("unknown request key {key:?}"));
+        }
+        let text = |what: &str| {
+            v.as_str()
+                .ok_or_else(|| format!("{key} must be {what}, got {}", v.type_name()))
+        };
+        Ok(match key {
+            "loops" => self.loops(
+                v.as_u64()
+                    .filter(|&n| n > 0)
+                    .and_then(|n| usize::try_from(n).ok())
+                    .ok_or("loops must be a positive integer")?,
+            ),
+            "buses" => {
+                let name = match v {
+                    Value::String(s) => s.clone(),
+                    _ => v
+                        .as_u64()
+                        .ok_or_else(|| format!("buses takes 1, 2 or both, got {}", v.type_name()))?
+                        .to_string(),
+                };
+                self.buses(BusSel::from_name(&name).ok_or("buses takes 1, 2 or both")?)
+            }
+            "seed" => self.seed(v.as_u64().ok_or("seed must be a non-negative integer")?),
+            "store" => self.store(StoreConfig::at(text("a string path")?)),
+            "strategy" => self.strategy(text("a string")?.parse()?),
+            "budget" => self.budget(
+                v.as_u64()
+                    .filter(|&n| n > 0)
+                    .ok_or("budget must be a positive integer")?,
+            ),
+            "space" => self.space(
+                SpaceKind::from_name(text("a string")?).ok_or("space takes paper or extended")?,
+            ),
+            "racing" => self.racing(
+                v.as_bool()
+                    .ok_or_else(|| format!("racing must be a bool, got {}", v.type_name()))?,
+            ),
+            "shard" => {
+                let (i, n) = text("a string \"i/n\"")?
+                    .split_once('/')
+                    .and_then(|(i, n)| Some((i.parse().ok()?, n.parse().ok()?)))
+                    .ok_or("shard must be \"i/n\" with positive integers")?;
+                self.shard(i, n)
+            }
+            "input" => self.input(text("a string path")?),
+            other => return Err(format!("unknown request key {other:?}")),
+        })
+    }
+
     /// Assembles the request, validating that every knob that was set
     /// applies to the kind — the same rules, word for word, that the
     /// wire parser enforces.
@@ -666,8 +749,16 @@ impl RequestBuilder {
             "figure9" => Ok(Request::Figure9(params)),
             "familysweep" => Ok(Request::FamilySweep(params)),
             "search" => Ok(Request::Search { params, search }),
-            "corpus_schedule" => Ok(Request::CorpusSchedule { params, input }),
-            "corpus_stats" => Ok(Request::CorpusStats { params, input }),
+            // The corpus kinds measure nothing, so a store would be a
+            // silent no-op.
+            "corpus_schedule" => {
+                reject_store("corpus_schedule")?;
+                Ok(Request::CorpusSchedule { params, input })
+            }
+            "corpus_stats" => {
+                reject_store("corpus_stats")?;
+                Ok(Request::CorpusStats { params, input })
+            }
             "store_stats" => {
                 reject_params("store_stats")?;
                 Ok(Request::StoreStats { store })
@@ -796,6 +887,19 @@ mod tests {
             req.store().and_then(|s| s.dir.as_deref()),
             Some(std::path::Path::new("target/paper-store"))
         );
+        // The corpus kinds take no store, so a params store set in Rust
+        // stays off the wire, where the decoder would refuse it.
+        let corpus = Request::CorpusStats {
+            params: RunParams {
+                store: StoreConfig::at("/tmp/s"),
+                ..RunParams::default()
+            },
+            input: None,
+        };
+        assert_eq!(
+            corpus.to_json_string(),
+            "{\"kind\":\"corpus_stats\",\"loops\":40,\"buses\":\"both\",\"seed\":0}"
+        );
     }
 
     #[test]
@@ -856,6 +960,24 @@ mod tests {
     }
 
     #[test]
+    fn set_decodes_every_knob_and_nothing_else() {
+        for knob in KNOBS {
+            // A value of the wrong shape is refused by the knob's own arm,
+            // which names the key; an unlisted key gets the generic error.
+            let wrong = match knob.shape {
+                KnobShape::Switch => Value::String("yes".to_owned()),
+                KnobShape::Integer | KnobShape::Text => Value::Bool(true),
+            };
+            let err = RequestBuilder::default().set(knob.key, &wrong).unwrap_err();
+            assert!(err.starts_with(knob.key), "{}: {err}", knob.key);
+        }
+        let err = RequestBuilder::default()
+            .set("kind", &Value::Bool(true))
+            .unwrap_err();
+        assert_eq!(err, "unknown request key \"kind\"");
+    }
+
+    #[test]
     fn strict_parsing_rejects_misuse() {
         for (json, needle) in [
             ("[1]", "must be a JSON object"),
@@ -878,6 +1000,14 @@ mod tests {
             ("{\"kind\":\"metrics\",\"loops\":5}", "do not apply"),
             (
                 "{\"kind\":\"metrics\",\"store\":\"/tmp/s\"}",
+                "does not apply",
+            ),
+            (
+                "{\"kind\":\"corpus_stats\",\"store\":\"/tmp/s\"}",
+                "does not apply",
+            ),
+            (
+                "{\"kind\":\"corpus_schedule\",\"store\":\"/tmp/s\"}",
                 "does not apply",
             ),
             ("{\"kind\":\"store_stats\",\"loops\":5}", "do not apply"),

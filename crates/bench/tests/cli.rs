@@ -1,24 +1,20 @@
 //! CLI contract tests for the `paper` binary: exit codes, `--help`, and the
 //! JSON artefacts scripting depends on.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+mod common;
 
-fn paper(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_paper"))
-        .args(args)
-        .output()
-        .expect("run paper binary")
-}
+use std::path::{Path, PathBuf};
+use std::process::Command;
+use std::time::SystemTime;
 
-fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/paper-results")
-}
+use common::WorkDir;
+use vliw_api::request::KNOBS;
 
 #[test]
 fn help_exits_zero_and_prints_usage() {
+    let dir = WorkDir::new("help");
     for flag in ["--help", "-h"] {
-        let out = paper(&[flag]);
+        let out = dir.paper(&[flag]);
         assert!(out.status.success(), "{flag} must exit 0");
         let text = String::from_utf8_lossy(&out.stderr);
         assert!(
@@ -45,8 +41,9 @@ fn bad_args_exit_nonzero() {
         &["schedbench"],            // removed experiment
         &["figure6", "--profile"],  // removed flag
     ];
+    let dir = WorkDir::new("bad_args");
     for args in cases {
-        let out = paper(args);
+        let out = dir.paper(args);
         assert!(!out.status.success(), "paper {args:?} must fail");
         let text = String::from_utf8_lossy(&out.stderr);
         assert!(text.contains("error:"), "stderr explains {args:?}: {text}");
@@ -54,9 +51,89 @@ fn bad_args_exit_nonzero() {
     }
 }
 
+/// `paper --help` lists the request flags as exactly the decoder's knob
+/// keys, in order, with each CLI alias beside its key.
+#[test]
+fn help_lists_exactly_the_decoder_knobs() {
+    let out = WorkDir::new("help_knobs").paper(&["--help"]);
+    assert!(out.status.success(), "--help exits 0");
+    let text = String::from_utf8_lossy(&out.stderr);
+    let section = text
+        .split("request flags")
+        .nth(1)
+        .and_then(|rest| rest.split("process flags").next())
+        .unwrap_or_else(|| panic!("help has a request-flag section: {text}"));
+    let flag_lines: Vec<&str> = section.lines().filter(|l| l.starts_with("  --")).collect();
+    let listed: Vec<&str> = flag_lines
+        .iter()
+        .map(|l| l.trim_start().split([' ', ',']).next().unwrap())
+        .collect();
+    let keys: Vec<String> = KNOBS.iter().map(|k| format!("--{}", k.key)).collect();
+    assert_eq!(listed, keys, "request flags are the decoder's keys");
+    for (key, alias) in [("--loops", "--loops-per-benchmark "), ("--input", "--in ")] {
+        let line = flag_lines
+            .iter()
+            .find(|l| l.contains(&format!("{key} ")))
+            .unwrap();
+        assert!(
+            line.contains(alias),
+            "{alias} is named beside {key}: {line}"
+        );
+    }
+}
+
+/// A copied `paper` writes its artefacts under the directory it runs in,
+/// not beside itself and not into the tree it was built from.
+#[test]
+fn a_copied_binary_writes_results_where_it_runs() {
+    let home = WorkDir::new("copied_home");
+    let cwd = WorkDir::new("copied_cwd");
+    let binary = home.0.join("paper");
+    // Copied by a separate process: a write handle opened in this one
+    // could leak into a sibling test's forked child and make the exec
+    // below fail with ETXTBSY ("Text file busy").
+    let copied = Command::new("cp")
+        .arg(env!("CARGO_BIN_EXE_paper"))
+        .arg(&binary)
+        .status()
+        .expect("run cp");
+    assert!(copied.success(), "copy the binary");
+    let build_tree = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/paper-results");
+    let modified = |path: &Path| -> Option<SystemTime> {
+        std::fs::metadata(path).and_then(|m| m.modified()).ok()
+    };
+    let before = modified(&build_tree.join("table1.json"));
+
+    let out = Command::new(&binary)
+        .arg("table1")
+        .current_dir(&cwd.0)
+        .output()
+        .expect("run the copied binary");
+    assert!(
+        out.status.success(),
+        "copied table1: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(
+        cwd.results().join("table1.json").is_file(),
+        "written where it runs"
+    );
+    let beside: Vec<_> = std::fs::read_dir(&home.0)
+        .expect("list the binary's directory")
+        .map(|e| e.expect("entry").file_name())
+        .collect();
+    assert_eq!(beside, ["paper"], "nothing written beside the binary");
+    assert_eq!(
+        modified(&build_tree.join("table1.json")),
+        before,
+        "nothing written into the build tree"
+    );
+}
+
 #[test]
 fn table1_smoke_produces_json() {
-    let out = paper(&["table1", "--loops", "2"]);
+    let dir = WorkDir::new("table1_smoke");
+    let out = dir.paper(&["table1"]);
     assert!(
         out.status.success(),
         "table1 run: {}",
@@ -65,7 +142,7 @@ fn table1_smoke_produces_json() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(stdout.contains("Table 1"), "prints the table: {stdout}");
 
-    let json = std::fs::read_to_string(results_dir().join("table1.json")).expect("table1.json");
+    let json = std::fs::read_to_string(dir.results().join("table1.json")).expect("table1.json");
     assert!(json.trim_start().starts_with('['), "rows are a JSON array");
     for key in ["\"class\"", "\"latency\"", "\"relative_energy\"", "fdiv"] {
         assert!(json.contains(key), "json has {key}: {json}");
@@ -75,10 +152,8 @@ fn table1_smoke_produces_json() {
 #[test]
 fn experiment_flag_and_jobs_report_wall_time() {
     // `--experiment NAME` is equivalent to the positional form, `--jobs`
-    // is accepted, and elapsed wall-time lands on stderr. Uses figure7 so
-    // this test's JSON artefact is disjoint from every other test's (the
-    // harness runs tests — and hence `paper` processes — concurrently).
-    let out = paper(&[
+    // is accepted, and elapsed wall-time lands on stderr.
+    let out = WorkDir::new("experiment_flag").paper(&[
         "--experiment",
         "figure7",
         "--loops",
@@ -106,8 +181,9 @@ fn experiment_flag_and_jobs_report_wall_time() {
 fn parallel_json_is_byte_identical_to_serial() {
     // The acceptance property, end to end through the binary: the JSON
     // artefact of a parallel run matches the serial run byte for byte.
+    let dir = WorkDir::new("parallel_json");
     let run = |jobs: &str| -> String {
-        let out = paper(&[
+        let out = dir.paper(&[
             "--experiment",
             "figure6",
             "--loops",
@@ -122,7 +198,7 @@ fn parallel_json_is_byte_identical_to_serial() {
             "figure6 --jobs {jobs}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        std::fs::read_to_string(results_dir().join("figure6.json")).expect("figure6.json")
+        std::fs::read_to_string(dir.results().join("figure6.json")).expect("figure6.json")
     };
     let serial = run("1");
     let parallel = run("4");
@@ -132,13 +208,14 @@ fn parallel_json_is_byte_identical_to_serial() {
 
 #[test]
 fn table2_small_run_produces_json_rows() {
-    let out = paper(&["table2", "--loops", "2"]);
+    let dir = WorkDir::new("table2_small");
+    let out = dir.paper(&["table2", "--loops", "2"]);
     assert!(
         out.status.success(),
         "table2 run: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let json = std::fs::read_to_string(results_dir().join("table2.json")).expect("table2.json");
+    let json = std::fs::read_to_string(dir.results().join("table2.json")).expect("table2.json");
     for key in ["\"benchmark\"", "171.swim", "301.apsi"] {
         assert!(json.contains(key), "json has {key}");
     }
@@ -169,8 +246,9 @@ fn search_bad_args_exit_nonzero() {
         &["search", "merge", "x.json", "--budget", "4"],     // flags don't apply
         &["search", "merge", "x.json", "--store", "/tmp/s"], // reads files, no store
     ];
+    let dir = WorkDir::new("search_bad_args");
     for args in cases {
-        let out = paper(args);
+        let out = dir.paper(args);
         assert!(!out.status.success(), "paper {args:?} must fail");
         let text = String::from_utf8_lossy(&out.stderr);
         assert!(text.contains("usage: paper"), "usage shown for {args:?}");
@@ -179,17 +257,16 @@ fn search_bad_args_exit_nonzero() {
 
 #[test]
 fn search_merge_rejects_unreadable_and_invalid_shards() {
-    let out = paper(&["search", "merge", "/nonexistent/shard.json"]);
+    let dir = WorkDir::new("merge_rejects");
+    let out = dir.paper(&["search", "merge", "/nonexistent/shard.json"]);
     assert!(!out.status.success(), "missing shard file must fail");
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("error:"), "stderr explains: {text}");
 
     // A JSON file that is not a shard artifact fails the strict parse.
-    let dir = std::env::temp_dir();
-    let bogus = dir.join(format!("cli_bogus_shard_{}.json", std::process::id()));
+    let bogus = dir.0.join("bogus_shard.json");
     std::fs::write(&bogus, "{\"strategy\": \"ga\"}").expect("write bogus shard");
-    let out = paper(&["search", "merge", bogus.to_str().expect("utf-8 path")]);
-    std::fs::remove_file(&bogus).ok();
+    let out = dir.paper(&["search", "merge", bogus.to_str().expect("utf-8 path")]);
     assert!(!out.status.success(), "non-shard JSON must fail");
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(
@@ -202,8 +279,9 @@ fn search_merge_rejects_unreadable_and_invalid_shards() {
 /// deterministic Pareto-frontier JSON, byte-identical across `--jobs`.
 #[test]
 fn search_json_is_byte_identical_across_job_counts() {
+    let dir = WorkDir::new("search_json");
     let run = |jobs: &str| -> String {
-        let out = paper(&[
+        let out = dir.paper(&[
             "search",
             "--strategy",
             "anneal",
@@ -223,7 +301,7 @@ fn search_json_is_byte_identical_across_job_counts() {
             "search --jobs {jobs}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        std::fs::read_to_string(results_dir().join("search.json")).expect("search.json")
+        std::fs::read_to_string(dir.results().join("search.json")).expect("search.json")
     };
     let serial = run("1");
     let parallel = run("4");
@@ -238,15 +316,13 @@ fn search_json_is_byte_identical_across_job_counts() {
         assert!(serial.contains(key), "search.json has {key}");
     }
     // The sidecar records every knob that shaped the run.
-    let meta = std::fs::read_to_string(results_dir().join("search.meta.json")).expect("sidecar");
+    let meta = std::fs::read_to_string(dir.results().join("search.meta.json")).expect("sidecar");
     for key in ["\"budget\": 6", "\"seed\": 2", "\"strategy\": \"anneal\""] {
         assert!(meta.contains(key), "meta has {key}: {meta}");
     }
 }
 
-/// The scaled-search contract, end to end through the binary. One test
-/// (not several) because every shard run writes the same
-/// `search_shard.json` artifact — the phases must not interleave.
+/// The scaled-search contract, end to end through the binary.
 ///
 /// Phase 1 (sharding): the paper grid searched as 3 shards and as 1
 /// shard merges to byte-identical frontiers regardless of shard count
@@ -257,10 +333,8 @@ fn search_json_is_byte_identical_across_job_counts() {
 /// reports the persisted evaluations.
 #[test]
 fn sharded_racing_and_warm_searches_reproduce_the_plain_frontier() {
-    let dir = std::env::temp_dir().join(format!("cli_scale_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("scratch dir");
-    let path = |name: &str| dir.join(name).to_str().expect("utf-8 path").to_owned();
+    let dir = WorkDir::new("sharded_search");
+    let path = |name: &str| dir.0.join(name).to_str().expect("utf-8 path").to_owned();
 
     let shard_run = |extra: &[&str]| {
         let mut args = vec![
@@ -277,13 +351,13 @@ fn sharded_racing_and_warm_searches_reproduce_the_plain_frontier() {
             "2",
         ];
         args.extend_from_slice(extra);
-        let out = paper(&args);
+        let out = dir.paper(&args);
         assert!(
             out.status.success(),
             "paper {args:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        std::fs::read_to_string(results_dir().join("search_shard.json")).expect("shard artifact")
+        std::fs::read_to_string(dir.results().join("search_shard.json")).expect("shard artifact")
     };
 
     // 3-way and 1-way partitions of the same grid.
@@ -299,7 +373,7 @@ fn sharded_racing_and_warm_searches_reproduce_the_plain_frontier() {
         let mut args = vec!["search", "merge"];
         args.extend_from_slice(files);
         args.extend_from_slice(&["--out", &out_path]);
-        let out = paper(&args);
+        let out = dir.paper(&args);
         assert!(
             out.status.success(),
             "paper {args:?}: {}",
@@ -333,7 +407,7 @@ fn sharded_racing_and_warm_searches_reproduce_the_plain_frontier() {
     let warm = shard_run(&["--shard", "1/1", "--racing", "--store", &store]);
     assert_eq!(warm, cold, "a warm replay reproduces the cold bytes");
 
-    let stats = paper(&["store", "stats", "--store", &store]);
+    let stats = dir.paper(&["store", "stats", "--store", &store]);
     assert!(
         stats.status.success(),
         "store stats: {}",
@@ -348,8 +422,6 @@ fn sharded_racing_and_warm_searches_reproduce_the_plain_frontier() {
         stats_text.contains("evals"),
         "store stats report eval records: {stats_text}"
     );
-
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
@@ -363,11 +435,14 @@ fn corpus_bad_args_exit_nonzero() {
         &["corpus", "schedule", "--out", "x.json"], // --out is dump-only
         &["figure6", "--out", "x.json"],            // --in/--out are corpus-only
         &["table2", "--in", "x.json"],
-        &["--in"],  // missing value
-        &["--out"], // missing value
+        &["--in"],                                 // missing value
+        &["--out"],                                // missing value
+        &["corpus", "stats", "--store", "/tmp/s"], // corpus kinds measure nothing
+        &["corpus", "dump", "--store", "/tmp/s"],
     ];
+    let dir = WorkDir::new("corpus_bad_args");
     for args in cases {
-        let out = paper(args);
+        let out = dir.paper(args);
         assert!(!out.status.success(), "paper {args:?} must fail");
         let text = String::from_utf8_lossy(&out.stderr);
         assert!(text.contains("usage: paper"), "usage shown for {args:?}");
@@ -376,7 +451,12 @@ fn corpus_bad_args_exit_nonzero() {
 
 #[test]
 fn corpus_schedule_rejects_bad_file() {
-    let out = paper(&["corpus", "schedule", "--in", "/nonexistent/corpus.json"]);
+    let out = WorkDir::new("corpus_bad_file").paper(&[
+        "corpus",
+        "schedule",
+        "--in",
+        "/nonexistent/corpus.json",
+    ]);
     assert!(!out.status.success(), "missing corpus file must fail");
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("error:"), "stderr explains: {text}");
@@ -388,11 +468,11 @@ fn corpus_schedule_rejects_bad_file() {
 /// `--jobs 4`.
 #[test]
 fn corpus_dump_then_schedule_matches_in_memory_at_any_job_count() {
-    let dir = std::env::temp_dir();
-    let corpus_path = dir.join(format!("cli_corpus_{}.json", std::process::id()));
+    let dir = WorkDir::new("corpus_round_trip");
+    let corpus_path = dir.0.join("corpus.json");
     let corpus_arg = corpus_path.to_str().expect("utf-8 temp path");
 
-    let out = paper(&["corpus", "dump", "--loops", "2", "--out", corpus_arg]);
+    let out = dir.paper(&["corpus", "dump", "--loops", "2", "--out", corpus_arg]);
     assert!(
         out.status.success(),
         "corpus dump: {}",
@@ -405,22 +485,20 @@ fn corpus_dump_then_schedule_matches_in_memory_at_any_job_count() {
     let meta_path = corpus_path.with_extension("meta.json");
     let meta = std::fs::read_to_string(&meta_path).expect("sidecar next to corpus");
     assert!(meta.contains("\"loops_per_benchmark\": 2"), "{meta}");
-    std::fs::remove_file(&meta_path).ok();
 
     let schedule = |args: &[&str]| -> String {
-        let out = paper(args);
+        let out = dir.paper(args);
         assert!(
             out.status.success(),
             "paper {args:?}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        std::fs::read_to_string(results_dir().join("corpus_schedule.json"))
+        std::fs::read_to_string(dir.results().join("corpus_schedule.json"))
             .expect("corpus_schedule.json")
     };
     let in_memory = schedule(&["corpus", "schedule", "--loops", "2", "--jobs", "1"]);
     let from_file_j1 = schedule(&["corpus", "schedule", "--in", corpus_arg, "--jobs", "1"]);
     let from_file_j4 = schedule(&["corpus", "schedule", "--in", corpus_arg, "--jobs", "4"]);
-    std::fs::remove_file(&corpus_path).ok();
 
     assert_eq!(
         in_memory, from_file_j1,
@@ -442,14 +520,15 @@ fn corpus_dump_then_schedule_matches_in_memory_at_any_job_count() {
 
 #[test]
 fn corpus_stats_summarises_families() {
-    let out = paper(&["corpus", "stats", "--loops", "2"]);
+    let dir = WorkDir::new("corpus_stats");
+    let out = dir.paper(&["corpus", "stats", "--loops", "2"]);
     assert!(
         out.status.success(),
         "corpus stats: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let json =
-        std::fs::read_to_string(results_dir().join("corpus_stats.json")).expect("corpus_stats");
+        std::fs::read_to_string(dir.results().join("corpus_stats.json")).expect("corpus_stats");
     for key in ["multirec", "ilpwide", "\"mean_rec_mii\"", "168.wupwise"] {
         assert!(json.contains(key), "stats have {key}");
     }
@@ -457,14 +536,15 @@ fn corpus_stats_summarises_families() {
 
 #[test]
 fn familysweep_emits_rows_per_family_and_menu() {
-    let out = paper(&["familysweep", "--loops", "1", "--buses", "2"]);
+    let dir = WorkDir::new("familysweep");
+    let out = dir.paper(&["familysweep", "--loops", "1", "--buses", "2"]);
     assert!(
         out.status.success(),
         "familysweep: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     let json =
-        std::fs::read_to_string(results_dir().join("familysweep.json")).expect("familysweep");
+        std::fs::read_to_string(dir.results().join("familysweep.json")).expect("familysweep");
     for key in [
         "membound", "ilpwide", "multirec", "stress", "\"menu\"", "any freq",
     ] {

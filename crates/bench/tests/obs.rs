@@ -23,22 +23,12 @@
 //! mismatch the test writes the normalised scrape next to the golden
 //! with a `.actual` suffix).
 
+mod common;
+
 use std::io::{BufRead, BufReader};
-use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
-use std::time::{Duration, Instant};
 
-fn paper(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_paper"))
-        .args(args)
-        .output()
-        .expect("run paper binary")
-}
-
-fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/paper-results")
-}
+use common::{Daemon, WorkDir};
 
 /// A fixture under the workspace-root `tests/golden/` (the same files
 /// CI's search-smoke job diffs binary artefacts against).
@@ -53,66 +43,6 @@ fn bench_golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(name)
-}
-
-/// A `paper serve` child that is killed on drop, so a failing assertion
-/// never leaks a daemon holding the socket.
-struct Daemon {
-    child: Child,
-    socket: PathBuf,
-}
-
-impl Daemon {
-    fn start(name: &str, jobs: &str) -> Self {
-        let socket = std::env::temp_dir().join(format!("paper-{name}-{}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&socket);
-        let child = Command::new(env!("CARGO_BIN_EXE_paper"))
-            .args([
-                "serve",
-                "--socket",
-                socket.to_str().unwrap(),
-                "--jobs",
-                jobs,
-            ])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn paper serve");
-        let daemon = Self { child, socket };
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while UnixStream::connect(&daemon.socket).is_err() {
-            assert!(
-                Instant::now() < deadline,
-                "daemon never bound {:?}",
-                daemon.socket
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        daemon
-    }
-
-    fn socket_arg(&self) -> &str {
-        self.socket.to_str().unwrap()
-    }
-
-    fn shutdown(mut self) {
-        let out = paper(&["client", "--socket", self.socket_arg(), "shutdown"]);
-        assert!(
-            out.status.success(),
-            "shutdown client: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let status = self.child.wait().expect("wait for daemon");
-        assert!(status.success(), "daemon exits 0 on graceful shutdown");
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = std::fs::remove_file(&self.socket);
-    }
 }
 
 /// Checks that a trace file is well-formed newline-JSON and contains a
@@ -218,8 +148,7 @@ fn sample_value(exposition: &str, name: &str) -> f64 {
 /// well-formed.
 #[test]
 fn traced_runs_stay_byte_identical_to_goldens() {
-    let tmp = std::env::temp_dir();
-    let pid = std::process::id();
+    let dir = WorkDir::new("traced_runs");
     let cases: &[(&[&str], &str, &str, &str)] = &[
         (
             &["--experiment", "figure6", "--loops", "5", "--buses", "1"],
@@ -253,17 +182,16 @@ fn traced_runs_stay_byte_identical_to_goldens() {
         ),
     ];
     for (args, artifact, fixture, kind) in cases {
-        let trace = tmp.join(format!("paper-trace-{kind}-{pid}.jsonl"));
-        let _ = std::fs::remove_file(&trace);
+        let trace = dir.0.join(format!("trace-{kind}.jsonl"));
         let mut full: Vec<&str> = args.to_vec();
         full.extend(["--trace", trace.to_str().unwrap()]);
-        let out = paper(&full);
+        let out = dir.paper(&full);
         assert!(
             out.status.success(),
             "paper {kind} --trace: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let written = std::fs::read_to_string(results_dir().join(artifact))
+        let written = std::fs::read_to_string(dir.results().join(artifact))
             .unwrap_or_else(|e| panic!("read {artifact}: {e}"));
         assert_eq!(
             written,
@@ -271,7 +199,6 @@ fn traced_runs_stay_byte_identical_to_goldens() {
             "{artifact} is byte-identical to {fixture} under --trace"
         );
         validate_trace(&trace, kind);
-        let _ = std::fs::remove_file(&trace);
     }
 }
 
@@ -280,7 +207,7 @@ fn traced_runs_stay_byte_identical_to_goldens() {
 /// histogram exists at all.
 #[test]
 fn oneshot_metrics_exposition_matches_golden() {
-    let out = paper(&["metrics"]);
+    let out = WorkDir::new("oneshot_metrics").paper(&["metrics"]);
     assert!(
         out.status.success(),
         "paper metrics: {}",
@@ -302,8 +229,9 @@ fn oneshot_metrics_exposition_matches_golden() {
 fn daemon_scrape_accounts_for_every_loadgen_request() {
     // --jobs 1 keeps the serial execution path, so no machine-dependent
     // per-worker series appear in the exposition.
-    let daemon = Daemon::start("obs-scrape", "1");
-    let out = paper(&[
+    let dir = WorkDir::new("daemon_scrape");
+    let daemon = Daemon::start(&dir, "obs-scrape", &["--jobs", "1"]);
+    let out = dir.paper(&[
         "loadgen",
         "--socket",
         daemon.socket_arg(),
@@ -317,7 +245,7 @@ fn daemon_scrape_accounts_for_every_loadgen_request() {
         "loadgen: {}",
         String::from_utf8_lossy(&out.stderr)
     );
-    let scrape = paper(&["client", "--socket", daemon.socket_arg(), "metrics"]);
+    let scrape = dir.paper(&["client", "--socket", daemon.socket_arg(), "metrics"]);
     assert!(
         scrape.status.success(),
         "metrics scrape: {}",

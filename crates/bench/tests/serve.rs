@@ -3,104 +3,20 @@
 //! byte-identical JSON bodies — sequentially, with 4 concurrent
 //! clients, and at `--jobs 1` and `--jobs 4`.
 
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Output, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
-use vliw_api::{BusSel, Request, Response, RunParams, StoreConfig};
+use common::{Daemon, WorkDir};
+use vliw_api::{BusSel, Request, RunParams, StoreConfig};
 
-fn paper(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_paper"))
-        .args(args)
-        .output()
-        .expect("run paper binary")
-}
-
-fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/paper-results")
-}
-
-/// A `paper serve` child that is killed on drop, so a failing assertion
-/// never leaks a daemon holding the socket.
-struct Daemon {
-    child: Child,
-    socket: PathBuf,
-}
-
-impl Daemon {
-    fn start(name: &str, jobs: &str) -> Self {
-        let socket = std::env::temp_dir().join(format!("paper-{name}-{}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&socket);
-        let child = Command::new(env!("CARGO_BIN_EXE_paper"))
-            .args([
-                "serve",
-                "--socket",
-                socket.to_str().unwrap(),
-                "--jobs",
-                jobs,
-            ])
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn paper serve");
-        let daemon = Self { child, socket };
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while UnixStream::connect(&daemon.socket).is_err() {
-            assert!(
-                Instant::now() < deadline,
-                "daemon never bound {:?}",
-                daemon.socket
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        daemon
-    }
-
-    fn socket_arg(&self) -> &str {
-        self.socket.to_str().unwrap()
-    }
-
-    /// Sends one request over a raw socket and parses the JSON reply.
-    fn raw_request(&self, req: &Request) -> Response {
-        let mut stream = UnixStream::connect(&self.socket).expect("connect");
-        stream
-            .write_all(req.to_json_string().as_bytes())
-            .expect("send request");
-        stream.write_all(b"\n").expect("send newline");
-        let mut reply = String::new();
-        BufReader::new(stream)
-            .read_line(&mut reply)
-            .expect("read reply");
-        Response::from_json_str(reply.trim_end()).expect("parse reply")
-    }
-
-    /// Shuts the daemon down via `paper client ... shutdown` and checks
-    /// the graceful-exit contract: exit 0 and socket removed.
-    fn shutdown(mut self) {
-        let out = paper(&["client", "--socket", self.socket_arg(), "shutdown"]);
-        assert!(
-            out.status.success(),
-            "shutdown client: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(
-            String::from_utf8_lossy(&out.stdout).contains("daemon shutting down"),
-            "shutdown acknowledged"
-        );
-        let status = self.child.wait().expect("wait for daemon");
-        assert!(status.success(), "daemon exits 0 on graceful shutdown");
-        assert!(!self.socket.exists(), "socket file removed on shutdown");
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = std::fs::remove_file(&self.socket);
-    }
+/// Shuts the daemon down and checks the graceful-exit contract: the
+/// client and daemon exit 0 and the socket file is removed (checked by
+/// [`Daemon::shutdown`]), and the shutdown is acknowledged.
+fn shutdown_gracefully(daemon: Daemon) {
+    let out = daemon.shutdown();
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("daemon shutting down"),
+        "shutdown acknowledged"
+    );
 }
 
 /// The satellite acceptance criterion end to end: one-shot CLI vs.
@@ -114,24 +30,25 @@ fn cli_and_daemon_agree_byte_for_byte_across_job_counts() {
         seed: 0,
         store: StoreConfig::none(),
     });
+    let dir = WorkDir::new("cli_and_daemon_agree");
     let mut bodies = Vec::new();
     for jobs in ["1", "4"] {
         // One-shot CLI run: capture stdout and the persisted artefacts.
-        let oneshot = paper(&["figure8", "--loops", "2", "--buses", "1", "--jobs", jobs]);
+        let oneshot = dir.paper(&["figure8", "--loops", "2", "--buses", "1", "--jobs", jobs]);
         assert!(
             oneshot.status.success(),
             "figure8 --jobs {jobs}: {}",
             String::from_utf8_lossy(&oneshot.stderr)
         );
         let cli_body =
-            std::fs::read_to_string(results_dir().join("figure8.json")).expect("figure8.json");
-        let cli_meta = std::fs::read_to_string(results_dir().join("figure8.meta.json"))
+            std::fs::read_to_string(dir.results().join("figure8.json")).expect("figure8.json");
+        let cli_meta = std::fs::read_to_string(dir.results().join("figure8.meta.json"))
             .expect("figure8.meta.json");
 
-        let daemon = Daemon::start(&format!("agree-j{jobs}"), jobs);
+        let daemon = Daemon::start(&dir, &format!("agree-j{jobs}"), &["--jobs", jobs]);
 
         // Sequential: the client's stdout matches the one-shot run.
-        let client = paper(&[
+        let client = dir.paper(&[
             "client",
             "--socket",
             daemon.socket_arg(),
@@ -163,7 +80,7 @@ fn cli_and_daemon_agree_byte_for_byte_across_job_counts() {
             let handles: Vec<_> = (0..4)
                 .map(|_| {
                     scope.spawn(|| {
-                        paper(&[
+                        dir.paper(&[
                             "client",
                             "--socket",
                             daemon.socket_arg(),
@@ -190,7 +107,7 @@ fn cli_and_daemon_agree_byte_for_byte_across_job_counts() {
             }
         });
 
-        daemon.shutdown();
+        shutdown_gracefully(daemon);
         bodies.push(cli_body);
     }
     assert_eq!(
@@ -210,7 +127,8 @@ fn warm_daemon_requests_do_no_new_measurements() {
         seed: 0,
         store: StoreConfig::none(),
     });
-    let daemon = Daemon::start("warm", "2");
+    let dir = WorkDir::new("warm_daemon");
+    let daemon = Daemon::start(&dir, "warm", &["--jobs", "2"]);
     let cold = daemon.raw_request(&figure9);
     assert!(cold.ok, "{:?}", cold.error);
     assert!(cold.cache.measure_misses > 0, "cold run measures");
@@ -226,16 +144,17 @@ fn warm_daemon_requests_do_no_new_measurements() {
     );
     assert_eq!(warm.body, cold.body, "warm body is byte-identical");
     assert_eq!(warm.text, cold.text, "warm text is byte-identical");
-    daemon.shutdown();
+    shutdown_gracefully(daemon);
 }
 
 /// `paper loadgen` drives a live daemon and reports a latency/throughput
 /// summary plus a JSON artefact.
 #[test]
 fn loadgen_reports_percentiles_against_a_live_daemon() {
-    let daemon = Daemon::start("loadgen", "2");
+    let dir = WorkDir::new("loadgen");
+    let daemon = Daemon::start(&dir, "loadgen", &["--jobs", "2"]);
     // No request tail: loadgen defaults to the cheap `ping` request.
-    let out = paper(&[
+    let out = dir.paper(&[
         "loadgen",
         "--socket",
         daemon.socket_arg(),
@@ -254,7 +173,7 @@ fn loadgen_reports_percentiles_against_a_live_daemon() {
     assert!(stdout.contains("p50"), "{stdout}");
     assert!(stdout.contains("p99"), "{stdout}");
     assert!(stdout.contains("req/s"), "{stdout}");
-    let json = std::fs::read_to_string(results_dir().join("loadgen.json")).expect("loadgen.json");
+    let json = std::fs::read_to_string(dir.results().join("loadgen.json")).expect("loadgen.json");
     for key in [
         "\"serve_requests_per_second\"",
         "\"p50_ms\"",
@@ -263,7 +182,7 @@ fn loadgen_reports_percentiles_against_a_live_daemon() {
     ] {
         assert!(json.contains(key), "loadgen.json has {key}: {json}");
     }
-    daemon.shutdown();
+    shutdown_gracefully(daemon);
 }
 
 /// Flag validation for the service subcommands mirrors the CLI's strict
@@ -315,8 +234,9 @@ fn service_bad_args_exit_nonzero() {
         &["loadgen", "--socket", "/tmp/x.sock", "shutdown"], // no control reqs in loadgen
         &["client", "--socket", "/tmp/x.sock", "ping", "extra"], // trailing positional
     ];
+    let dir = WorkDir::new("service_bad_args");
     for args in cases {
-        let out = paper(args);
+        let out = dir.paper(args);
         assert!(!out.status.success(), "paper {args:?} must fail");
         let text = String::from_utf8_lossy(&out.stderr);
         assert!(text.contains("error:"), "stderr explains {args:?}: {text}");
@@ -329,7 +249,12 @@ fn service_bad_args_exit_nonzero() {
 fn client_fails_cleanly_when_no_daemon_is_listening() {
     let socket = std::env::temp_dir().join(format!("paper-dead-{}.sock", std::process::id()));
     let _ = std::fs::remove_file(&socket);
-    let out = paper(&["client", "--socket", socket.to_str().unwrap(), "ping"]);
+    let out = WorkDir::new("dead_socket").paper(&[
+        "client",
+        "--socket",
+        socket.to_str().unwrap(),
+        "ping",
+    ]);
     assert!(!out.status.success(), "dead socket must fail");
     let text = String::from_utf8_lossy(&out.stderr);
     assert!(text.contains("error:"), "stderr explains: {text}");

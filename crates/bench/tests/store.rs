@@ -4,32 +4,13 @@
 //! writer processes must never corrupt the store, and the `store
 //! stats` / `store compact` admin subcommands must work end to end.
 
-use std::io::{BufRead, BufReader, Write};
-use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
-use std::process::{Child, Command, Output, Stdio};
-use std::time::{Duration, Instant};
+mod common;
 
-use vliw_api::{BusSel, Request, Response, RunParams, SearchParams, StoreConfig};
+use std::path::Path;
+use std::process::Stdio;
 
-fn paper(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_paper"))
-        .args(args)
-        .output()
-        .expect("run paper binary")
-}
-
-fn results_dir() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../target/paper-results")
-}
-
-/// A fresh per-test store directory (tests in one binary run in
-/// parallel, so the name carries the test tag and the pid).
-fn store_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("paper-store-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use common::{Daemon, WorkDir};
+use vliw_api::{BusSel, Request, RunParams, SearchParams, StoreConfig};
 
 /// Extracts the stable part of `store stats` output — the record
 /// counts. Log-file count and byte size legitimately grow as more
@@ -42,8 +23,8 @@ fn record_counts(stats_stdout: &str) -> String {
     line.split(" in ").next().expect("counts prefix").to_owned()
 }
 
-fn stats(dir: &std::path::Path) -> String {
-    let out = paper(&["store", "stats", "--store", dir.to_str().unwrap()]);
+fn stats(work: &WorkDir, dir: &Path) -> String {
+    let out = work.paper(&["store", "stats", "--store", dir.to_str().unwrap()]);
     assert!(
         out.status.success(),
         "store stats: {}",
@@ -52,103 +33,35 @@ fn stats(dir: &std::path::Path) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// A `paper serve` child that is killed on drop, so a failing assertion
-/// never leaks a daemon holding the socket.
-struct Daemon {
-    child: Child,
-    socket: PathBuf,
-}
-
-impl Daemon {
-    fn start(name: &str, extra: &[&str]) -> Self {
-        let socket = std::env::temp_dir().join(format!("paper-{name}-{}.sock", std::process::id()));
-        let _ = std::fs::remove_file(&socket);
-        let child = Command::new(env!("CARGO_BIN_EXE_paper"))
-            .args(["serve", "--socket", socket.to_str().unwrap(), "--jobs", "2"])
-            .args(extra)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn paper serve");
-        let daemon = Self { child, socket };
-        let deadline = Instant::now() + Duration::from_secs(30);
-        while UnixStream::connect(&daemon.socket).is_err() {
-            assert!(
-                Instant::now() < deadline,
-                "daemon never bound {:?}",
-                daemon.socket
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        daemon
-    }
-
-    fn raw_request(&self, req: &Request) -> Response {
-        let mut stream = UnixStream::connect(&self.socket).expect("connect");
-        stream
-            .write_all(req.to_json_string().as_bytes())
-            .expect("send request");
-        stream.write_all(b"\n").expect("send newline");
-        let mut reply = String::new();
-        BufReader::new(stream)
-            .read_line(&mut reply)
-            .expect("read reply");
-        Response::from_json_str(reply.trim_end()).expect("parse reply")
-    }
-
-    fn shutdown(mut self) {
-        let out = paper(&[
-            "client",
-            "--socket",
-            self.socket.to_str().unwrap(),
-            "shutdown",
-        ]);
-        assert!(
-            out.status.success(),
-            "shutdown client: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        let status = self.child.wait().expect("wait for daemon");
-        assert!(status.success(), "daemon exits 0 on graceful shutdown");
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = std::fs::remove_file(&self.socket);
-    }
-}
-
 /// The tentpole acceptance criterion end to end: a second `paper search
 /// --store DIR` **process** reuses every measurement from the first and
 /// produces byte-identical artefacts; a daemon over the same store is
 /// equally warm, observable through its cache stats.
 #[test]
 fn second_search_process_reuses_the_store_byte_for_byte() {
-    let dir = store_dir("search");
+    let work = WorkDir::new("store_search");
+    let dir = work.0.join("store");
     let dir_arg = dir.to_str().unwrap();
     let search = [
         "search", "--budget", "30", "--loops", "2", "--buses", "1", "--store", dir_arg,
     ];
 
-    let cold = paper(&search);
+    let cold = work.paper(&search);
     assert!(
         cold.status.success(),
         "cold search: {}",
         String::from_utf8_lossy(&cold.stderr)
     );
     let cold_body =
-        std::fs::read_to_string(results_dir().join("search.json")).expect("search.json");
+        std::fs::read_to_string(work.results().join("search.json")).expect("search.json");
     let cold_meta =
-        std::fs::read_to_string(results_dir().join("search.meta.json")).expect("sidecar");
-    let cold_counts = record_counts(&stats(&dir));
+        std::fs::read_to_string(work.results().join("search.meta.json")).expect("sidecar");
+    let cold_counts = record_counts(&stats(&work, &dir));
 
     // A brand-new process over the same store: identical bytes on
     // stdout and in both artefacts, and the store gains no records —
     // every measurement and reference profile came off the disk.
-    let warm = paper(&search);
+    let warm = work.paper(&search);
     assert!(
         warm.status.success(),
         "warm search: {}",
@@ -156,20 +69,20 @@ fn second_search_process_reuses_the_store_byte_for_byte() {
     );
     assert_eq!(warm.stdout, cold.stdout, "stdout is byte-identical");
     let warm_body =
-        std::fs::read_to_string(results_dir().join("search.json")).expect("search.json");
+        std::fs::read_to_string(work.results().join("search.json")).expect("search.json");
     let warm_meta =
-        std::fs::read_to_string(results_dir().join("search.meta.json")).expect("sidecar");
+        std::fs::read_to_string(work.results().join("search.meta.json")).expect("sidecar");
     assert_eq!(warm_body, cold_body, "search.json is byte-identical");
     assert_eq!(warm_meta, cold_meta, "search.meta.json is byte-identical");
     assert_eq!(
-        record_counts(&stats(&dir)),
+        record_counts(&stats(&work, &dir)),
         cold_counts,
         "the warm run persisted nothing new"
     );
 
     // The same warm-run guarantee through the daemon transport, where
     // CacheStats make the zero-measurement claim directly observable.
-    let daemon = Daemon::start("store-warm", &["--store", dir_arg]);
+    let daemon = Daemon::start(&work, "store-warm", &["--jobs", "2", "--store", dir_arg]);
     let resp = daemon.raw_request(&Request::Search {
         params: RunParams {
             loops: 2,
@@ -195,8 +108,6 @@ fn second_search_process_reuses_the_store_byte_for_byte() {
         "daemon body matches the one-shot artefact"
     );
     daemon.shutdown();
-
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// Two concurrent writer processes sharing one store directory: each
@@ -204,13 +115,14 @@ fn second_search_process_reuses_the_store_byte_for_byte() {
 /// and uncorrupted, and compaction folds both logs into one.
 #[test]
 fn concurrent_writer_processes_never_corrupt_the_store() {
-    let dir = store_dir("concurrent");
+    let work = WorkDir::new("store_concurrent");
+    let dir = work.0.join("store");
     let dir_arg = dir.to_str().unwrap().to_owned();
 
     // Different seeds produce different loop bodies, so the two
     // processes write disjoint record sets at the same time.
     let spawn = |seed: &str| {
-        Command::new(env!("CARGO_BIN_EXE_paper"))
+        work.command()
             .args([
                 "figure6", "--loops", "2", "--buses", "1", "--seed", seed, "--store", &dir_arg,
             ])
@@ -227,21 +139,21 @@ fn concurrent_writer_processes_never_corrupt_the_store() {
 
     // The merged view loads cleanly (no truncated or malformed lines)
     // and repeated reads agree — the merge is deterministic.
-    let first = stats(&dir);
+    let first = stats(&work, &dir);
     assert!(
         first.contains("0 truncated line(s) skipped"),
         "no corruption after concurrent writers:\n{first}"
     );
     let counts = record_counts(&first);
     assert_eq!(
-        record_counts(&stats(&dir)),
+        record_counts(&stats(&work, &dir)),
         counts,
         "repeated merged reads agree"
     );
 
     // Compaction folds the dead writers' logs into compact.jsonl
     // without losing a record.
-    let compact = paper(&["store", "compact", "--store", &dir_arg]);
+    let compact = work.paper(&["store", "compact", "--store", &dir_arg]);
     assert!(
         compact.status.success(),
         "store compact: {}",
@@ -254,24 +166,22 @@ fn concurrent_writer_processes_never_corrupt_the_store() {
     );
     assert!(dir.join("compact.jsonl").exists(), "compact.jsonl written");
     assert_eq!(
-        record_counts(&stats(&dir)),
+        record_counts(&stats(&work, &dir)),
         counts,
         "compaction preserves every record"
     );
 
     // And both writers' work is actually reusable: a third process
     // re-running one seed warm adds nothing new.
-    let warm = paper(&[
+    let warm = work.paper(&[
         "figure6", "--loops", "2", "--buses", "1", "--seed", "1", "--store", &dir_arg,
     ]);
     assert!(warm.status.success(), "warm figure6 rerun");
     assert_eq!(
-        record_counts(&stats(&dir)),
+        record_counts(&stats(&work, &dir)),
         counts,
         "a warm rerun persists nothing new"
     );
-
-    std::fs::remove_dir_all(&dir).expect("cleanup");
 }
 
 /// Strict flag validation for the store surface, mirroring the CLI's
@@ -295,8 +205,9 @@ fn store_bad_args_exit_nonzero() {
             "/tmp/s",
         ], // ping takes no store
     ];
+    let dir = WorkDir::new("store_bad_args");
     for args in cases {
-        let out = paper(args);
+        let out = dir.paper(args);
         assert!(!out.status.success(), "paper {args:?} must fail");
         let text = String::from_utf8_lossy(&out.stderr);
         assert!(text.contains("error:"), "stderr explains {args:?}: {text}");

@@ -4,9 +4,8 @@
 //! *"Heterogeneous Clustered VLIW Microarchitectures"* (Aletà, Codina,
 //! González, Kaeli): typed loop operations, data-dependence graphs (DDGs)
 //! with `(latency, distance)` dependence edges, recurrence (strongly
-//! connected component) analysis, elementary-circuit enumeration, and the
-//! recurrence-constrained minimum initiation interval (`recMII`) computed as
-//! a maximum cycle ratio.
+//! connected component) analysis, and the recurrence-constrained minimum
+//! initiation interval (`recMII`) computed as a maximum cycle ratio.
 //!
 //! The modulo scheduler in `vliw-sched` and the workload generator in
 //! `vliw-workloads` both build on these types.
@@ -61,9 +60,7 @@
 #![warn(missing_debug_implementations)]
 
 mod builder;
-mod cycles;
 mod ddg;
-mod dot;
 mod error;
 mod op;
 mod ratio;
@@ -72,9 +69,7 @@ mod serial;
 mod toposort;
 
 pub use builder::DdgBuilder;
-pub use cycles::{elementary_circuits, Circuit, CircuitLimit};
 pub use ddg::{build_csr, Ddg, DepEdge, DepKind, EdgeId, Loop, OpId, Operation};
-pub use dot::to_dot;
 pub use error::{BuildError, IrError};
 pub use op::{FuKind, OpClass, ParseMnemonicError};
 pub use ratio::{max_cycle_ratio, min_feasible_ii, CycleRatio};
