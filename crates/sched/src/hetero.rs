@@ -1,13 +1,13 @@
 //! The top-level scheduling driver (Figure 5 of the paper).
 
 use vliw_ir::Ddg;
-use vliw_machine::{ClockedConfig, ClusterId, FrequencyMenu};
+use vliw_machine::{ClockedConfig, FrequencyMenu};
 use vliw_power::PowerModel;
 
 use crate::comm::ExtGraph;
 use crate::error::SchedError;
 use crate::ims;
-use crate::partition::{compute_partition_ws, Partition, PartitionObjective};
+use crate::partition::{fill_candidates, Partition, PartitionObjective};
 use crate::schedule::ScheduledLoop;
 use crate::timing::{compute_mit, next_it_candidate, LoopClocks};
 use crate::work::{self, phase_done, Phase};
@@ -194,62 +194,33 @@ fn schedule_impl_untimed(
             it = next_it_candidate(config, &opts.menu, it);
             continue;
         };
-        // Candidate partitions for this IT. With a power model we also try
-        // the pure-time objective: the measured ED² of the best schedule is
-        // never worse for trying both, and it keeps schedule quality
-        // consistent between profiling (time-objective) and heterogeneous
-        // (ED²-objective) runs.
-        let mut candidates: Vec<Vec<ClusterId>> = Vec::new();
+        // Candidate partitions for this IT (see `partition_candidates_ws`),
+        // kept in the workspace; pinning is the only step that can fail.
         let partition_start = ws.phase_start();
-        match fixed {
-            Some(p) => candidates.push(p.assignment.clone()),
-            None => {
-                match compute_partition_ws(ddg, config, &clocks, &objective, &mut ws.part) {
-                    Ok(p) => candidates.push(p.assignment),
-                    Err(SchedError::RecurrenceDoesNotFit { .. }) => {}
-                    Err(e) => return Err(e),
-                }
-                if power.is_some() {
-                    let time_objective = PartitionObjective {
-                        power: None,
-                        trip_count: opts.trip_count,
-                    };
-                    if let Ok(p) =
-                        compute_partition_ws(ddg, config, &clocks, &time_objective, &mut ws.part)
-                    {
-                        if !candidates.contains(&p.assignment) {
-                            candidates.push(p.assignment);
-                        }
-                    }
-                }
-                // The unrefined load-balance seed is a cheap third opinion
-                // for every run (profiling included), keeping schedule
-                // quality consistent across pipeline stages.
-                if let Ok(p) = crate::partition::compute_partition_unrefined(ddg, config, &clocks) {
-                    if !candidates.contains(&p.assignment) {
-                        candidates.push(p.assignment);
-                    }
-                }
-                if candidates.is_empty() {
-                    phase_done(Phase::Partition, partition_start);
-                    ws.it_retries += 1;
-                    it = next_it_candidate(config, &opts.menu, it);
-                    continue;
-                }
-            }
-        }
+        let pinned = fixed.is_some()
+            || fill_candidates(ddg, config, &clocks, &objective, &mut ws.part).is_ok();
         phase_done(Phase::Partition, partition_start);
+        if !pinned {
+            ws.it_retries += 1;
+            it = next_it_candidate(config, &opts.menu, it);
+            continue;
+        }
+        let candidates = std::mem::take(&mut ws.part.candidates);
+        let tried = match fixed {
+            Some(p) => std::slice::from_ref(&p.assignment),
+            None => candidates.as_slice(),
+        };
         let mut best: Option<ScheduledLoop> = None;
-        for assignment in candidates {
+        for assignment in tried {
             let ext_start = ws.phase_start();
-            let graph = ExtGraph::build(ddg, &assignment, config, &clocks);
+            let graph = ExtGraph::build(ddg, assignment, config, &clocks);
             phase_done(Phase::ExtGraph, ext_start);
             if ims::schedule_into(&graph, config, &clocks, opts.budget_ratio, ws).is_ok() {
                 let scheduled = ScheduledLoop::from_ims(
                     ddg,
                     &graph,
                     clocks.clone(),
-                    assignment,
+                    assignment.clone(),
                     &ws.issue_cycles,
                     &ws.issue_ticks,
                     &ws.max_live,
@@ -266,6 +237,7 @@ fn schedule_impl_untimed(
                 }
             }
         }
+        ws.part.candidates = candidates;
         if let Some(s) = best {
             return Ok(s);
         }

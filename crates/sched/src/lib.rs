@@ -96,10 +96,7 @@ pub use comm::{ExtEdge, ExtGraph, NodeId, NodePlace};
 pub use error::SchedError;
 pub use hetero::{schedule_loop, schedule_loop_with_partition, schedule_loop_ws, ScheduleOptions};
 pub use mrt::{BusMrt, ClusterMrt};
-pub use partition::{
-    compute_partition, compute_partition_unrefined, compute_partition_ws, Partition,
-    PartitionObjective,
-};
+pub use partition::{compute_partition, partition_candidates_ws, Partition, PartitionObjective};
 pub use regs::{lifetime_sum_ticks, max_lives};
 pub use schedule::{ScheduledCopy, ScheduledLoop};
 pub use timing::LoopClocks;

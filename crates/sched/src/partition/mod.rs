@@ -16,7 +16,12 @@
 //!    move lowers the estimated ED² of a *pseudo-schedule*
 //!    ([`evaluate_partition`]) —
 //!    an `O(V + E)` approximation of the final schedule combined with the
-//!    §3.1 energy model.
+//!    §3.1 energy model. Each candidate move is priced by delta from the
+//!    committed assignment (`pseudo::Pricer`), bit-identical to the
+//!    from-scratch estimate.
+//!
+//! One IT attempt pins and coarsens once and derives every candidate the
+//! driver tries from that hierarchy ([`partition_candidates_ws`]).
 //!
 //! For homogeneous machines with no power model the ED² objective
 //! degenerates to (estimated) execution time, recovering the baseline
@@ -27,8 +32,10 @@ mod pin;
 mod pseudo;
 mod refine;
 
+pub(crate) use coarsen::Hierarchy;
 pub(crate) use pseudo::EvalCtx;
 pub use pseudo::{evaluate_partition, evaluate_partition_ws, PseudoEval};
+pub(crate) use refine::Refiner;
 
 use vliw_ir::{Ddg, FuKind};
 use vliw_machine::{ClockedConfig, ClusterId};
@@ -100,7 +107,9 @@ impl Default for PartitionObjective<'_> {
     }
 }
 
-/// Computes a cluster assignment for `ddg` at the given clocks.
+/// Computes the refined cluster assignment for `ddg` at the given clocks
+/// under `objective`: the first of [`partition_candidates_ws`]'s
+/// candidates, computed with a fresh scratch.
 ///
 /// # Errors
 ///
@@ -114,82 +123,121 @@ pub fn compute_partition(
     objective: &PartitionObjective<'_>,
 ) -> Result<Partition, SchedError> {
     let mut scratch = PartitionScratch::new();
-    compute_partition_ws(ddg, config, clocks, objective, &mut scratch)
+    let candidates = partition_candidates_ws(ddg, config, clocks, objective, &mut scratch)?;
+    Ok(Partition {
+        assignment: candidates[0].clone(),
+    })
 }
 
-/// [`compute_partition`] with caller-provided scratch (normally the
-/// partition half of a [`crate::SchedWorkspace`]), reused across the
-/// refinement passes and across calls. Results are identical.
+/// The candidate partitions the scheduling driver tries at one initiation
+/// time, in order, without duplicates:
+///
+/// 1. the refined partition under `objective`;
+/// 2. with a power model, the refined partition under the time-only
+///    objective — the measured ED² of the best schedule is never worse for
+///    trying both, and it keeps schedule quality consistent between
+///    profiling (time-objective) and heterogeneous (ED²-objective) runs;
+/// 3. the coarsening seed without refinement: refinement optimises an
+///    estimate and occasionally walks away from partitions the exact
+///    scheduler would prefer.
+///
+/// All of them derive from one pinning and one coarsening, and both
+/// refinements share one evaluation context. The candidates live in
+/// `scratch` (normally the partition half of a [`crate::SchedWorkspace`]),
+/// whose buffers are reused across calls: once warm, a call allocates
+/// nothing.
 ///
 /// # Errors
 ///
 /// As [`compute_partition`].
-pub fn compute_partition_ws(
+pub fn partition_candidates_ws<'s>(
+    ddg: &Ddg,
+    config: &ClockedConfig,
+    clocks: &LoopClocks,
+    objective: &PartitionObjective<'_>,
+    scratch: &'s mut PartitionScratch,
+) -> Result<&'s [Vec<ClusterId>], SchedError> {
+    fill_candidates(ddg, config, clocks, objective, scratch).map_err(|min_ii| {
+        SchedError::RecurrenceDoesNotFit {
+            loop_name: ddg.name().to_owned(),
+            min_ii,
+        }
+    })?;
+    Ok(scratch.candidates.as_slice())
+}
+
+/// Fills `scratch.candidates` with [`partition_candidates_ws`]'s list.
+///
+/// # Errors
+///
+/// The `min_ii` of a recurrence no cluster admits; pinning is the only
+/// step that can fail.
+pub(crate) fn fill_candidates(
     ddg: &Ddg,
     config: &ClockedConfig,
     clocks: &LoopClocks,
     objective: &PartitionObjective<'_>,
     scratch: &mut PartitionScratch,
-) -> Result<Partition, SchedError> {
-    let num_clusters = config.design().num_clusters;
-    if ddg.is_empty() {
-        return Ok(Partition {
-            assignment: Vec::new(),
-        });
+) -> Result<(), u32> {
+    let PartitionScratch {
+        hierarchy,
+        ctx,
+        refiner,
+        candidates,
+    } = scratch;
+    candidates.clear();
+    if ddg.is_empty() || config.design().num_clusters == 1 {
+        candidates.push_distinct(|buf| buf.resize(ddg.num_ops(), ClusterId(0)));
+        return Ok(());
     }
-    if num_clusters == 1 {
-        return Ok(Partition::all_in_first(ddg.num_ops()));
-    }
-
     let recurrences = ddg.recurrences();
-    let pinned = pin::pin_recurrences(ddg, recurrences, config, clocks)?;
-    let hierarchy = coarsen::coarsen(ddg, &pinned, config, clocks);
-    let assignment = refine::refine(
-        ddg,
-        &hierarchy,
-        recurrences,
-        config,
-        clocks,
-        objective,
-        scratch,
-    );
-    Ok(Partition { assignment })
+    hierarchy.build(ddg, recurrences, config, clocks)?;
+    ctx.build(ddg, config, clocks, objective.power);
+    let refined = refiner.run(hierarchy, recurrences, ctx, objective);
+    candidates.push_distinct(|buf| buf.extend_from_slice(refined));
+    if objective.power.is_some() {
+        let time_objective = PartitionObjective {
+            power: None,
+            trip_count: objective.trip_count,
+        };
+        let refined = refiner.run(hierarchy, recurrences, ctx, &time_objective);
+        candidates.push_distinct(|buf| buf.extend_from_slice(refined));
+    }
+    candidates.push_distinct(|buf| buf.extend_from_slice(hierarchy.seed()));
+    Ok(())
 }
 
-/// The coarsening seed without refinement: pinned recurrences plus the
-/// greedy load-balanced placement. A useful *second* candidate for the
-/// scheduling driver — refinement optimises an estimate and occasionally
-/// walks away from partitions the exact scheduler would prefer.
-///
-/// # Errors
-///
-/// Returns [`SchedError::RecurrenceDoesNotFit`] as [`compute_partition`]
-/// does.
-pub fn compute_partition_unrefined(
-    ddg: &Ddg,
-    config: &ClockedConfig,
-    clocks: &LoopClocks,
-) -> Result<Partition, SchedError> {
-    let num_clusters = config.design().num_clusters;
-    if ddg.is_empty() {
-        return Ok(Partition {
-            assignment: Vec::new(),
-        });
+/// The candidate assignments of one IT attempt, in buffers kept warm
+/// across calls.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Candidates {
+    /// The live candidates are `bufs[..len]`.
+    bufs: Vec<Vec<ClusterId>>,
+    len: usize,
+}
+
+impl Candidates {
+    fn clear(&mut self) {
+        self.len = 0;
     }
-    if num_clusters == 1 {
-        return Ok(Partition::all_in_first(ddg.num_ops()));
-    }
-    let recurrences = ddg.recurrences();
-    let pinned = pin::pin_recurrences(ddg, recurrences, config, clocks)?;
-    let hierarchy = coarsen::coarsen(ddg, &pinned, config, clocks);
-    let coarsest = hierarchy.base_groups_at(hierarchy.num_levels() - 1);
-    let mut assignment = vec![vliw_machine::ClusterId(0); ddg.num_ops()];
-    for (node, bgs) in coarsest.iter().enumerate() {
-        for &bg in bgs {
-            for &op in &hierarchy.base_groups[bg] {
-                assignment[op.index()] = hierarchy.seed[node];
-            }
+
+    /// Appends the assignment `fill` writes into an empty buffer, unless
+    /// an earlier candidate equals it.
+    fn push_distinct(&mut self, fill: impl FnOnce(&mut Vec<ClusterId>)) {
+        if self.len == self.bufs.len() {
+            self.bufs.push(Vec::new());
+        }
+        let (earlier, rest) = self.bufs.split_at_mut(self.len);
+        let buf = &mut rest[0];
+        buf.clear();
+        fill(buf);
+        if !earlier.contains(buf) {
+            self.len += 1;
         }
     }
-    Ok(Partition { assignment })
+
+    /// The live candidates.
+    pub(crate) fn as_slice(&self) -> &[Vec<ClusterId>] {
+        &self.bufs[..self.len]
+    }
 }

@@ -12,13 +12,11 @@ use vliw_ir::{Ddg, FuKind, Recurrence};
 use vliw_machine::{ClockedConfig, ClusterId};
 
 use super::fu_slot;
-use crate::error::SchedError;
 use crate::timing::LoopClocks;
 
-/// Per-op pinned cluster (`None` = free to move during partitioning).
-pub(crate) type Pinned = Vec<Option<ClusterId>>;
-
-/// Pins every recurrence to the slowest cluster that can schedule it.
+/// Pins every recurrence to the slowest cluster that can schedule it,
+/// writing each op's pinned cluster (`None` = free to move during
+/// partitioning) into `pinned`. `load` and `slowest_first` are scratch.
 ///
 /// Schedulability in cluster `C` requires:
 /// * `min_ii(recurrence) ≤ II_C` — the recurrence's critical circuit fits
@@ -28,19 +26,28 @@ pub(crate) type Pinned = Vec<Option<ClusterId>>;
 ///
 /// # Errors
 ///
-/// Returns [`SchedError::RecurrenceDoesNotFit`] when no cluster admits a
-/// recurrence; the caller then increases the `IT`.
+/// Returns the `min_ii` of a recurrence no cluster admits; the caller then
+/// increases the `IT`.
 pub(crate) fn pin_recurrences(
     ddg: &Ddg,
     recurrences: &[Recurrence],
     config: &ClockedConfig,
     clocks: &LoopClocks,
-) -> Result<Pinned, SchedError> {
-    let mut pinned: Pinned = vec![None; ddg.num_ops()];
+    pinned: &mut Vec<Option<ClusterId>>,
+    load: &mut Vec<[u64; 3]>,
+    slowest_first: &mut Vec<ClusterId>,
+) -> Result<(), u32> {
+    pinned.clear();
+    pinned.resize(ddg.num_ops(), None);
     // Dense `load[cluster][kind]` → ops already pinned there.
     let design = config.design();
-    let mut load = vec![[0u64; 3]; usize::from(design.num_clusters)];
-    let slowest_first = config.clusters_slowest_first();
+    load.clear();
+    load.resize(usize::from(design.num_clusters), [0u64; 3]);
+    // `ClockedConfig::clusters_slowest_first`, into a reused buffer (a
+    // stable sort, so equally slow clusters keep their id order).
+    slowest_first.clear();
+    slowest_first.extend(design.clusters());
+    slowest_first.sort_by_key(|&c| std::cmp::Reverse(config.cluster_cycle(c)));
 
     for rec in recurrences {
         let mut counts = [0u64; 3];
@@ -60,17 +67,14 @@ pub(crate) fn pin_recurrences(
             })
         });
         let Some(home) = home else {
-            return Err(SchedError::RecurrenceDoesNotFit {
-                loop_name: ddg.name().to_owned(),
-                min_ii: rec.min_ii(),
-            });
+            return Err(rec.min_ii());
         };
         for &op in &rec.ops {
             pinned[op.index()] = Some(home);
             load[home.index()][fu_slot(ddg.op(op).fu_kind())] += 1;
         }
     }
-    Ok(pinned)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -78,6 +82,25 @@ mod tests {
     use super::*;
     use vliw_ir::{condensation, DdgBuilder, OpClass};
     use vliw_machine::{FrequencyMenu, MachineDesign, Time};
+
+    fn pin(
+        ddg: &Ddg,
+        recurrences: &[Recurrence],
+        config: &ClockedConfig,
+        clocks: &LoopClocks,
+    ) -> Result<Vec<Option<ClusterId>>, u32> {
+        let mut pinned = Vec::new();
+        pin_recurrences(
+            ddg,
+            recurrences,
+            config,
+            clocks,
+            &mut pinned,
+            &mut Vec::new(),
+            &mut Vec::new(),
+        )?;
+        Ok(pinned)
+    }
 
     fn hetero_config() -> ClockedConfig {
         let design = MachineDesign::paper_machine(1);
@@ -97,7 +120,7 @@ mod tests {
         b.flow_carried(a, a, 1);
         let ddg = b.build().unwrap();
         let recs = condensation(&ddg).recurrences(&ddg);
-        let pinned = pin_recurrences(&ddg, &recs, &config, &clocks).unwrap();
+        let pinned = pin(&ddg, &recs, &config, &clocks).unwrap();
         let home = pinned[0].unwrap();
         assert_eq!(config.cluster_cycle(home), Time::from_ns(2.0));
     }
@@ -118,7 +141,7 @@ mod tests {
         let ddg = b.build().unwrap();
         let recs = condensation(&ddg).recurrences(&ddg);
         assert_eq!(recs[0].min_ii(), 5);
-        let pinned = pin_recurrences(&ddg, &recs, &config, &clocks).unwrap();
+        let pinned = pin(&ddg, &recs, &config, &clocks).unwrap();
         assert_eq!(pinned[0].unwrap(), ClusterId(0));
         assert_eq!(pinned[1].unwrap(), ClusterId(0));
     }
@@ -135,10 +158,19 @@ mod tests {
         b.flow_carried(a, a, 1);
         let ddg = b.build().unwrap();
         let recs = condensation(&ddg).recurrences(&ddg);
-        let err = pin_recurrences(&ddg, &recs, &config, &clocks).unwrap_err();
+        assert_eq!(pin(&ddg, &recs, &config, &clocks), Err(6));
+        // The public entry point reports it as the driver's error.
+        let err = crate::partition::compute_partition(
+            &ddg,
+            &config,
+            &clocks,
+            &crate::partition::PartitionObjective::default(),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
-            SchedError::RecurrenceDoesNotFit { min_ii: 6, .. }
+            crate::SchedError::RecurrenceDoesNotFit { ref loop_name, min_ii: 6 }
+                if loop_name == "too-tight"
         ));
     }
 
@@ -160,7 +192,7 @@ mod tests {
         let ddg = b.build().unwrap();
         let recs = condensation(&ddg).recurrences(&ddg);
         assert_eq!(recs.len(), 3);
-        let pinned = pin_recurrences(&ddg, &recs, &config, &clocks).unwrap();
+        let pinned = pin(&ddg, &recs, &config, &clocks).unwrap();
         // Each recurrence stays whole…
         for i in 0..3 {
             assert_eq!(pinned[2 * i], pinned[2 * i + 1]);
@@ -182,7 +214,7 @@ mod tests {
         b.flow(a, c);
         let ddg = b.build().unwrap();
         let recs = condensation(&ddg).recurrences(&ddg);
-        let pinned = pin_recurrences(&ddg, &recs, &config, &clocks).unwrap();
+        let pinned = pin(&ddg, &recs, &config, &clocks).unwrap();
         assert!(pinned.iter().all(Option::is_none));
     }
 }

@@ -2,191 +2,117 @@
 //! pseudo-schedule ED².
 
 use vliw_ir::Recurrence;
-use vliw_machine::{ClockedConfig, ClusterId};
+use vliw_machine::ClusterId;
 
 use super::coarsen::Hierarchy;
-use super::pseudo::{evaluate_partition_bounded, evaluate_partition_ctx};
+use super::pseudo::{EvalCtx, Pricer, PseudoEval};
 use super::PartitionObjective;
-use crate::timing::LoopClocks;
-use crate::workspace::PartitionScratch;
-use vliw_ir::Ddg;
 
 /// Maximum improvement passes per hierarchy level.
 const PASS_LIMIT: usize = 6;
 
-/// Refines the hierarchy's seed assignment from the coarsest level down to
-/// the base, returning the final per-op cluster assignment.
-///
-/// Candidate moves are priced with [`evaluate_partition_bounded`] against the
-/// shared `scratch`, and the induced per-op assignment lives in one
-/// reusable buffer — the inner evaluation loop performs no steady-state
-/// allocation (except the energy model's usage profile under an ED²
-/// objective).
-pub(crate) fn refine(
-    ddg: &Ddg,
-    hierarchy: &Hierarchy,
-    recurrences: &[Recurrence],
-    config: &ClockedConfig,
-    clocks: &LoopClocks,
-    objective: &PartitionObjective<'_>,
-    scratch: &mut PartitionScratch,
-) -> Vec<ClusterId> {
-    // Assignment per *base group*, seeded from the coarsest level.
-    let coarsest_level = hierarchy.num_levels() - 1;
-    let coarsest = hierarchy.base_groups_at(coarsest_level);
-    let mut base_assign: Vec<ClusterId> = vec![ClusterId(0); hierarchy.base_groups.len()];
-    for (node, bgs) in coarsest.iter().enumerate() {
-        for &bg in bgs {
-            base_assign[bg] = hierarchy.seed[node];
-        }
-    }
+/// Refinement's state, kept warm across runs: the delta pricer, the
+/// per-group rejection versions, and the work counts.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Refiner {
+    /// The committed assignment and its pseudo-schedule terms.
+    pub(crate) pricer: Pricer,
+    /// Per-group rejection versions: the move-counter value at which a
+    /// group last had every candidate move rejected.
+    group_version: Vec<u64>,
+    /// Pricings made: every candidate move priced, plus each level's
+    /// starting assignment.
+    pub(crate) pricings: u64,
+    /// Moves accepted.
+    pub(crate) moves: u64,
+}
 
-    // The induced-assignment buffer is taken out of the scratch so it can
-    // be borrowed alongside it (and returned before exit for reuse). It is
-    // maintained *incrementally*: a candidate move rewrites only the moved
-    // group's ops, not the whole array.
-    let mut induced = std::mem::take(&mut scratch.induced);
-    let mut group_version = std::mem::take(&mut scratch.group_version);
-    // The evaluation context (latency tables, edge lists, the config's
-    // domain scalings) is fixed for the whole refinement run — built once,
-    // shared by every candidate pricing.
-    let mut ctx = std::mem::take(&mut scratch.ctx);
-    ctx.build(ddg, config, clocks, objective.power);
-
-    // Move counter for the rejection-skip below: bumped on every accepted
-    // move, i.e. whenever the global assignment changes.
-    let mut version: u64 = 0;
-
-    // All level compositions in one upward pass (base_groups_at rebuilds
-    // levels 0..k on every call, which is quadratic over the walk below).
-    let groups_by_level = level_compositions(hierarchy);
-
-    let clusters: Vec<ClusterId> = config.design().clusters().collect();
-    // Walk levels coarsest → finest; at each level try moving whole
-    // macronodes between clusters.
-    for level in (0..hierarchy.num_levels()).rev() {
-        let groups = &groups_by_level[level];
-        group_version.clear();
-        group_version.resize(groups.len(), u64::MAX);
-        induce_into(ddg, hierarchy, &base_assign, &mut induced);
-        let mut current_eval =
-            evaluate_partition_ctx(ddg, &induced, recurrences, config, objective, &ctx, scratch);
-        scratch.pricings += 1;
-        for _pass in 0..PASS_LIMIT {
-            let mut improved = false;
-            for (gi, bgs) in groups.iter().enumerate() {
-                // Pinned groups are fixed (recurrence pre-placement).
-                if bgs.iter().any(|&bg| hierarchy.base_pin[bg].is_some()) {
-                    continue;
-                }
-                // Rejection skip: if every candidate move of this group was
-                // rejected and no move has been accepted anywhere since,
-                // the assignment — and therefore every candidate's ED² and
-                // the bar it must beat — is unchanged, so re-evaluating
-                // would reject again. Skipping is exact.
-                if group_version[gi] == version {
-                    continue;
-                }
-                let from = base_assign[bgs[0]];
-                let mut best: Option<(ClusterId, super::pseudo::PseudoEval)> = None;
-                for &to in &clusters {
-                    if to == from {
+impl Refiner {
+    /// Refines the hierarchy's seed from the coarsest level down to the
+    /// base under `objective`, returning the final per-op assignment.
+    ///
+    /// Each candidate move is priced by delta from the committed
+    /// assignment ([`Pricer::price`]), with the ED² it must strictly beat
+    /// as the rejection bar; nothing is allocated once the buffers are
+    /// warm.
+    pub(crate) fn run(
+        &mut self,
+        hierarchy: &Hierarchy,
+        recurrences: &[Recurrence],
+        ctx: &EvalCtx,
+        objective: &PartitionObjective<'_>,
+    ) -> &[ClusterId] {
+        let pricer = &mut self.pricer;
+        pricer.reset(ctx, hierarchy.seed(), recurrences);
+        let n = hierarchy.seed().len();
+        // Move counter for the rejection skip below: bumped on every
+        // accepted move, i.e. whenever the committed assignment changes.
+        let mut version: u64 = 0;
+        // Walk levels coarsest → finest; at each level try moving whole
+        // macronodes between clusters.
+        for level in hierarchy.levels().iter().rev() {
+            self.group_version.clear();
+            self.group_version.resize(level.len(), u64::MAX);
+            let mut current = pricer
+                .price(ctx, objective, n, None)
+                .expect("a pricing without a bar always prices");
+            self.pricings += 1;
+            for _pass in 0..PASS_LIMIT {
+                let mut improved = false;
+                for gi in 0..level.len() {
+                    // Pinned groups are fixed (recurrence pre-placement).
+                    // Rejection skip: if every candidate move of this group
+                    // was rejected and no move has been accepted anywhere
+                    // since, the assignment — and therefore every
+                    // candidate's ED² and the bar it must beat — is
+                    // unchanged, so re-pricing would reject again.
+                    // Skipping is exact.
+                    if level.is_pinned(gi) || self.group_version[gi] == version {
                         continue;
                     }
-                    move_group(hierarchy, bgs, to, &mut base_assign, &mut induced);
-                    let eval = evaluate_partition_bounded(
-                        ddg,
-                        &induced,
-                        recurrences,
-                        config,
-                        objective,
-                        &ctx,
-                        scratch,
-                        Some(best.as_ref().map_or(current_eval.ed2, |(_, b)| b.ed2)),
-                    );
-                    scratch.pricings += 1;
-                    if eval.ed2 < current_eval.ed2
-                        && best.as_ref().is_none_or(|(_, b)| eval.ed2 < b.ed2)
-                    {
-                        best = Some((to, eval));
+                    let node = level.node(gi);
+                    let first = node
+                        .ops
+                        .iter()
+                        .map(|&v| ctx.pos(v))
+                        .min()
+                        .expect("macronodes are non-empty");
+                    let from = pricer.cluster_of(node.ops[0]);
+                    let mut best: Option<(ClusterId, PseudoEval)> = None;
+                    for to in (0..ctx.nc as u8).map(ClusterId) {
+                        if to == from {
+                            continue;
+                        }
+                        pricer.shift(ctx, node, to);
+                        let bar = best.map_or(current.ed2, |(_, b)| b.ed2);
+                        let eval = pricer.price(ctx, objective, first, Some(bar));
+                        self.pricings += 1;
+                        if let Some(eval) = eval.filter(|e| e.ed2 < bar) {
+                            best = Some((to, eval));
+                        }
+                    }
+                    match best {
+                        Some((to, eval)) => {
+                            pricer.shift(ctx, node, to);
+                            pricer.commit(ctx, first);
+                            current = eval;
+                            improved = true;
+                            version += 1;
+                            self.moves += 1;
+                        }
+                        None => {
+                            pricer.shift(ctx, node, from);
+                            pricer.revert(ctx);
+                            self.group_version[gi] = version;
+                        }
                     }
                 }
-                match best {
-                    Some((to, eval)) => {
-                        move_group(hierarchy, bgs, to, &mut base_assign, &mut induced);
-                        current_eval = eval;
-                        improved = true;
-                        version += 1;
-                        scratch.moves += 1;
-                    }
-                    None => {
-                        move_group(hierarchy, bgs, from, &mut base_assign, &mut induced);
-                        group_version[gi] = version;
-                    }
+                if !improved {
+                    break;
                 }
             }
-            if !improved {
-                break;
-            }
         }
-    }
-    induce_into(ddg, hierarchy, &base_assign, &mut induced);
-    let result = induced.clone();
-    scratch.induced = induced;
-    scratch.group_version = group_version;
-    scratch.ctx = ctx;
-    result
-}
-
-/// Reassigns one macronode: updates both the base-group assignment and the
-/// ops it induces, keeping `induced` consistent without a full rebuild.
-fn move_group(
-    hierarchy: &Hierarchy,
-    bgs: &[usize],
-    to: ClusterId,
-    base_assign: &mut [ClusterId],
-    induced: &mut [ClusterId],
-) {
-    for &bg in bgs {
-        base_assign[bg] = to;
-        for &op in &hierarchy.base_groups[bg] {
-            induced[op.index()] = to;
-        }
-    }
-}
-
-/// The base-group composition of every hierarchy level, built bottom-up in
-/// one pass (level `k+1` merges level `k`, exactly as
-/// [`Hierarchy::base_groups_at`] computes each level from scratch).
-fn level_compositions(hierarchy: &Hierarchy) -> Vec<Vec<Vec<usize>>> {
-    let mut levels: Vec<Vec<Vec<usize>>> = Vec::with_capacity(hierarchy.num_levels());
-    levels.push((0..hierarchy.base_groups.len()).map(|i| vec![i]).collect());
-    for merge in &hierarchy.merges {
-        let prev = levels.last().expect("level 0 pushed above");
-        let parents = merge.iter().copied().max().map_or(0, |m| m + 1);
-        let mut next: Vec<Vec<usize>> = vec![Vec::new(); parents];
-        for (child, &parent) in merge.iter().enumerate() {
-            next[parent].extend(prev[child].iter().copied());
-        }
-        levels.push(next);
-    }
-    levels
-}
-
-/// Expands a base-group assignment to a per-op assignment, into a reusable
-/// buffer.
-fn induce_into(
-    ddg: &Ddg,
-    hierarchy: &Hierarchy,
-    base_assign: &[ClusterId],
-    out: &mut Vec<ClusterId>,
-) {
-    out.clear();
-    out.resize(ddg.num_ops(), ClusterId(0));
-    for (bg, ops) in hierarchy.base_groups.iter().enumerate() {
-        for &op in ops {
-            out[op.index()] = base_assign[bg];
-        }
+        pricer.assignment()
     }
 }
 
@@ -194,8 +120,9 @@ fn induce_into(
 mod tests {
     use super::*;
     use crate::partition::{compute_partition, PartitionObjective};
-    use vliw_ir::{DdgBuilder, OpClass};
-    use vliw_machine::{FrequencyMenu, MachineDesign, Time};
+    use crate::timing::LoopClocks;
+    use vliw_ir::{Ddg, DdgBuilder, OpClass};
+    use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, Time};
 
     fn setup(it_ns: f64) -> (ClockedConfig, LoopClocks) {
         let config = ClockedConfig::reference(MachineDesign::paper_machine(1));
@@ -345,7 +272,7 @@ mod tests {
     /// partition's estimated cost can never exceed the unrefined seed's.
     #[test]
     fn refinement_never_increases_estimated_cost() {
-        use crate::partition::{compute_partition_unrefined, evaluate_partition};
+        use crate::partition::evaluate_partition;
 
         let design = MachineDesign::paper_machine(1);
         let configs = [
@@ -359,11 +286,14 @@ mod tests {
                 let clocks =
                     LoopClocks::select(config, &FrequencyMenu::unrestricted(), Time::from_ns(9.0))
                         .unwrap();
-                let seed = compute_partition_unrefined(&ddg, config, &clocks).unwrap();
+                let mut hierarchy = Hierarchy::default();
+                hierarchy
+                    .build(&ddg, &recurrences, config, &clocks)
+                    .unwrap();
                 let refined = compute_partition(&ddg, config, &clocks, &objective).unwrap();
                 let seed_eval = evaluate_partition(
                     &ddg,
-                    &seed.assignment,
+                    hierarchy.seed(),
                     &recurrences,
                     config,
                     &clocks,

@@ -12,8 +12,8 @@
 //! * the IT-retry loop of [`crate::schedule_loop`] /
 //!   [`crate::schedule_loop_ws`],
 //! * every [`crate::ims::schedule_into`] attempt inside one retry,
-//! * the partition refinement passes
-//!   ([`crate::partition::compute_partition_ws`]), and
+//! * the partitioner's pinning, coarsening and refinement passes
+//!   ([`crate::partition::partition_candidates_ws`]), and
 //! * across loops, when the exploration layer hands one workspace to each
 //!   worker of the `vliw-exec` pool.
 //!
@@ -27,8 +27,6 @@
 //! The workspace also counts the work it does (see [`crate::work`]).
 
 use std::time::Instant;
-
-use vliw_machine::ClusterId;
 
 use crate::comm::NodeId;
 use crate::mrt::{BusMrt, ClusterMrt};
@@ -44,39 +42,24 @@ pub(crate) struct RegScratch {
     pub(crate) events: Vec<(u64, i64)>,
 }
 
-/// Scratch for the partitioner's pseudo-schedule evaluation and multilevel
-/// refinement (see [`crate::partition::evaluate_partition_ws`]).
+/// Scratch for the partitioner (see
+/// [`crate::partition::partition_candidates_ws`]): the hierarchy of one IT
+/// attempt and every buffer pinning and coarsening use, the evaluation
+/// context both refinements share, refinement's delta pricer and the
+/// candidate assignments, all reused across attempts and loops.
 #[derive(Debug, Clone, Default)]
 pub struct PartitionScratch {
-    /// Per-cluster op counts `[int, fp, mem]`.
-    pub(crate) counts: Vec<[u64; 3]>,
-    /// Per-op "this producer already counted as a communication" flags.
-    pub(crate) comm_marked: Vec<bool>,
-    /// Ops marked in `comm_marked`, for O(marked) clearing.
-    pub(crate) marked: Vec<u32>,
-    /// Epoch-stamped recurrence membership (`rec_stamp[op] == rec_epoch`
-    /// means the op belongs to the recurrence under evaluation).
-    pub(crate) rec_stamp: Vec<u32>,
-    pub(crate) rec_epoch: u32,
-    /// ASAP finish times over the distance-0 subgraph.
-    pub(crate) finish: Vec<f64>,
-    /// Per-cluster energy-weighted instruction counts of the candidate a
-    /// power objective is pricing.
-    pub(crate) weighted: Vec<f64>,
-    /// Refinement's per-op induced-assignment buffer.
-    pub(crate) induced: Vec<ClusterId>,
-    /// Refinement's per-group rejection versions (see
-    /// `partition::refine`): the move-counter value at which a group last
-    /// had every candidate move rejected.
-    pub(crate) group_version: Vec<u64>,
-    /// The prebuilt evaluation context shared by every candidate pricing
-    /// of one refinement run (latency tables, flow-edge lists, pred CSR,
-    /// the config's domain scalings).
+    /// The pinned recurrences, the hierarchy levels and the seed.
+    pub(crate) hierarchy: crate::partition::Hierarchy,
+    /// The prebuilt evaluation context shared by every pricing of one IT
+    /// attempt (latency tables, edge lists, the topological order, the
+    /// config's domain scalings).
     pub(crate) ctx: crate::partition::EvalCtx,
-    /// Pseudo-schedule pricings made by refinement.
-    pub(crate) pricings: u64,
-    /// Refinement moves accepted.
-    pub(crate) moves: u64,
+    /// Refinement's pricer and rejection versions, and its work counts:
+    /// pricings made and moves accepted.
+    pub(crate) refiner: crate::partition::Refiner,
+    /// The candidate assignments of the latest call.
+    pub(crate) candidates: crate::partition::Candidates,
 }
 
 impl PartitionScratch {
@@ -190,8 +173,8 @@ impl SchedWorkspace {
             take(&mut self.placements),
             take(&mut self.ejections),
             take(&mut self.it_retries),
-            take(&mut self.part.pricings),
-            take(&mut self.part.moves),
+            take(&mut self.part.refiner.pricings),
+            take(&mut self.part.refiner.moves),
         ]
     }
 
@@ -215,7 +198,7 @@ impl SchedWorkspace {
     }
 
     /// The partition scratch, for callers driving
-    /// [`crate::partition::compute_partition_ws`] directly.
+    /// [`crate::partition::partition_candidates_ws`] directly.
     pub fn partition_scratch(&mut self) -> &mut PartitionScratch {
         &mut self.part
     }

@@ -11,7 +11,7 @@
 //!
 //! This is the tier-1 guard for the workspace architecture: any future
 //! change that sneaks a per-attempt `Vec`/`HashMap` back into the IMS
-//! inner loop fails here immediately.
+//! inner loop or the partitioner fails here immediately.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -66,7 +66,10 @@ use vliw_machine::{ClockedConfig, ClusterId, FrequencyMenu, MachineDesign, Time,
 use vliw_power::{EnergyShares, PowerModel, ReferenceProfile};
 use vliw_sched::ims;
 use vliw_sched::partition::evaluate_partition_ws;
-use vliw_sched::{ExtGraph, LoopClocks, PartitionObjective, PartitionScratch, SchedWorkspace};
+use vliw_sched::{
+    partition_candidates_ws, ExtGraph, LoopClocks, PartitionObjective, PartitionScratch,
+    SchedWorkspace,
+};
 
 /// A representative loop body: loads feeding a multiply/add tree with an
 /// accumulator recurrence and a store — chains, fans, a carried cycle and
@@ -365,4 +368,76 @@ fn power_objective_evaluation_allocates_nothing_once_warm() {
         "a warm power-objective evaluation must not allocate"
     );
     assert_eq!(second, first, "scratch reuse must not change the estimate");
+}
+
+/// The partitioner keeps every buffer in the workspace too: pinning,
+/// coarsening, the evaluation context, both refinements' delta pricer and
+/// the candidate assignments. So once warm, a second identical
+/// `partition_candidates_ws` call allocates nothing — with and without an
+/// energy model — and returns the same candidates, borrowed from the
+/// workspace.
+#[test]
+fn partition_candidates_allocate_nothing_once_warm() {
+    let design = MachineDesign::paper_machine(1);
+    let config = ClockedConfig::heterogeneous(design, Time::from_ns(1.0), 1, Time::from_ns(1.25))
+        .with_voltages(Voltages {
+            clusters: vec![1.0, 0.8, 0.8, 0.8],
+            icn: 1.0,
+            cache: 1.0,
+        });
+    let clocks =
+        LoopClocks::select(&config, &FrequencyMenu::unrestricted(), Time::from_ns(8.0)).unwrap();
+    let power = PowerModel::calibrate(
+        design,
+        EnergyShares::PAPER,
+        &ReferenceProfile {
+            weighted_ins: 10_000.0,
+            comms: 500,
+            mem_accesses: 2_000,
+            exec_time: Time::from_ns(10_000.0),
+        },
+    );
+    // The representative loop, and a 24-op chain whose hierarchy has
+    // more levels.
+    let mut b = DdgBuilder::new("chain");
+    let ids: Vec<_> = (0..24)
+        .map(|i| b.op(format!("n{i}"), OpClass::FpArith))
+        .collect();
+    for w in ids.windows(2) {
+        b.flow(w[0], w[1]);
+    }
+    let chain = b.build().unwrap();
+    for ddg in [representative_ddg(), chain] {
+        ddg.validate_schedulable().unwrap();
+        for power in [None, Some(&power)] {
+            let objective = PartitionObjective {
+                power,
+                trip_count: 100,
+            };
+            let mut ws = SchedWorkspace::new();
+            let first: Vec<Vec<ClusterId>> =
+                partition_candidates_ws(&ddg, &config, &clocks, &objective, ws.partition_scratch())
+                    .expect("every recurrence pins at IT 8 ns")
+                    .to_vec();
+            assert!(!first.is_empty());
+
+            let before = allocations();
+            let second =
+                partition_candidates_ws(&ddg, &config, &clocks, &objective, ws.partition_scratch())
+                    .expect("every recurrence pins at IT 8 ns");
+            let after = allocations();
+            assert_eq!(
+                after - before,
+                0,
+                "a warm partition call must not allocate ({}, power: {})",
+                ddg.name(),
+                power.is_some()
+            );
+            assert_eq!(
+                second,
+                first.as_slice(),
+                "workspace reuse must not change the candidates"
+            );
+        }
+    }
 }
