@@ -12,22 +12,31 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::response::Response;
 
 /// Writes `contents` to `path` atomically: the bytes land in a temp file
-/// in the same directory (suffixed with the writer's pid, so concurrent
-/// processes never collide) and are renamed into place.
+/// in the same directory and are renamed into place. The temp name
+/// carries the writer's pid and a per-process write number, so
+/// concurrent processes and concurrent threads of one process (two
+/// daemon connections persisting the same artefact) never share one.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from the write or the rename.
+/// Propagates I/O failures from the write or the rename; the temp file
+/// is removed on failure.
 pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+    static WRITES: AtomicU64 = AtomicU64::new(0);
+    let write = WRITES.fetch_add(1, Ordering::Relaxed);
     let mut tmp = path.as_os_str().to_owned();
-    tmp.push(format!(".tmp.{}", std::process::id()));
+    tmp.push(format!(".tmp.{}.{write}", std::process::id()));
     let tmp = PathBuf::from(tmp);
-    fs::write(&tmp, contents)?;
-    fs::rename(&tmp, path)
+    let result = fs::write(&tmp, contents).and_then(|()| fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    result
 }
 
 /// Persists a response's artefacts under `dir`: the body to
@@ -88,6 +97,35 @@ mod tests {
         assert_eq!(written.len(), 2);
         assert_eq!(fs::read_to_string(&written[0]).unwrap(), "[1]");
         assert_eq!(written[1].file_name().unwrap(), "table2.meta.json");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Threads of one process writing one artefact at once: every write
+    /// succeeds, the file ends whole, and no temp file is left behind.
+    #[test]
+    fn concurrent_writers_of_one_path_never_collide() {
+        let dir = std::env::temp_dir().join(format!("vliw-api-atomic-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("artefact.json");
+        let bodies: Vec<String> = (b'a'..=b'd')
+            .map(|c| char::from(c).to_string().repeat(64 * 1024))
+            .collect();
+        let start = std::sync::Barrier::new(bodies.len());
+        std::thread::scope(|scope| {
+            for body in &bodies {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..500 {
+                        write_atomic(path, body).unwrap();
+                    }
+                });
+            }
+        });
+        let last = fs::read_to_string(&path).unwrap();
+        assert!(bodies.contains(&last), "the file is one whole write");
+        let entries: Vec<_> = fs::read_dir(&dir).unwrap().collect();
+        assert_eq!(entries.len(), 1, "no temp file is left behind");
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -156,7 +156,10 @@ pub fn loadgen(socket: &Path, opts: &LoadgenOptions) -> Result<LoadgenReport, St
             .collect()
     });
     let wall = start.elapsed().as_secs_f64();
-    let mut latencies_ms = Vec::with_capacity(opts.clients * opts.requests_per_client);
+    // Grown as latencies arrive, never sized from the counts: a huge
+    // request count would otherwise abort on allocation before the
+    // first request is sent.
+    let mut latencies_ms = Vec::new();
     for result in per_client {
         latencies_ms.extend(result?);
     }
@@ -187,7 +190,7 @@ pub fn loadgen(socket: &Path, opts: &LoadgenOptions) -> Result<LoadgenReport, St
 /// returning per-request latencies in milliseconds.
 fn run_client(socket: &Path, opts: &LoadgenOptions) -> Result<Vec<f64>, String> {
     let mut client = Client::connect(socket).map_err(|e| format!("connect failed: {e}"))?;
-    let mut latencies = Vec::with_capacity(opts.requests_per_client);
+    let mut latencies = Vec::new();
     for _ in 0..opts.requests_per_client {
         let sent = Instant::now();
         let resp = client.request(&opts.request)?;

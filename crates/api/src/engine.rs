@@ -106,12 +106,6 @@ impl Engine {
         self
     }
 
-    /// The store applied to requests that do not carry one.
-    #[must_use]
-    pub fn default_store(&self) -> &StoreConfig {
-        &self.default_store
-    }
-
     /// The executor requests fan out across.
     #[must_use]
     pub fn executor(&self) -> Executor {
@@ -251,8 +245,7 @@ impl Engine {
         } else {
             suite_seeded(p.loops, p.seed)
         };
-        let sched = ExperimentOptions::default().sched;
-        let profiled = experiments::profile_suite(&suite, buses, &sched, &self.exec, store)
+        let profiled = experiments::profile_suite(&suite, buses, &self.exec, store)
             .map_err(|e| e.to_string())?;
         let arc = Arc::new(profiled);
         suites.insert(key, Arc::clone(&arc));

@@ -27,6 +27,7 @@ use vliw_api::{
     loadgen, persist_response, serve, write_atomic, Client, Engine, LoadgenOptions, Request,
     Response, RunParams, ServeOptions,
 };
+use vliw_exec::Executor;
 
 /// Where artefacts go, relative to the current directory.
 const RESULTS_DIR: &str = "target/paper-results";
@@ -59,7 +60,8 @@ process flags:
   --trace FILE              write newline-JSON span events to FILE
   --socket PATH             the daemon's Unix socket (serve, client, loadgen)
   --results DIR             have the daemon persist artefacts under DIR (serve)
-  --clients N               loadgen's concurrent clients (default 4)
+  --clients N               loadgen's concurrent clients, one thread each
+                            (default 4; at most 16 per core, or 128)
   --requests M              loadgen's requests per client (default 25)
   --out FILE                where corpus dump and search merge write
   --experiment NAME         the same as the positional EXPERIMENT
@@ -155,7 +157,19 @@ impl Cli {
                         .parse()
                         .map_err(|_| "--jobs needs a non-negative integer (0 = auto)")?;
                 }
-                "clients" => cli.clients = Some(positive(&arg, &value()?)?),
+                "clients" => {
+                    // One thread per client: the ceiling the executor
+                    // puts on --jobs bounds it too.
+                    let clients = positive(&arg, &value()?)?;
+                    let ceiling = Executor::max_workers();
+                    if clients > ceiling {
+                        return Err(format!(
+                            "--clients {clients} is more threads than this machine takes \
+                             (at most {ceiling})"
+                        ));
+                    }
+                    cli.clients = Some(clients);
+                }
                 "requests" => cli.requests = Some(positive(&arg, &value()?)?),
                 "trace" => cli.trace = Some(value()?.into()),
                 "socket" => cli.socket = Some(value()?.into()),
@@ -638,5 +652,27 @@ mod tests {
             let refused = plan_of(&format!("serve --socket s {knob}")).is_err();
             assert!(refused, "serve refuses {knob}");
         }
+    }
+
+    /// loadgen spawns a thread per client, so `--clients` stops at the
+    /// executor's worker ceiling; `--requests` sizes nothing up front,
+    /// so any positive count plans. Nothing here starts a client.
+    #[test]
+    fn loadgen_counts_are_bounded_before_anything_runs() {
+        let ceiling = Executor::max_workers();
+        let clients = |n: usize| match plan_of(&format!("loadgen --socket s --clients {n}")) {
+            Ok(Job::Loadgen { opts, .. }) => Ok(opts.clients),
+            Ok(_) => panic!("loadgen plans a loadgen job"),
+            Err(e) => Err(e),
+        };
+        assert_eq!(clients(ceiling), Ok(ceiling));
+        let refused = clients(ceiling + 1).expect_err("one client over the ceiling");
+        assert!(refused.contains(&format!("at most {ceiling}")), "{refused}");
+        assert!(clients(usize::MAX).is_err());
+        let many = format!("loadgen --socket s --requests {}", usize::MAX);
+        let Ok(Job::Loadgen { opts, .. }) = plan_of(&many) else {
+            panic!("a huge --requests plans");
+        };
+        assert_eq!(opts.requests_per_client, usize::MAX);
     }
 }

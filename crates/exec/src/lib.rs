@@ -67,21 +67,28 @@ impl Executor {
     const OVERSUBSCRIPTION_LIMIT: usize = 16;
     const CLAMP_FLOOR: usize = 128;
 
+    /// The most threads one request may ask this machine for:
+    /// 16 × `available_parallelism`, and at least 128. [`Executor::new`]
+    /// clamps a larger worker count, and `paper loadgen` refuses more
+    /// clients than this.
+    #[must_use]
+    pub fn max_workers() -> usize {
+        (Self::auto().jobs.get() * Self::OVERSUBSCRIPTION_LIMIT).max(Self::CLAMP_FLOOR)
+    }
+
     /// A pool with `jobs` workers; `0` means "use the machine's available
     /// parallelism" (like `make -j`).
     ///
-    /// Absurd requests — more than 16 × `available_parallelism` (and at
-    /// least 128) workers — are clamped to the machine's available
-    /// parallelism with a warning on stderr, instead of silently spawning
-    /// thousands of threads.
+    /// Absurd requests — more than [`Executor::max_workers`] — are
+    /// clamped to the machine's available parallelism with a warning on
+    /// stderr, instead of silently spawning thousands of threads.
     #[must_use]
     pub fn new(jobs: usize) -> Self {
         let Some(requested) = NonZeroUsize::new(jobs) else {
             return Self::auto();
         };
         let avail = Self::auto().jobs.get();
-        let cap = (avail * Self::OVERSUBSCRIPTION_LIMIT).max(Self::CLAMP_FLOOR);
-        if requested.get() > cap {
+        if requested.get() > Self::max_workers() {
             // Once per process: a pipeline constructs many executors from
             // the same `--jobs` value and one warning is enough.
             static CLAMP_WARNING: std::sync::Once = std::sync::Once::new();
@@ -119,12 +126,6 @@ impl Executor {
     #[must_use]
     pub fn jobs(&self) -> usize {
         self.jobs.get()
-    }
-
-    /// Whether `map` runs on the calling thread without spawning workers.
-    #[must_use]
-    pub fn is_serial(&self) -> bool {
-        self.jobs.get() == 1
     }
 
     /// Applies `f` to every item and returns the results in input order.
@@ -687,7 +688,6 @@ mod tests {
 
     #[test]
     fn executor_constructors() {
-        assert!(Executor::serial().is_serial());
         assert_eq!(Executor::serial().jobs(), 1);
         assert_eq!(Executor::new(5).jobs(), 5);
         assert!(Executor::new(0).jobs() >= 1, "0 means auto");

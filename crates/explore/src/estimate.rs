@@ -223,7 +223,7 @@ mod tests {
     use super::*;
     use vliw_machine::MachineDesign;
     use vliw_power::EnergyShares;
-    use vliw_sched::{SchedWorkspace, ScheduleOptions};
+    use vliw_sched::SchedWorkspace;
     use vliw_workloads::{generate, spec_fp2000};
 
     use crate::profile::profile_benchmark;
@@ -232,7 +232,7 @@ mod tests {
         let design = MachineDesign::paper_machine(1);
         let bench = generate(&spec_fp2000()[spec_idx], n);
         let mut ws = SchedWorkspace::new();
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
+        let p = profile_benchmark(&bench, design, &mut ws).unwrap();
         (p, design)
     }
 

@@ -33,7 +33,7 @@ use crate::store_keys::{
     record_to_usage, usage_to_record,
 };
 
-/// Options shared by all experiment runners.
+/// The inputs the experiment runners vary.
 #[derive(Debug, Clone)]
 pub struct ExperimentOptions {
     /// Frequency menu for heterogeneous selection *and* scheduling
@@ -42,8 +42,6 @@ pub struct ExperimentOptions {
     /// Energy shares calibrating the reference model (Figures 8/9 vary
     /// these).
     pub shares: EnergyShares,
-    /// Scheduler knobs.
-    pub sched: ScheduleOptions,
 }
 
 impl Default for ExperimentOptions {
@@ -51,7 +49,6 @@ impl Default for ExperimentOptions {
         ExperimentOptions {
             menu: FrequencyMenu::unrestricted(),
             shares: EnergyShares::PAPER,
-            sched: ScheduleOptions::default(),
         }
     }
 }
@@ -64,7 +61,7 @@ impl Default for ExperimentOptions {
 /// as successes.
 ///
 /// Hits require the *whole* address to repeat — benchmark content,
-/// configuration, scheduler options (menu included) and power model —
+/// configuration, frequency menu and power model —
 /// because any of those can change the schedules. That happens when the
 /// same sweep runs twice on one [`ProfiledSuite`], and across
 /// experiments sharing one suite under identical options (the `paper`
@@ -85,8 +82,8 @@ pub struct ProfiledSuite {
     /// The benchmarks themselves (needed to re-schedule loops).
     pub benches: Vec<Benchmark>,
     /// Measured-configuration memoisation shared by every experiment run
-    /// on this suite (the key embeds the power model and scheduler
-    /// options, so cross-variant reuse is sound).
+    /// on this suite (the key embeds the power model and frequency
+    /// menu, so cross-variant reuse is sound).
     cache: MeasureCache,
     /// The persistent store behind the memo cache, when attached
     /// ([`profile_suite`] with a store). Checked only on memo misses.
@@ -121,11 +118,11 @@ impl ProfiledSuite {
         self.measured.load(Ordering::Acquire)
     }
 
-    /// Measures benchmark `index` on `config`, memoised in this suite's
-    /// cache and — on memo misses — in the attached persistent store,
-    /// both under the same [`StoreKey`]. The expensive path
-    /// (re-scheduling every loop) only runs when both layers miss; the
-    /// freshly measured profile is then persisted.
+    /// Measures benchmark `index` on `config` under `menu`, memoised in
+    /// this suite's cache and — on memo misses — in the attached
+    /// persistent store, both under the same [`StoreKey`]. The expensive
+    /// path (re-scheduling every loop) only runs when both layers miss;
+    /// the freshly measured profile is then persisted.
     ///
     /// Results are identical with and without a store: stored records
     /// round-trip bit-exactly and measurements are deterministic.
@@ -140,12 +137,12 @@ impl ProfiledSuite {
         index: usize,
         config: &ClockedConfig,
         power: &PowerModel,
-        sched_opts: &ScheduleOptions,
+        menu: &FrequencyMenu,
         exec: &Executor,
     ) -> Result<UsageProfile, SchedError> {
         let key = StoreKey {
             content: self.content[index],
-            config: config_fingerprint(config, Some(power), sched_opts),
+            config: config_fingerprint(config, Some(power), menu),
         };
         self.cache.get_or_compute(key, || {
             if let Some(rec) = self.store.as_ref().and_then(|s| s.get_measure(key)) {
@@ -159,7 +156,7 @@ impl ProfiledSuite {
                 &self.profiles[index],
                 config,
                 power,
-                sched_opts,
+                menu,
                 self.design,
                 exec,
             )?;
@@ -266,9 +263,9 @@ pub const SCREEN_LOOPS_DIVISOR: usize = 8;
 /// resulting suite keeps the store attached so
 /// [`ProfiledSuite::measure_memoised`] checks it on every memo miss.
 /// Profile records are keyed by (benchmark content hash, fingerprint of
-/// the reference configuration + scheduler options); the power model is
-/// not part of the profile key because profiling precedes calibration
-/// and does not depend on it.
+/// the reference configuration under the unrestricted menu); the power
+/// model is not part of the profile key because profiling precedes
+/// calibration and does not depend on it.
 ///
 /// # Errors
 ///
@@ -279,7 +276,6 @@ pub const SCREEN_LOOPS_DIVISOR: usize = 8;
 pub fn profile_suite(
     suite: &[Benchmark],
     buses: u32,
-    sched: &ScheduleOptions,
     exec: &Executor,
     store: Option<Arc<MeasureStore>>,
 ) -> Result<ProfiledSuite, SchedError> {
@@ -287,7 +283,7 @@ pub fn profile_suite(
     let content: Vec<u64> = suite.iter().map(benchmark_content_hash).collect();
     let profile_keys: Option<Vec<StoreKey>> = store.as_ref().map(|_| {
         let reference = ClockedConfig::reference(design);
-        let config = config_fingerprint(&reference, None, sched);
+        let config = config_fingerprint(&reference, None, &FrequencyMenu::unrestricted());
         content
             .iter()
             .map(|&c| StoreKey { content: c, config })
@@ -308,7 +304,7 @@ pub fn profile_suite(
         .collect();
     let jobs: Vec<&Benchmark> = missing.iter().map(|&i| &suite[i]).collect();
     let fresh = exec.try_map_init(&jobs, SchedWorkspace::new, |ws, _, bench| {
-        profile_benchmark(bench, design, sched, ws)
+        profile_benchmark(bench, design, ws)
     })?;
     for (&i, profile) in missing.iter().zip(fresh) {
         if let (Some(store), Some(keys)) = (&store, &profile_keys) {
@@ -398,9 +394,7 @@ pub fn run_benchmark(
     } else {
         // Measure the selected configuration by actually scheduling every
         // loop.
-        let mut sched_opts = opts.sched.clone();
-        sched_opts.menu = opts.menu.clone();
-        profiled.measure_memoised(index, &het.config, power, &sched_opts, exec)?
+        profiled.measure_memoised(index, &het.config, power, &opts.menu, exec)?
     };
     let energy_het = power
         .estimate_energy(&het.config, &usage)
@@ -433,14 +427,16 @@ fn measure_usage(
     profile: &BenchmarkProfile,
     config: &ClockedConfig,
     power: &PowerModel,
-    sched_opts: &ScheduleOptions,
+    menu: &FrequencyMenu,
     design: MachineDesign,
     exec: &Executor,
 ) -> Result<UsageProfile, SchedError> {
     let per_loop = exec.try_map_init(&bench.loops, SchedWorkspace::new, |ws, _, l| {
-        let mut o = sched_opts.clone();
-        o.trip_count = l.trip_count();
-        let s = schedule_loop_ws(l.ddg(), config, Some(power), &o, ws)?;
+        let opts = ScheduleOptions {
+            menu: menu.clone(),
+            trip_count: l.trip_count(),
+        };
+        let s = schedule_loop_ws(l.ddg(), config, Some(power), &opts, ws)?;
         Ok(s.usage(l.trip_count()))
     })?;
     let mut total_ns = 0.0f64;
@@ -788,14 +784,7 @@ mod tests {
     }
 
     fn profiled(suite: &[Benchmark]) -> ProfiledSuite {
-        profile_suite(
-            suite,
-            1,
-            &ScheduleOptions::default(),
-            &Executor::serial(),
-            None,
-        )
-        .unwrap()
+        profile_suite(suite, 1, &Executor::serial(), None).unwrap()
     }
 
     #[test]
@@ -864,7 +853,7 @@ mod tests {
         let serial6 = figure6(&serial_profiled, &opts, &Executor::serial()).unwrap();
 
         let pool = Executor::new(4);
-        let par_profiled = profile_suite(&suite, 1, &opts.sched, &pool, None).unwrap();
+        let par_profiled = profile_suite(&suite, 1, &pool, None).unwrap();
         let par7 = figure7(&par_profiled, &opts, &pool).unwrap();
         let par6 = figure6(&par_profiled, &opts, &pool).unwrap();
 
@@ -922,14 +911,13 @@ mod tests {
         let serial = Executor::serial();
 
         let cold_store = Arc::new(MeasureStore::open(&dir).unwrap());
-        let cold = profile_suite(&suite, 1, &opts.sched, &serial, Some(cold_store)).unwrap();
+        let cold = profile_suite(&suite, 1, &serial, Some(cold_store)).unwrap();
         let first = figure6(&cold, &opts, &serial).unwrap();
         assert!(cold.measured() > 0, "the cold run must actually measure");
         drop(cold); // close the writer log
 
         let warm_store = Arc::new(MeasureStore::open(&dir).unwrap());
-        let warm =
-            profile_suite(&suite, 1, &opts.sched, &serial, Some(warm_store.clone())).unwrap();
+        let warm = profile_suite(&suite, 1, &serial, Some(warm_store.clone())).unwrap();
         assert_eq!(
             warm_store.stats().unwrap().misses,
             0,

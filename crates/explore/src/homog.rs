@@ -300,7 +300,7 @@ fn total_energy(power: &PowerModel, usages: &[UsageProfile], scaling: &ConfigSca
 mod tests {
     use super::*;
     use vliw_power::EnergyShares;
-    use vliw_sched::{SchedWorkspace, ScheduleOptions};
+    use vliw_sched::SchedWorkspace;
     use vliw_workloads::{generate, spec_fp2000};
 
     use crate::profile::profile_benchmark;
@@ -311,7 +311,7 @@ mod tests {
         let design = MachineDesign::paper_machine(1);
         let bench = generate(&spec_fp2000()[spec], 6);
         let mut ws = SchedWorkspace::new();
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
+        let p = profile_benchmark(&bench, design, &mut ws).unwrap();
         let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
         let baseline = optimum_homogeneous_suite(
             std::slice::from_ref(&p),

@@ -104,7 +104,8 @@ pub fn reference_usage_scaled(
 }
 
 /// Schedules and simulates every loop of `bench` on the reference
-/// homogeneous machine, producing the profile the §3 models start from.
+/// homogeneous machine under the unrestricted frequency menu, producing
+/// the profile the §3 models start from.
 ///
 /// `ws` is a caller-provided scheduling workspace, reused across every
 /// loop of the benchmark (and across benchmarks when the caller keeps one
@@ -117,7 +118,6 @@ pub fn reference_usage_scaled(
 pub fn profile_benchmark(
     bench: &Benchmark,
     design: MachineDesign,
-    sched_opts: &ScheduleOptions,
     ws: &mut SchedWorkspace,
 ) -> Result<BenchmarkProfile, SchedError> {
     let config = ClockedConfig::reference(design);
@@ -128,8 +128,10 @@ pub fn profile_benchmark(
 
     for l in &bench.loops {
         let ddg = l.ddg();
-        let mut opts = sched_opts.clone();
-        opts.trip_count = l.trip_count();
+        let opts = ScheduleOptions {
+            trip_count: l.trip_count(),
+            ..ScheduleOptions::default()
+        };
         let sched: ScheduledLoop = schedule_loop_ws(ddg, &config, None, &opts, ws)?;
         let exec_time_ref = sched.exec_time(l.trip_count());
         let invocations = l.weight() * T_TOTAL.as_ns() / exec_time_ref.as_ns();
@@ -190,7 +192,7 @@ mod tests {
         let bench = generate(&spec_fp2000()[1], 8); // swim
         let design = MachineDesign::paper_machine(1);
         let mut ws = SchedWorkspace::new();
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
+        let p = profile_benchmark(&bench, design, &mut ws).unwrap();
         assert_eq!(p.loops.len(), bench.loops.len());
         // Σ invocations · exec_time = T_TOTAL by construction.
         let total: f64 = p
@@ -208,7 +210,7 @@ mod tests {
         let bench = generate(&spec_fp2000()[8], 6); // sixtrack
         let design = MachineDesign::paper_machine(1);
         let mut ws = SchedWorkspace::new();
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
+        let p = profile_benchmark(&bench, design, &mut ws).unwrap();
         let with_recs = p.loops.iter().filter(|l| l.rec_weighted_ins > 0.0).count();
         assert!(
             with_recs >= p.loops.len() - 1,

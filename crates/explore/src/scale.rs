@@ -50,8 +50,8 @@ use serde_json::Value;
 
 use vliw_exec::Executor;
 use vliw_search::{
-    ArchiveEntry, Objectives, ParetoArchive, RacingPlan, ScaledEvaluator, SearchOutcome,
-    SearchSpace, ShardedSpace, Strategy,
+    ArchiveEntry, Objectives, ParetoArchive, ScaledEvaluator, SearchOutcome, SearchSpace,
+    ShardedSpace, Strategy,
 };
 use vliw_store::{EvalObjectives, EvalRecord, MeasureStore, StoreKey};
 
@@ -162,7 +162,7 @@ fn drive<S: SearchSpace<Point = Vec<u32>>>(
     };
     if !racing {
         let evaluator = ScaledEvaluator::full(full).with_warm(warm);
-        return strategy.run_with(space, &evaluator, budget, seed, exec);
+        return strategy.run(space, &evaluator, budget, seed, exec);
     }
     // The screening context: every benchmark truncated to its heaviest
     // loops, with its own power calibration and its own store
@@ -191,9 +191,9 @@ fn drive<S: SearchSpace<Point = Vec<u32>>>(
         obj
     };
     let evaluator = ScaledEvaluator::new(full, screen)
-        .with_racing(RacingPlan::from_budget(budget.min(space.size())))
+        .with_racing()
         .with_warm(warm);
-    strategy.run_with(space, &evaluator, budget, seed, exec)
+    strategy.run(space, &evaluator, budget, seed, exec)
 }
 
 /// Builds the byte-stable report exactly as the original search runner
@@ -677,7 +677,6 @@ impl ShardReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vliw_sched::ScheduleOptions;
     use vliw_workloads::{generate, spec_fp2000, Benchmark};
 
     use crate::experiments::profile_suite;
@@ -690,8 +689,7 @@ mod tests {
     }
 
     fn profiled_with(store: Option<Arc<MeasureStore>>) -> ProfiledSuite {
-        let sched = ScheduleOptions::default();
-        profile_suite(&small_suite(), 1, &sched, &Executor::serial(), store).unwrap()
+        profile_suite(&small_suite(), 1, &Executor::serial(), store).unwrap()
     }
 
     fn profiled() -> ProfiledSuite {

@@ -10,7 +10,7 @@
 //!   supply voltages derived by the same coordinate descent the §3.3
 //!   selection uses. Small enough to enumerate, which is what the
 //!   validation leans on: every strategy with budget ≥ 20 must recover
-//!   the [`Exhaustive`](vliw_search::Exhaustive) winner.
+//!   the [`Exhaustive`](vliw_search::Strategy::Exhaustive) winner.
 //! * [`SpaceKind::Extended`] — a much larger gene space: wider cycle
 //!   factor and slow/fast ratio menus, the fast/slow *split* (1–3 fast
 //!   clusters), the bus width, and explicit per-speed-group, ICN and
@@ -32,7 +32,7 @@
 use serde::Serialize;
 
 use vliw_exec::Executor;
-use vliw_machine::{ClockedConfig, Time, Voltages};
+use vliw_machine::{ClockedConfig, FrequencyMenu, Time, Voltages};
 use vliw_power::{PowerModel, UsageProfile};
 use vliw_search::{ArchiveEntry, GridSpace, Objectives, SearchSpace};
 
@@ -221,11 +221,11 @@ struct BusContext<'a> {
 }
 
 /// Everything a candidate evaluation needs: the space, one calibrated
-/// power model per profiled bus count, and the scheduler options.
+/// power model per profiled bus count, and the frequency menu.
 pub struct SearchContext<'a> {
     space: ConfigSpace,
     buses: Vec<BusContext<'a>>,
-    opts: ExperimentOptions,
+    menu: FrequencyMenu,
 }
 
 impl std::fmt::Debug for SearchContext<'_> {
@@ -242,9 +242,8 @@ impl<'a> SearchContext<'a> {
     /// (one per bus count; the paper space uses only the first).
     ///
     /// The power model is calibrated per suite exactly as
-    /// [`figure6`](crate::experiments::figure6) does, and the
-    /// scheduler options inherit `opts.menu` so measurement matches the
-    /// experiment pipeline.
+    /// [`figure6`](crate::experiments::figure6) does, and estimation and
+    /// measurement both use `opts.menu`, as the experiment pipeline does.
     ///
     /// # Panics
     ///
@@ -271,9 +270,11 @@ impl<'a> SearchContext<'a> {
             SpaceKind::Paper => ConfigSpace::paper(),
             SpaceKind::Extended => ConfigSpace::extended(buses.len()),
         };
-        let mut opts = opts.clone();
-        opts.sched.menu = opts.menu.clone();
-        SearchContext { space, buses, opts }
+        SearchContext {
+            space,
+            buses,
+            menu: opts.menu.clone(),
+        }
     }
 
     /// The candidate space.
@@ -373,7 +374,7 @@ impl<'a> SearchContext<'a> {
                         fast_factor,
                     ))
                 } else {
-                    estimate_usage(profile, base, &self.opts.menu)
+                    estimate_usage(profile, base, &self.menu)
                 }
             })
             .collect();
@@ -403,7 +404,7 @@ impl<'a> SearchContext<'a> {
                 reference_usage_scaled(profile, design.num_clusters, factor)
             } else {
                 bus.suite
-                    .measure_memoised(i, config, &bus.power, &self.opts.sched, exec)
+                    .measure_memoised(i, config, &bus.power, &self.menu, exec)
                     .ok()?
             };
             let energy = bus.power.estimate_energy(config, &usage)?;
@@ -423,14 +424,16 @@ impl<'a> SearchContext<'a> {
     /// everything that determines `evaluate(point(i))` for a canonical
     /// index `i` — the space kind, its menus and gene grid, every
     /// profiled machine shape with its benchmark content hashes and
-    /// calibrated power model, and the scheduler options.
+    /// calibrated power model, and the scheduler's constants and
+    /// frequency menu.
     ///
     /// Two contexts with equal fingerprints agree on every candidate's
     /// objectives, so persisted evaluations keyed by
     /// `(fingerprint, index)` are shareable across processes, shards,
     /// strategies and seeds. Anything that changes a measurement — suite
     /// scale or seed, bus counts, menus, energy shares (via the
-    /// calibrated model), scheduler knobs — changes the fingerprint.
+    /// calibrated model), the scheduler's constants — changes the
+    /// fingerprint.
     #[must_use]
     pub fn space_fingerprint(&self) -> u64 {
         let mut h = vliw_store::StableHasher::new();
@@ -475,7 +478,7 @@ impl<'a> SearchContext<'a> {
             }
             crate::store_keys::hash_power(&mut h, &bus.power);
         }
-        crate::store_keys::hash_sched(&mut h, &self.opts.sched);
+        crate::store_keys::hash_scheduler(&mut h, &self.menu);
         h.finish()
     }
 
@@ -593,7 +596,6 @@ pub struct SearchReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vliw_sched::ScheduleOptions;
     use vliw_search::Strategy;
     use vliw_workloads::{generate, spec_fp2000, Benchmark};
 
@@ -610,8 +612,7 @@ mod tests {
     }
 
     fn profiled() -> ProfiledSuite {
-        let sched = ScheduleOptions::default();
-        profile_suite(&small_suite(), 1, &sched, &Executor::serial(), None).unwrap()
+        profile_suite(&small_suite(), 1, &Executor::serial(), None).unwrap()
     }
 
     /// One plain (non-racing) search over `suite` with default options.

@@ -131,7 +131,7 @@ pub(crate) fn speed_groups(design: MachineDesign, slow_ratio: f64) -> Vec<Vec<us
 mod tests {
     use super::*;
     use vliw_power::EnergyShares;
-    use vliw_sched::{SchedWorkspace, ScheduleOptions};
+    use vliw_sched::SchedWorkspace;
     use vliw_workloads::{generate, spec_fp2000};
 
     use crate::profile::profile_benchmark;
@@ -140,7 +140,7 @@ mod tests {
         let design = MachineDesign::paper_machine(1);
         let bench = generate(&spec_fp2000()[idx], n);
         let mut ws = SchedWorkspace::new();
-        let p = profile_benchmark(&bench, design, &ScheduleOptions::default(), &mut ws).unwrap();
+        let p = profile_benchmark(&bench, design, &mut ws).unwrap();
         let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
         (p, design, power)
     }

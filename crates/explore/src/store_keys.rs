@@ -15,9 +15,9 @@
 //! `DefaultHasher`, which is documented unstable across Rust releases
 //! and therefore never touches disk).
 
-use vliw_machine::{ClockedConfig, Time};
-use vliw_power::{PowerModel, ReferenceProfile, UsageProfile};
-use vliw_sched::ScheduleOptions;
+use vliw_machine::{ClockedConfig, FrequencyMenu, Time};
+use vliw_power::{PowerModel, ReferenceProfile, UsageProfile, SUBTHRESHOLD_SWING_V};
+use vliw_sched::{ims, MAX_IT_ATTEMPTS};
 use vliw_store::{LoopProfileRecord, MeasureRecord, ProfileRecord, StableHasher};
 use vliw_workloads::Benchmark;
 
@@ -60,19 +60,19 @@ pub fn benchmark_content_hash(bench: &Benchmark) -> u64 {
 
 /// Fingerprint of everything on the machine side that determines a
 /// measurement: the machine design, every domain's cycle time and
-/// supply voltage, the scheduler options (menu included; the per-loop
-/// trip count is overwritten while measuring and deliberately left
-/// out), and — when measuring heterogeneous
+/// supply voltage, the scheduler's eject budget and IT-retry cap
+/// followed by the frequency `menu`, and — when measuring heterogeneous
 /// configurations — the calibrated power model driving the
 /// partitioner's ED² objective.
 ///
-/// Reference profiling passes `power: None` (profiles are taken before
-/// the model is calibrated and do not depend on it).
+/// Reference profiling passes `power: None` and the unrestricted menu
+/// (profiles are taken before the model is calibrated and do not depend
+/// on it).
 #[must_use]
 pub fn config_fingerprint(
     config: &ClockedConfig,
     power: Option<&PowerModel>,
-    sched: &ScheduleOptions,
+    menu: &FrequencyMenu,
 ) -> u64 {
     let mut h = StableHasher::new();
     let design = config.design();
@@ -92,7 +92,7 @@ pub fn config_fingerprint(
     }
     h.write_f64(config.voltages().icn);
     h.write_f64(config.voltages().cache);
-    hash_sched(&mut h, sched);
+    hash_scheduler(&mut h, menu);
     match power {
         None => h.write_u8(0),
         Some(p) => {
@@ -103,13 +103,15 @@ pub fn config_fingerprint(
     h.finish()
 }
 
-/// Absorbs the measurement-relevant scheduler options: budget ratio, IT
-/// retry cap, and the frequency menu (the per-loop trip count is
-/// overwritten while measuring and deliberately left out).
-pub(crate) fn hash_sched(h: &mut StableHasher, sched: &ScheduleOptions) {
-    h.write_u32(sched.budget_ratio);
-    h.write_u32(sched.max_it_attempts);
-    match sched.menu.cycle_times_at_least(Time::from_fs(1)) {
+/// Absorbs what a measurement's schedules depend on besides the machine
+/// and the loops: the scheduler's eject budget ([`ims::BUDGET_RATIO`])
+/// and IT-retry cap ([`MAX_IT_ATTEMPTS`]), then the frequency menu.
+/// Hashing the two constants keeps every address as it was when they
+/// were options, and changing either re-addresses every measurement.
+pub(crate) fn hash_scheduler(h: &mut StableHasher, menu: &FrequencyMenu) {
+    h.write_u32(ims::BUDGET_RATIO);
+    h.write_u32(MAX_IT_ATTEMPTS);
+    match menu.cycle_times_at_least(Time::from_fs(1)) {
         // Unrestricted menus have no cycle-time list; tag the variant.
         None => h.write_u64(u64::MAX),
         Some(cts) => {
@@ -144,7 +146,7 @@ pub(crate) fn hash_power(h: &mut StableHasher, p: &PowerModel) {
         a.vdd_ref(),
         a.vth_ref(),
         a.freq_ref_ghz(),
-        a.swing(),
+        SUBTHRESHOLD_SWING_V,
     ] {
         h.write_f64(v);
     }
@@ -255,26 +257,25 @@ mod tests {
     fn config_fingerprint_separates_configs_menus_and_power() {
         let design = MachineDesign::paper_machine(1);
         let reference = ClockedConfig::reference(design);
-        let sched = ScheduleOptions::default();
-        let base = config_fingerprint(&reference, None, &sched);
+        let menu = FrequencyMenu::unrestricted();
+        let base = config_fingerprint(&reference, None, &menu);
         assert_eq!(
             base,
-            config_fingerprint(&reference, None, &sched),
+            config_fingerprint(&reference, None, &menu),
             "pure function of its inputs"
         );
 
         let faster = ClockedConfig::homogeneous(design, Time::from_fs(900_000));
-        assert_ne!(base, config_fingerprint(&faster, None, &sched));
+        assert_ne!(base, config_fingerprint(&faster, None, &menu));
 
-        let mut menu16 = sched.clone();
-        menu16.menu = vliw_machine::FrequencyMenu::from_kind(vliw_machine::MenuKind::Uniform(16));
+        let menu16 = FrequencyMenu::from_kind(vliw_machine::MenuKind::Uniform(16));
         assert_ne!(base, config_fingerprint(&reference, None, &menu16));
 
         let design2 = MachineDesign::paper_machine(2);
         let reference2 = ClockedConfig::reference(design2);
         assert_ne!(
             base,
-            config_fingerprint(&reference2, None, &sched),
+            config_fingerprint(&reference2, None, &menu),
             "the bus count is part of the machine"
         );
 
@@ -288,21 +289,6 @@ mod tests {
                 exec_time: Time::from_ns(1000.0),
             },
         );
-        assert_ne!(base, config_fingerprint(&reference, Some(&power), &sched));
-    }
-
-    #[test]
-    fn trip_count_is_not_part_of_the_config_fingerprint() {
-        // It is overwritten per loop while measuring, so two options
-        // differing only in it must share every memo and store entry.
-        let design = MachineDesign::paper_machine(1);
-        let reference = ClockedConfig::reference(design);
-        let a = ScheduleOptions::default();
-        let mut b = a.clone();
-        b.trip_count = a.trip_count + 1;
-        assert_eq!(
-            config_fingerprint(&reference, None, &a),
-            config_fingerprint(&reference, None, &b)
-        );
+        assert_ne!(base, config_fingerprint(&reference, Some(&power), &menu));
     }
 }

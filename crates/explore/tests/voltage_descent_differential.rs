@@ -18,7 +18,6 @@ use vliw_explore::{
 };
 use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, Time, Voltages};
 use vliw_power::{EnergyShares, PowerModel, UsageProfile};
-use vliw_sched::ScheduleOptions;
 use vliw_workloads::suite_seeded;
 
 const LOOPS: usize = 2;
@@ -146,14 +145,8 @@ fn all_clusters(design: MachineDesign) -> Vec<Vec<usize>> {
 }
 
 fn profiled(seed: u64, buses: u32) -> ProfiledSuite {
-    profile_suite(
-        &suite_seeded(LOOPS, seed),
-        buses,
-        &ScheduleOptions::default(),
-        &Executor::serial(),
-        None,
-    )
-    .expect("generated suites schedule")
+    profile_suite(&suite_seeded(LOOPS, seed), buses, &Executor::serial(), None)
+        .expect("generated suites schedule")
 }
 
 /// Every homogeneous cycle factor's descent, and the suite baseline the

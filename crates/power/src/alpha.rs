@@ -30,7 +30,6 @@ pub struct AlphaPowerModel {
     vdd_ref: f64,
     vth_ref: f64,
     freq_ref_ghz: f64,
-    swing: f64,
 }
 
 impl AlphaPowerModel {
@@ -83,27 +82,7 @@ impl AlphaPowerModel {
             vdd_ref,
             vth_ref,
             freq_ref_ghz,
-            swing: crate::scaling::SUBTHRESHOLD_SWING_V,
         }
-    }
-
-    /// Replaces the effective subthreshold swing (V/decade) used by the
-    /// static-energy scaling paired with this model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `swing` is not positive and finite.
-    #[must_use]
-    pub fn with_swing(mut self, swing: f64) -> Self {
-        assert!(swing.is_finite() && swing > 0.0, "swing must be positive");
-        self.swing = swing;
-        self
-    }
-
-    /// The effective subthreshold swing (V/decade).
-    #[must_use]
-    pub fn swing(&self) -> f64 {
-        self.swing
     }
 
     /// The delay exponent α.

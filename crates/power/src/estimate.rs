@@ -4,7 +4,7 @@ use vliw_machine::{ClockedConfig, DomainId, MachineDesign, Time};
 
 use crate::alpha::AlphaPowerModel;
 use crate::reference::{EnergyShares, EnergyUnits, ReferenceProfile};
-use crate::scaling::{dynamic_scale, static_scale};
+use crate::scaling::{dynamic_scale, static_scale, SUBTHRESHOLD_SWING_V};
 
 /// Resource usage of a program on some (possibly heterogeneous) machine:
 /// where the instructions executed and how long the run took.
@@ -143,13 +143,6 @@ impl PowerModel {
         }
     }
 
-    /// Replaces the α-power model (for technology sensitivity studies).
-    #[must_use]
-    pub fn with_alpha_model(mut self, alpha: AlphaPowerModel) -> Self {
-        self.alpha = alpha;
-        self
-    }
-
     /// The calibrated unit energies.
     #[must_use]
     pub fn units(&self) -> &EnergyUnits {
@@ -191,7 +184,7 @@ impl PowerModel {
                 vth,
                 self.alpha.vdd_ref(),
                 self.alpha.vth_ref(),
-                self.alpha.swing(),
+                SUBTHRESHOLD_SWING_V,
             ),
             vth,
         })
@@ -323,7 +316,7 @@ impl PowerModel {
             self.alpha.vdd_ref(),
             self.alpha.vth_ref(),
             self.alpha.freq_ref_ghz(),
-            self.alpha.swing(),
+            SUBTHRESHOLD_SWING_V,
         ] {
             v.to_bits().hash(&mut h);
         }

@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use vliw_machine::{ClockedConfig, DomainId, MachineDesign, Time, Voltages};
 use vliw_power::{
     dynamic_scale, static_scale, ConfigScaling, EnergyShares, PowerModel, ReferenceProfile,
-    UsageProfile,
+    UsageProfile, SUBTHRESHOLD_SWING_V,
 };
 
 fn model(buses: u32) -> PowerModel {
@@ -33,7 +33,13 @@ fn oracle_energy(power: &PowerModel, config: &ClockedConfig, usage: &UsageProfil
         let vdd = config.voltages().domain(d);
         let vth = alpha.threshold_for(config.domain_cycle(d).freq_ghz(), vdd)?;
         let delta = dynamic_scale(vdd, alpha.vdd_ref());
-        let sigma = static_scale(vdd, vth, alpha.vdd_ref(), alpha.vth_ref(), alpha.swing());
+        let sigma = static_scale(
+            vdd,
+            vth,
+            alpha.vdd_ref(),
+            alpha.vth_ref(),
+            SUBTHRESHOLD_SWING_V,
+        );
         Some((delta, sigma))
     };
     let secs = usage.exec_time.as_secs();

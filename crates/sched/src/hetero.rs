@@ -13,15 +13,14 @@ use crate::timing::{compute_mit, next_it_candidate, LoopClocks};
 use crate::work::{self, phase_done, Phase};
 use crate::workspace::SchedWorkspace;
 
-/// Knobs for [`schedule_loop`].
+/// How many initiation times [`schedule_loop`] tries before giving up.
+pub const MAX_IT_ATTEMPTS: u32 = 256;
+
+/// The inputs of [`schedule_loop`] that vary between calls.
 #[derive(Debug, Clone)]
 pub struct ScheduleOptions {
     /// The frequencies the clock network supports (Figure 7 varies this).
     pub menu: FrequencyMenu,
-    /// Eject-and-retry budget multiplier for the inner IMS.
-    pub budget_ratio: u32,
-    /// How many initiation times to try before giving up.
-    pub max_it_attempts: u32,
     /// Loop trip count assumed by the partitioner's ED² objective.
     pub trip_count: u64,
 }
@@ -30,8 +29,6 @@ impl Default for ScheduleOptions {
     fn default() -> Self {
         ScheduleOptions {
             menu: FrequencyMenu::unrestricted(),
-            budget_ratio: ims::DEFAULT_BUDGET_RATIO,
-            max_it_attempts: 256,
             trip_count: 100,
         }
     }
@@ -185,7 +182,7 @@ fn schedule_impl_untimed(
         trip_count: opts.trip_count,
     };
 
-    for _ in 0..opts.max_it_attempts {
+    for _ in 0..MAX_IT_ATTEMPTS {
         let clocks_start = ws.phase_start();
         let selected = LoopClocks::select(config, &opts.menu, it);
         phase_done(Phase::Clocks, clocks_start);
@@ -215,7 +212,7 @@ fn schedule_impl_untimed(
             let ext_start = ws.phase_start();
             let graph = ExtGraph::build(ddg, assignment, config, &clocks);
             phase_done(Phase::ExtGraph, ext_start);
-            if ims::schedule_into(&graph, config, &clocks, opts.budget_ratio, ws).is_ok() {
+            if ims::schedule_into(&graph, config, &clocks, ws).is_ok() {
                 let scheduled = ScheduledLoop::from_ims(
                     ddg,
                     &graph,
@@ -246,7 +243,7 @@ fn schedule_impl_untimed(
     }
     Err(SchedError::NoSchedule {
         loop_name: ddg.name().to_owned(),
-        attempts: opts.max_it_attempts,
+        attempts: MAX_IT_ATTEMPTS,
         last_it: it,
     })
 }

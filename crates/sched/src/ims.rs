@@ -48,8 +48,9 @@ pub enum ImsFailure {
     RegisterPressure(Vec<u32>),
 }
 
-/// Default eject-and-retry budget multiplier.
-pub const DEFAULT_BUDGET_RATIO: u32 = 16;
+/// Eject-and-retry budget multiplier: an attempt may place at most
+/// `BUDGET_RATIO` × nodes operations before it gives up on this `IT`.
+pub const BUDGET_RATIO: u32 = 16;
 
 /// Hard cap on issue cycles, guarding against runaway forced placement.
 const CYCLE_CAP: u64 = 1 << 20;
@@ -69,10 +70,9 @@ pub fn schedule(
     graph: &ExtGraph,
     config: &ClockedConfig,
     clocks: &LoopClocks,
-    budget_ratio: u32,
 ) -> Result<ImsResult, ImsFailure> {
     let mut ws = SchedWorkspace::new();
-    schedule_into(graph, config, clocks, budget_ratio, &mut ws)?;
+    schedule_into(graph, config, clocks, &mut ws)?;
     Ok(ImsResult {
         issue_cycles: ws.issue_cycles().to_vec(),
         issue_ticks: ws.issue_ticks().to_vec(),
@@ -98,7 +98,6 @@ pub fn schedule_into(
     graph: &ExtGraph,
     config: &ClockedConfig,
     clocks: &LoopClocks,
-    budget_ratio: u32,
     ws: &mut SchedWorkspace,
 ) -> Result<(), ImsFailure> {
     let n = graph.num_nodes();
@@ -112,7 +111,7 @@ pub fn schedule_into(
         return Ok(());
     }
     let place_start = ws.phase_start();
-    let placed = place(graph, config, clocks, budget_ratio, ws);
+    let placed = place(graph, config, clocks, ws);
     phase_done(Phase::Place, place_start);
     placed?;
 
@@ -165,7 +164,6 @@ fn place(
     graph: &ExtGraph,
     config: &ClockedConfig,
     clocks: &LoopClocks,
-    budget_ratio: u32,
     ws: &mut SchedWorkspace,
 ) -> Result<(), ImsFailure> {
     let n = graph.num_nodes();
@@ -190,7 +188,7 @@ fn place(
     ws.sched.resize(n, None);
     ws.prev_cycle.clear();
     ws.prev_cycle.resize(n, None);
-    let mut budget: u64 = u64::from(budget_ratio) * n as u64;
+    let mut budget: u64 = u64::from(BUDGET_RATIO) * n as u64;
 
     // Disjoint field borrows for the placement loop.
     let SchedWorkspace {
@@ -671,7 +669,7 @@ mod tests {
         let clocks = clocks_for(&config, 4.0);
         let ddg = int_chain(4);
         let g = ExtGraph::build(&ddg, &[ClusterId(0); 4], &config, &clocks);
-        let r = schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO).unwrap();
+        let r = schedule(&g, &config, &clocks).unwrap();
         assert_valid(&g, &clocks, &r);
         // Ops issue one per cycle down the chain.
         for w in r.issue_ticks.windows(2) {
@@ -701,7 +699,7 @@ mod tests {
         }
         let ddg = b.build().unwrap();
         let g = ExtGraph::build(&ddg, &[ClusterId(0); 3], &config, &clocks);
-        let r = schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO).unwrap();
+        let r = schedule(&g, &config, &clocks).unwrap();
         let mut rows: Vec<u64> = r.issue_cycles.iter().map(|c| c % 3).collect();
         rows.sort_unstable();
         assert_eq!(rows, vec![0, 1, 2]);
@@ -729,7 +727,7 @@ mod tests {
         let ddg = b.build().unwrap();
         let g = ExtGraph::build(&ddg, &[ClusterId(0); 4], &config, &clocks);
         assert_eq!(
-            schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO),
+            schedule(&g, &config, &clocks),
             Err(ImsFailure::BudgetExhausted)
         );
     }
@@ -745,7 +743,7 @@ mod tests {
         let ddg = b.build().unwrap();
         let g = ExtGraph::build(&ddg, &[ClusterId(0)], &config, &clocks);
         assert_eq!(
-            schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO),
+            schedule(&g, &config, &clocks),
             Err(ImsFailure::PositiveCycle)
         );
     }
@@ -759,7 +757,7 @@ mod tests {
         b.flow_carried(a, a, 1);
         let ddg = b.build().unwrap();
         let g = ExtGraph::build(&ddg, &[ClusterId(0)], &config, &clocks);
-        let r = schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO).unwrap();
+        let r = schedule(&g, &config, &clocks).unwrap();
         assert_valid(&g, &clocks, &r);
     }
 
@@ -770,7 +768,7 @@ mod tests {
         let ddg = int_chain(2);
         let g = ExtGraph::build(&ddg, &[ClusterId(0), ClusterId(1)], &config, &clocks);
         assert_eq!(g.copies().len(), 1);
-        let r = schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO).unwrap();
+        let r = schedule(&g, &config, &clocks).unwrap();
         assert_valid(&g, &clocks, &r);
         // Copy issues after the producer's result and before the consumer.
         assert!(r.issue_ticks[2] > r.issue_ticks[0]);
@@ -798,7 +796,7 @@ mod tests {
             &clocks,
         );
         assert_eq!(g.copies().len(), 2);
-        let r = schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO).unwrap();
+        let r = schedule(&g, &config, &clocks).unwrap();
         assert_valid(&g, &clocks, &r);
         assert_ne!(r.issue_cycles[4] % 2, r.issue_cycles[5] % 2);
     }
@@ -817,7 +815,7 @@ mod tests {
             &config,
             &clocks,
         );
-        let r = schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO).unwrap();
+        let r = schedule(&g, &config, &clocks).unwrap();
         assert_valid(&g, &clocks, &r);
         assert_eq!(g.copies().len(), 3);
     }
@@ -851,7 +849,7 @@ mod tests {
         let _ = sink;
         let ddg = b.build().unwrap();
         let g = ExtGraph::build(&ddg, &[ClusterId(0); 8], &config, &clocks);
-        match schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO) {
+        match schedule(&g, &config, &clocks) {
             Err(ImsFailure::RegisterPressure(lv)) => assert!(lv[0] > 2),
             other => panic!("expected register pressure, got {other:?}"),
         }
@@ -875,7 +873,7 @@ mod tests {
         let clocks = clocks_for(&config, 1.0);
         let ddg = DdgBuilder::new("empty").build().unwrap();
         let g = ExtGraph::build(&ddg, &[], &config, &clocks);
-        let r = schedule(&g, &config, &clocks, DEFAULT_BUDGET_RATIO).unwrap();
+        let r = schedule(&g, &config, &clocks).unwrap();
         assert!(r.issue_cycles.is_empty());
     }
 
@@ -956,7 +954,7 @@ mod tests {
                 for it in 2..40 {
                     let clocks = clocks_for(&config, f64::from(it));
                     let g = ExtGraph::build(&ddg, &assignment, &config, &clocks);
-                    if schedule_into(&g, &config, &clocks, DEFAULT_BUDGET_RATIO, &mut ws)
+                    if schedule_into(&g, &config, &clocks, &mut ws)
                         .is_err()
                     {
                         continue;

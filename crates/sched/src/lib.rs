@@ -21,6 +21,14 @@
 //! 5. on failure (resources, recurrences or register pressure), increase
 //!    the `IT` and retry.
 //!
+//! Two inputs vary between calls and make up [`ScheduleOptions`]: the
+//! frequency menu (Figure 7 sweeps it) and the loop's trip count. The
+//! rest of the flow's tuning is constant: an IMS attempt may place at
+//! most [`ims::BUDGET_RATIO`] × nodes operations, and the driver tries at
+//! most [`MAX_IT_ATTEMPTS`] initiation times. The measurement store
+//! hashes both constants into every content address, so changing one
+//! re-addresses every stored measurement.
+//!
 //! The same machinery schedules *homogeneous* machines (the paper's
 //! baseline \[2\]\[3\]) — pass a homogeneous [`ClockedConfig`] and no power
 //! model, and the ED² objective degenerates to execution time.
@@ -94,7 +102,9 @@ mod workspace;
 
 pub use comm::{ExtEdge, ExtGraph, NodeId, NodePlace};
 pub use error::SchedError;
-pub use hetero::{schedule_loop, schedule_loop_with_partition, schedule_loop_ws, ScheduleOptions};
+pub use hetero::{
+    schedule_loop, schedule_loop_with_partition, schedule_loop_ws, ScheduleOptions, MAX_IT_ATTEMPTS,
+};
 pub use mrt::{BusMrt, ClusterMrt};
 pub use partition::{compute_partition, partition_candidates_ws, Partition, PartitionObjective};
 pub use regs::{lifetime_sum_ticks, max_lives};

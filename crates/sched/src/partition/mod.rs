@@ -67,14 +67,6 @@ pub struct Partition {
 }
 
 impl Partition {
-    /// The trivial partition placing everything in cluster 0.
-    #[must_use]
-    pub fn all_in_first(num_ops: usize) -> Self {
-        Partition {
-            assignment: vec![ClusterId(0); num_ops],
-        }
-    }
-
     /// Number of operations covered.
     #[must_use]
     pub fn len(&self) -> usize {

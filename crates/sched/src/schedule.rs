@@ -158,19 +158,6 @@ impl ScheduledLoop {
         self.it_length_ticks
     }
 
-    /// Stage count of cluster `c`: how many iterations overlap there.
-    #[must_use]
-    pub fn stage_count(&self, c: ClusterId) -> u64 {
-        let ii = self.clocks.cluster_ii(c);
-        self.assignment
-            .iter()
-            .zip(&self.op_cycles)
-            .filter(|&(&a, _)| a == c)
-            .map(|(_, &cycle)| cycle / ii + 1)
-            .max()
-            .unwrap_or(0)
-    }
-
     /// MaxLives per cluster.
     #[must_use]
     pub fn max_live(&self) -> &[u32] {

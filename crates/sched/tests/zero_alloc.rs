@@ -128,13 +128,13 @@ fn second_pass_through_workspace_allocates_nothing() {
 
     let mut ws = SchedWorkspace::new();
     // First pass grows every buffer to its steady-state capacity.
-    ims::schedule_into(&graph, &config, &clocks, ims::DEFAULT_BUDGET_RATIO, &mut ws)
+    ims::schedule_into(&graph, &config, &clocks, &mut ws)
         .expect("representative loop schedules at IT 6 ns");
     let first_cycles: Vec<u64> = ws.issue_cycles().to_vec();
 
     // Second pass: identical work, zero allocations.
     let before = allocations();
-    let result = ims::schedule_into(&graph, &config, &clocks, ims::DEFAULT_BUDGET_RATIO, &mut ws);
+    let result = ims::schedule_into(&graph, &config, &clocks, &mut ws);
     let after = allocations();
     assert!(result.is_ok(), "second pass schedules identically");
     assert_eq!(
@@ -168,40 +168,12 @@ fn it_retry_reuse_allocates_nothing_once_warm() {
 
     let mut ws = SchedWorkspace::new();
     // Warm both IT shapes (8 cycles is the larger MRT).
-    ims::schedule_into(
-        &graph_b,
-        &config,
-        &clocks_b,
-        ims::DEFAULT_BUDGET_RATIO,
-        &mut ws,
-    )
-    .unwrap();
-    ims::schedule_into(
-        &graph_a,
-        &config,
-        &clocks_a,
-        ims::DEFAULT_BUDGET_RATIO,
-        &mut ws,
-    )
-    .unwrap();
+    ims::schedule_into(&graph_b, &config, &clocks_b, &mut ws).unwrap();
+    ims::schedule_into(&graph_a, &config, &clocks_a, &mut ws).unwrap();
 
     let before = allocations();
-    ims::schedule_into(
-        &graph_b,
-        &config,
-        &clocks_b,
-        ims::DEFAULT_BUDGET_RATIO,
-        &mut ws,
-    )
-    .unwrap();
-    ims::schedule_into(
-        &graph_a,
-        &config,
-        &clocks_a,
-        ims::DEFAULT_BUDGET_RATIO,
-        &mut ws,
-    )
-    .unwrap();
+    ims::schedule_into(&graph_b, &config, &clocks_b, &mut ws).unwrap();
+    ims::schedule_into(&graph_a, &config, &clocks_a, &mut ws).unwrap();
     let after = allocations();
     assert_eq!(
         after - before,
@@ -229,7 +201,7 @@ fn metrics_enabled_steady_state_allocates_nothing() {
     let graph = ExtGraph::build(&ddg, &assignment, &config, &clocks);
 
     let mut ws = SchedWorkspace::new();
-    ims::schedule_into(&graph, &config, &clocks, ims::DEFAULT_BUDGET_RATIO, &mut ws).unwrap();
+    ims::schedule_into(&graph, &config, &clocks, &mut ws).unwrap();
     // Warm the handles (first intern inserts into the registry).
     let loops = vliw_obs::counter("zero_alloc_loops_total");
     let nanos = vliw_obs::histogram("zero_alloc_schedule_nanos");
@@ -241,7 +213,7 @@ fn metrics_enabled_steady_state_allocates_nothing() {
     let before = allocations();
     loops.inc();
     let start = vliw_obs::timer_start();
-    ims::schedule_into(&graph, &config, &clocks, ims::DEFAULT_BUDGET_RATIO, &mut ws).unwrap();
+    ims::schedule_into(&graph, &config, &clocks, &mut ws).unwrap();
     if let Some(s) = start {
         nanos.record(vliw_obs::elapsed_nanos(s));
     }
@@ -283,10 +255,10 @@ fn multi_word_mrt_reuse_allocates_nothing_once_warm() {
     let graph = ExtGraph::build(&ddg, &assignment, &config, &clocks);
 
     let mut ws = SchedWorkspace::new();
-    ims::schedule_into(&graph, &config, &clocks, ims::DEFAULT_BUDGET_RATIO, &mut ws).unwrap();
+    ims::schedule_into(&graph, &config, &clocks, &mut ws).unwrap();
 
     let before = allocations();
-    ims::schedule_into(&graph, &config, &clocks, ims::DEFAULT_BUDGET_RATIO, &mut ws).unwrap();
+    ims::schedule_into(&graph, &config, &clocks, &mut ws).unwrap();
     let after = allocations();
     assert_eq!(
         after - before,

@@ -1,4 +1,4 @@
-//! The [`Evaluator`] abstraction: what the optimizers call to score a
+//! The [`Evaluator`] abstraction: what the strategies call to score a
 //! candidate, extended with the two scaling hooks the engine understands
 //! — successive-halving **racing** (a cheap screening measurement gates
 //! promotion to the full measurement) and **warm starts** (persisted
@@ -8,7 +8,7 @@
 //! [`Evaluator`] via the blanket impl (full measurement only, no
 //! screening, no warm entries), so every pre-existing call site keeps
 //! working unchanged. [`ScaledEvaluator`] composes a full-measurement
-//! closure with a screening closure, a [`RacingPlan`] and a warm-entry
+//! closure with a screening closure, the racing switch and a warm-entry
 //! table without requiring a hand-written trait impl.
 //!
 //! # Equivalence contract
@@ -27,45 +27,30 @@ use vliw_exec::Executor;
 
 use crate::space::Objectives;
 
-/// Successive-halving parameters for a racing evaluator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RacingPlan {
-    /// Smallest fresh-candidate batch racing engages on. Below this the
-    /// batch is fully measured — screening one or two candidates saves
-    /// nothing and single-candidate batches (hill-climb starts,
-    /// annealing proposals) must stay exact.
-    pub min_batch: usize,
-    /// Halving factor: `ceil(n / eta)` screened candidates survive each
-    /// rung.
-    pub eta: u64,
-    /// Hard cap on survivors promoted per rung, derived from the budget
-    /// so one oversized batch cannot swallow the whole run.
-    pub max_rung: u64,
+/// Smallest fresh-candidate batch racing engages on. Below this the
+/// batch is fully measured — screening one or two candidates saves
+/// nothing and single-candidate batches (hill-climb starts, annealing
+/// proposals) must stay exact.
+pub(crate) const MIN_BATCH: usize = 4;
+
+/// Halving factor: `ceil(n / ETA)` screened candidates survive each rung.
+const ETA: u64 = 2;
+
+/// Hard cap on survivors promoted per rung for a run of
+/// `effective_budget` evaluations: a quarter of it (at least 1), so one
+/// oversized batch cannot swallow the whole run.
+pub(crate) fn rung_cap(effective_budget: u64) -> u64 {
+    (effective_budget / 4).max(1)
 }
 
-impl RacingPlan {
-    /// The default plan for a given evaluation budget: engage at batches
-    /// of 4, halve each rung (`eta = 2`), and cap rungs at a quarter of
-    /// the budget (at least 1).
-    #[must_use]
-    pub fn from_budget(budget: u64) -> Self {
-        RacingPlan {
-            min_batch: 4,
-            eta: 2,
-            max_rung: (budget / 4).max(1),
-        }
-    }
-
-    /// Survivors of a rung over `fresh` screened candidates:
-    /// `min(ceil(fresh / eta), max_rung)`, at least 1.
-    #[must_use]
-    pub fn survivors(&self, fresh: usize) -> usize {
-        let halved = (fresh as u64).div_ceil(self.eta.max(1)).max(1);
-        usize::try_from(halved.min(self.max_rung.max(1))).unwrap_or(fresh)
-    }
+/// Survivors of a rung over `fresh` screened candidates:
+/// `min(ceil(fresh / ETA), max_rung)`, at least 1.
+pub(crate) fn survivors(fresh: usize, max_rung: u64) -> usize {
+    let halved = (fresh as u64).div_ceil(ETA).max(1);
+    usize::try_from(halved.min(max_rung)).unwrap_or(fresh)
 }
 
-/// Scores candidates for the optimizers.
+/// Scores candidates for the strategies.
 ///
 /// Implementations must be deterministic: the same point yields the
 /// same objectives on every call, worker count and machine. `None`
@@ -83,14 +68,15 @@ pub trait Evaluator<P>: Sync {
         self.evaluate(point, exec)
     }
 
-    /// The racing plan, or `None` to measure every candidate fully.
-    fn racing(&self) -> Option<RacingPlan> {
-        None
+    /// Whether batches race (screen, then promote the best of each
+    /// rung), or `false` to measure every candidate fully.
+    fn racing(&self) -> bool {
+        false
     }
 
     /// Persisted evaluations to warm-start from, as `(canonical index,
     /// result)` pairs sorted by index. Warm entries pre-seed the Pareto
-    /// archive before the first optimizer step and replace the
+    /// archive before the first strategy step and replace the
     /// [`evaluate`](Evaluator::evaluate) call when the walk first
     /// touches that index — the touch still consumes budget and updates
     /// memo/archive/trace exactly as a measurement would, so a warm run
@@ -110,12 +96,12 @@ where
 }
 
 /// An [`Evaluator`] assembled from closures plus the scaling knobs:
-/// a full-measurement function, an optional screening function with its
-/// [`RacingPlan`], and an optional warm-entry table.
+/// a full-measurement function, a screening function that racing ranks
+/// by, and an optional warm-entry table.
 pub struct ScaledEvaluator<F, G> {
     full: F,
     screening: G,
-    racing: Option<RacingPlan>,
+    racing: bool,
     warm: Vec<(u64, Option<Objectives>)>,
 }
 
@@ -138,7 +124,7 @@ where
         ScaledEvaluator {
             full: evaluate.clone(),
             screening: evaluate,
-            racing: None,
+            racing: false,
             warm: Vec::new(),
         }
     }
@@ -151,15 +137,17 @@ impl<F, G> ScaledEvaluator<F, G> {
         ScaledEvaluator {
             full,
             screening,
-            racing: None,
+            racing: false,
             warm: Vec::new(),
         }
     }
 
-    /// Enables successive-halving racing with `plan`.
+    /// Enables successive-halving racing: batches of at least 4 fresh
+    /// candidates are screened, and the better half of each rung, at
+    /// most a quarter of the run's budget, is measured fully.
     #[must_use]
-    pub fn with_racing(mut self, plan: RacingPlan) -> Self {
-        self.racing = Some(plan);
+    pub fn with_racing(mut self) -> Self {
+        self.racing = true;
         self
     }
 
@@ -193,7 +181,7 @@ where
         (self.screening)(point, exec)
     }
 
-    fn racing(&self) -> Option<RacingPlan> {
+    fn racing(&self) -> bool {
         self.racing
     }
 
@@ -208,23 +196,17 @@ mod tests {
 
     #[test]
     fn plan_from_budget_scales_rungs() {
-        let plan = RacingPlan::from_budget(64);
-        assert_eq!((plan.min_batch, plan.eta, plan.max_rung), (4, 2, 16));
-        assert_eq!(RacingPlan::from_budget(0).max_rung, 1);
-        assert_eq!(RacingPlan::from_budget(3).max_rung, 1);
+        assert_eq!(rung_cap(64), 16);
+        assert_eq!(rung_cap(0), 1);
+        assert_eq!(rung_cap(3), 1);
     }
 
     #[test]
     fn survivors_halve_and_cap() {
-        let plan = RacingPlan {
-            min_batch: 4,
-            eta: 2,
-            max_rung: 3,
-        };
-        assert_eq!(plan.survivors(8), 3); // ceil(8/2)=4, capped at 3
-        assert_eq!(plan.survivors(5), 3);
-        assert_eq!(plan.survivors(4), 2);
-        assert_eq!(plan.survivors(1), 1);
+        assert_eq!(survivors(8, 3), 3); // ceil(8/2)=4, capped at 3
+        assert_eq!(survivors(5, 3), 3);
+        assert_eq!(survivors(4, 3), 2);
+        assert_eq!(survivors(1, 3), 1);
     }
 
     #[test]

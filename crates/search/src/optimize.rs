@@ -1,5 +1,5 @@
-//! The [`Optimizer`] interface, the shared evaluation state every
-//! strategy runs on, and the [`SearchOutcome`] they all return.
+//! The shared evaluation state every strategy runs on, and the
+//! [`SearchOutcome`] they all return.
 
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
@@ -7,7 +7,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use vliw_exec::Executor;
 
 use crate::archive::{ArchiveEntry, ParetoArchive};
-use crate::evaluate::{Evaluator, RacingPlan};
+use crate::evaluate::{rung_cap, survivors, Evaluator, MIN_BATCH};
 use crate::obs_counters;
 use crate::space::{Objectives, SearchSpace};
 
@@ -72,61 +72,6 @@ impl<P: Clone> SearchOutcome<P> {
     }
 }
 
-/// A design-space search strategy.
-///
-/// Implementations must be deterministic functions of `(space, evaluate,
-/// budget, seed)`: random decisions come from `seed` alone, and candidate
-/// batches are fanned out through the executor's order-preserving `map`,
-/// so the outcome is identical for every worker count.
-pub trait Optimizer {
-    /// The strategy's stable name (CLI/JSON identifier).
-    fn name(&self) -> &'static str;
-
-    /// Runs the strategy until `budget` distinct candidate evaluations
-    /// are spent (or the whole space is evaluated, whichever comes
-    /// first), fanning evaluation batches across `exec`.
-    ///
-    /// `evaluate` is any [`Evaluator`] — a plain closure via the blanket
-    /// impl, or a [`crate::ScaledEvaluator`] carrying racing and
-    /// warm-start hooks. It returns `None` for infeasible candidates;
-    /// infeasible evaluations still consume budget (they cost the same
-    /// work). Each call receives an [`Executor`] for its *internal*
-    /// fan-out: the full pool when the engine has only one fresh
-    /// candidate to evaluate (sequential strategies like annealing would
-    /// otherwise leave every worker idle), the serial executor when
-    /// candidates themselves are being fanned out in parallel.
-    /// Evaluations must be deterministic for every worker count, as
-    /// everything built on `Executor::map` is.
-    ///
-    /// Budget left over when a strategy's stochastic phase stalls (its
-    /// restart/proposal/generation caps trip because random moves keep
-    /// revisiting evaluated points) is spent scanning unevaluated
-    /// candidates in index order. Consequently a budget of at least the
-    /// space size always yields full coverage — and therefore the
-    /// exhaustive-sweep optimum, the property the paper-grid validation
-    /// pins.
-    fn run_with<S, F>(
-        &self,
-        space: &S,
-        evaluate: &F,
-        budget: u64,
-        seed: u64,
-        exec: &Executor,
-    ) -> SearchOutcome<S::Point>
-    where
-        S: SearchSpace,
-        F: Evaluator<S::Point>;
-
-    /// [`Optimizer::run_with`] on the calling thread only.
-    fn run<S, F>(&self, space: &S, evaluate: &F, budget: u64, seed: u64) -> SearchOutcome<S::Point>
-    where
-        S: SearchSpace,
-        F: Evaluator<S::Point>,
-    {
-        self.run_with(space, evaluate, budget, seed, &Executor::serial())
-    }
-}
-
 /// The evaluation engine shared by every strategy: a memo table over
 /// canonical indices, the distinct-evaluation budget, the Pareto archive
 /// and the convergence trace — plus the racing screen memo and the
@@ -144,8 +89,9 @@ pub(crate) struct State<'a, S: SearchSpace, F> {
     archive: ParetoArchive<S::Point>,
     trace: Vec<TracePoint>,
     best: Option<(Objectives, u64)>,
-    /// Successive-halving parameters, when the evaluator races.
-    racing: Option<RacingPlan>,
+    /// Per-rung promotion cap when the evaluator races, derived from
+    /// the effective budget; `None` measures every candidate fully.
+    max_rung: Option<u64>,
     /// Screening results (racing only). Screens are free — they consume
     /// no budget — and never reach the memo, archive or trace.
     screen_memo: BTreeMap<u64, Option<Objectives>>,
@@ -168,7 +114,7 @@ where
         for &(idx, obj) in evaluate.warm() {
             assert!(idx < space.size(), "warm index {idx} out of range");
             warm.insert(idx, obj);
-            // Seed the archive before the first optimizer step: persisted
+            // Seed the archive before the first strategy step: persisted
             // feasible results are part of the frontier even if this
             // run's walk never touches them again (resume semantics).
             if let Some(o) = obj {
@@ -183,18 +129,19 @@ where
                 }
             }
         }
+        let effective_budget = budget.min(space.size());
         State {
             space,
             evaluate,
             exec,
-            effective_budget: budget.min(space.size()),
+            effective_budget,
             requested_budget: budget,
             memo: BTreeMap::new(),
             evaluations: 0,
             archive,
             trace: Vec::new(),
             best: None,
-            racing: evaluate.racing(),
+            max_rung: evaluate.racing().then(|| rung_cap(effective_budget)),
             screen_memo: BTreeMap::new(),
             screened: 0,
             warm,
@@ -243,8 +190,8 @@ where
         // consume no budget and never reach the archive; losers simply
         // stay un-memoised (they answer `None` this batch and remain
         // eligible for later rungs, where their cached screen is free).
-        if let Some(plan) = self.racing {
-            if fresh.len() >= plan.min_batch {
+        if let Some(max_rung) = self.max_rung {
+            if fresh.len() >= MIN_BATCH {
                 let to_screen: Vec<(u64, S::Point)> = fresh
                     .iter()
                     .filter(|(i, _)| !self.screen_memo.contains_key(i))
@@ -273,7 +220,7 @@ where
                 });
                 let keep: BTreeSet<u64> = order
                     .iter()
-                    .take(plan.survivors(fresh.len()))
+                    .take(survivors(fresh.len(), max_rung))
                     .map(|&i| fresh[i].0)
                     .collect();
                 fresh.retain(|(i, _)| keep.contains(i));

@@ -70,7 +70,7 @@ impl Objectives {
     }
 }
 
-/// A finite, indexable candidate space the optimizers walk.
+/// A finite, indexable candidate space the strategies walk.
 ///
 /// Every point has a canonical index in `0..size()`; the index is the
 /// memoisation key, the deterministic tie-breaker, and the random-sampling

@@ -8,8 +8,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vliw_exec::Executor;
 use vliw_search::{
-    ArchiveEntry, Exhaustive, GridSpace, Objectives, Optimizer, ParetoArchive, SearchSpace,
-    ShardedSpace, Strategy,
+    ArchiveEntry, GridSpace, Objectives, ParetoArchive, SearchSpace, ShardedSpace, Strategy,
 };
 
 /// A deterministic synthetic objective with an infeasible pocket, like
@@ -41,7 +40,7 @@ fn merged_frontier(
     let mut merged = ParetoArchive::new();
     for &k in shard_order {
         let shard = ShardedSpace::new(grid, k, count);
-        let outcome = strat.run(&shard, &synth, shard.size(), 5);
+        let outcome = strat.run(&shard, &synth, shard.size(), 5, &Executor::serial());
         assert_eq!(
             outcome.evaluations,
             shard.size(),
@@ -73,7 +72,7 @@ proptest! {
         let grid = GridSpace::new(dims);
         let count = count.min(grid.size());
         let strat = Strategy::ALL[strat_i];
-        let truth = Exhaustive.run(&grid, &synth, u64::MAX, 0);
+        let truth = Strategy::Exhaustive.run(&grid, &synth, u64::MAX, 0, &Executor::serial());
         let mut order: Vec<u64> = (0..count).collect();
         if reverse == 1 {
             order.reverse();

@@ -36,8 +36,9 @@ pub struct StoreKey {
     /// counts, weights) — independent of how the benchmark was obtained.
     pub content: u64,
     /// Fingerprint of the full machine configuration: cycle times,
-    /// voltages, buses, scheduler options and the calibrated power
-    /// model, all hashed by exact bit pattern.
+    /// voltages, buses, the scheduler's eject budget and IT-retry cap,
+    /// the frequency menu and the calibrated power model, all hashed by
+    /// exact bit pattern.
     pub config: u64,
 }
 

@@ -12,7 +12,6 @@ use heterovliw::explore::experiments::{profile_suite, run_benchmark, ExperimentO
 use heterovliw::explore::{optimum_homogeneous_suite, select_heterogeneous, suite_reference};
 use heterovliw::machine::FrequencyMenu;
 use heterovliw::power::{EnergyShares, PowerModel};
-use heterovliw::sched::ScheduleOptions;
 use heterovliw::workloads::{generate, spec_fp2000};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -28,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // A one-benchmark suite on the 1-bus machine, run serially.
     let serial = Executor::serial();
-    let profiled = profile_suite(&[bench], 1, &ScheduleOptions::default(), &serial, None)?;
+    let profiled = profile_suite(&[bench], 1, &serial, None)?;
     let (design, profile) = (profiled.design, &profiled.profiles[0]);
     println!(
         "reference run: {:.0} weighted instructions, {} comms, {} memory accesses",

@@ -51,7 +51,7 @@ fn figure6_shape_holds_on_reduced_suite() {
         generate(&spec_fp2000()[1], 8),
     ];
     let serial = Executor::serial();
-    let profiled = profile_suite(&benches, 1, &ScheduleOptions::default(), &serial, None).unwrap();
+    let profiled = profile_suite(&benches, 1, &serial, None).unwrap();
     let rows = figure6(&profiled, &ExperimentOptions::default(), &serial).unwrap();
     assert_eq!(rows.len(), 3);
     let sixtrack = rows.iter().find(|r| r.benchmark == "200.sixtrack").unwrap();
