@@ -2,7 +2,7 @@
 //! from the reference profile (§3.2 of the paper).
 
 use vliw_machine::{ClockedConfig, ClusterId, FrequencyMenu, Time};
-use vliw_power::{PowerModel, UsageProfile};
+use vliw_power::{ed2, PowerModel, UsageProfile};
 use vliw_sched::timing::{next_it_candidate, LoopClocks};
 
 use crate::profile::{BenchmarkProfile, LoopProfile};
@@ -29,7 +29,7 @@ pub struct HetEstimate {
 ///
 /// Returns `None` when no `IT` within the search horizon qualifies.
 #[must_use]
-pub fn estimate_loop_it(
+pub(crate) fn estimate_loop_it(
     profile: &LoopProfile,
     config: &ClockedConfig,
     menu: &FrequencyMenu,
@@ -102,8 +102,14 @@ pub fn estimate_it_length(profile: &LoopProfile, config: &ClockedConfig) -> Time
 }
 
 /// Estimates the *usage profile* (per-cluster instruction distribution,
-/// event counts, execution time) of a whole benchmark on `config` — the
-/// voltage-independent half of [`estimate_program`].
+/// event counts, execution time) of a whole benchmark on `config`: the
+/// voltage-independent half of an estimate, priced by [`price_usage`].
+///
+/// A frequency-homogeneous `config` gets the exact §5.1 usage,
+/// [`UsageProfile::homogeneous`]. Any other gets the §3.2 estimate: each
+/// loop's `IT` from its reference profile, the `it_length`
+/// approximation, and the critical-recurrence instructions attributed to
+/// the fastest cluster(s) with the rest spread by slot capacity.
 ///
 /// Cycle times and the frequency menu fully determine the result; supply
 /// voltages only enter the energy model afterwards. The selection scheme
@@ -118,6 +124,9 @@ pub fn estimate_usage(
     config: &ClockedConfig,
     menu: &FrequencyMenu,
 ) -> Option<UsageProfile> {
+    if let Some(usage) = UsageProfile::homogeneous(&profile.reference, config) {
+        return Some(usage);
+    }
     let design = config.design();
     let fastest = config.fastest_cluster_cycle();
     let fast_clusters: Vec<ClusterId> = design
@@ -193,29 +202,11 @@ pub fn price_usage(
     power: &PowerModel,
 ) -> Option<HetEstimate> {
     let energy = power.estimate_energy(config, usage)?;
-    let secs = usage.exec_time.as_secs();
     Some(HetEstimate {
         exec_time: usage.exec_time,
         energy,
-        ed2: energy * secs * secs,
+        ed2: ed2(energy, usage.exec_time.as_secs()),
     })
-}
-
-/// Estimates a whole benchmark on `config`: execution time via
-/// [`estimate_loop_it`] + the `it_length` approximation, energy via the §3.1 model
-/// with the critical-recurrence instructions attributed to the fastest
-/// cluster(s) and the rest to the remaining clusters.
-///
-/// Returns `None` when some loop cannot synchronise or a domain's
-/// (frequency, voltage) pair is electrically infeasible.
-#[must_use]
-pub fn estimate_program(
-    profile: &BenchmarkProfile,
-    config: &ClockedConfig,
-    menu: &FrequencyMenu,
-    power: &PowerModel,
-) -> Option<HetEstimate> {
-    price_usage(&estimate_usage(profile, config, menu)?, config, power)
 }
 
 #[cfg(test)]
@@ -238,10 +229,14 @@ mod tests {
 
     #[test]
     fn reference_estimate_is_consistent_with_profile() {
-        let (p, design) = profiled(1, 8); // swim
-        let config = ClockedConfig::reference(design);
+        // swim on one cluster at the reference cycle and three 25% slower:
+        // a heterogeneous machine, so the §3.2 estimator answers.
+        let (p, design) = profiled(1, 8);
+        let config =
+            ClockedConfig::heterogeneous(design, Time::from_ns(1.0), 1, Time::from_ns(1.25));
         let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
-        let est = estimate_program(&p, &config, &FrequencyMenu::unrestricted(), &power).unwrap();
+        let usage = estimate_usage(&p, &config, &FrequencyMenu::unrestricted()).unwrap();
+        let est = price_usage(&usage, &config, &power).unwrap();
         // The IT estimator lower-bounds the scheduler (it ignores schedule
         // imperfection), so estimated time is within ~2× of the measured
         // T_TOTAL and energy is near 1.

@@ -20,13 +20,13 @@ use serde::Serialize;
 
 use vliw_exec::{Executor, MemoCache};
 use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, MenuKind, Time};
-use vliw_power::{EnergyShares, PowerModel, UsageProfile};
+use vliw_power::{ed2, EnergyShares, PowerModel, UsageProfile};
 use vliw_sched::{schedule_loop_ws, SchedError, SchedWorkspace, ScheduleOptions};
 use vliw_store::{MeasureStore, StoreKey};
 use vliw_workloads::{classify, Benchmark, LoopClass};
 
 use crate::homog::{optimum_homogeneous_suite, HomogChoice};
-use crate::profile::{profile_benchmark, suite_reference, BenchmarkProfile, T_TOTAL};
+use crate::profile::{profile_benchmark, reference_aggregate, suite_reference, BenchmarkProfile};
 use crate::select::select_heterogeneous;
 use crate::store_keys::{
     benchmark_content_hash, config_fingerprint, profile_to_record, record_to_profile,
@@ -124,6 +124,11 @@ impl ProfiledSuite {
     /// path (re-scheduling every loop) only runs when both layers miss;
     /// the freshly measured profile is then persisted.
     ///
+    /// A frequency-homogeneous `config` is answered by
+    /// [`UsageProfile::homogeneous`] before the memo is consulted (§5.1:
+    /// its schedules are the reference schedules), so it counts as
+    /// neither a hit nor a miss and reads nothing from the store.
+    ///
     /// Results are identical with and without a store: stored records
     /// round-trip bit-exactly and measurements are deterministic.
     ///
@@ -140,6 +145,9 @@ impl ProfiledSuite {
         menu: &FrequencyMenu,
         exec: &Executor,
     ) -> Result<UsageProfile, SchedError> {
+        if let Some(usage) = UsageProfile::homogeneous(&self.profiles[index].reference, config) {
+            return Ok(usage);
+        }
         let key = StoreKey {
             content: self.content[index],
             config: config_fingerprint(config, Some(power), menu),
@@ -180,7 +188,7 @@ impl ProfiledSuite {
     /// the kept loops' weights renormalised to sum to 1.
     ///
     /// Renormalising keeps the truncated suite on the same scale as the
-    /// full one: invocation counts still reconstruct [`T_TOTAL`] per
+    /// full one: invocation counts still reconstruct the nominal 1 ms per
     /// benchmark, so the recomputed per-benchmark
     /// [`vliw_power::ReferenceProfile`]s —
     /// and the power model calibrated on them — stay commensurable with
@@ -213,26 +221,14 @@ impl ProfiledSuite {
                     .collect(),
             });
             let mut loops: Vec<_> = profile.loops[..keep].to_vec();
-            let mut agg_ins = 0.0f64;
-            let mut agg_comms = 0.0f64;
-            let mut agg_mem = 0.0f64;
             for lp in &mut loops {
                 lp.weight /= kept_weight;
                 lp.invocations /= kept_weight;
-                let trips = lp.trips as f64;
-                agg_ins += lp.invocations * lp.weighted_ins * trips;
-                agg_comms += lp.invocations * lp.comms as f64 * trips;
-                agg_mem += lp.invocations * lp.mem_accesses as f64 * trips;
             }
             profiles.push(BenchmarkProfile {
                 name: profile.name.clone(),
+                reference: reference_aggregate(&loops),
                 loops,
-                reference: vliw_power::ReferenceProfile {
-                    weighted_ins: agg_ins,
-                    comms: agg_comms.round() as u64,
-                    mem_accesses: agg_mem.round() as u64,
-                    exec_time: T_TOTAL,
-                },
             });
         }
         let content = benches.iter().map(benchmark_content_hash).collect();
@@ -382,25 +378,13 @@ pub fn run_benchmark(
     let het = select_heterogeneous(profile, design, power, &opts.menu, exec)
         .expect("the selection space contains feasible points");
 
-    let usage = if het.config.is_homogeneous() {
-        // When the selection lands on a *homogeneous* configuration (the
-        // paper reports this outcome for register/resource-constrained
-        // programs), §5.1's argument applies exactly: the schedule is the
-        // reference schedule, time scales with the cycle time, and energy
-        // follows the model — no re-scheduling noise.
-        let factor =
-            het.config.fastest_cluster_cycle().as_ns() / ClockedConfig::REFERENCE_CYCLE.as_ns();
-        crate::profile::reference_usage_scaled(profile, design.num_clusters, factor)
-    } else {
-        // Measure the selected configuration by actually scheduling every
-        // loop.
-        profiled.measure_memoised(index, &het.config, power, &opts.menu, exec)?
-    };
+    // §5.1 answers a homogeneous selection exactly; any other is measured
+    // by scheduling every loop.
+    let usage = profiled.measure_memoised(index, &het.config, power, &opts.menu, exec)?;
     let energy_het = power
         .estimate_energy(&het.config, &usage)
         .expect("selected configuration is electrically feasible");
-    let secs = usage.exec_time.as_secs();
-    let ed2_hetero = energy_het * secs * secs;
+    let ed2_hetero = ed2(energy_het, usage.exec_time.as_secs());
 
     Ok(BenchmarkResult {
         benchmark: profiled.benches[index].name.clone(),

@@ -92,21 +92,19 @@ fn suite_candidate(
     factor: f64,
 ) -> Option<SuiteBaseline> {
     let cycle = Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * factor);
-    let usages: Vec<_> = profiles
-        .iter()
-        .map(|p| crate::profile::reference_usage_scaled(p, design.num_clusters, factor))
-        .collect();
-    // All clusters share one frequency, hence one optimal supply.
     let base = ClockedConfig::homogeneous(design, cycle);
-    let all: Vec<usize> = (0..usize::from(design.num_clusters)).collect();
-    let voltages = optimise_voltages_grouped(&base, &[all], power, &usages)?;
+    let usages = profiles
+        .iter()
+        .map(|p| UsageProfile::homogeneous(&p.reference, &base))
+        .collect::<Option<Vec<_>>>()?;
+    // All clusters share one frequency, hence one optimal supply.
+    let voltages = optimise_voltages_grouped(&base, &speed_groups(&base), power, &usages)?;
     let config = base.with_voltages(voltages);
     let mut per_benchmark = Vec::with_capacity(profiles.len());
     let mut suite_ed2 = 0.0;
     for usage in &usages {
         let energy = power.estimate_energy(&config, usage)?;
-        let secs = usage.exec_time.as_secs();
-        let ed2 = energy * secs * secs;
+        let ed2 = vliw_power::ed2(energy, usage.exec_time.as_secs());
         suite_ed2 += ed2;
         per_benchmark.push(HomogChoice {
             config: config.clone(),
@@ -120,6 +118,21 @@ fn suite_candidate(
         per_benchmark,
         suite_ed2,
     })
+}
+
+/// The cluster speed groups of `config`, each swept with one supply by
+/// [`optimise_voltages_grouped`]: the clusters at the fastest cycle time,
+/// then the rest when there are any (fast clusters want high voltage,
+/// slow clusters low voltage).
+pub(crate) fn speed_groups(config: &ClockedConfig) -> Vec<Vec<usize>> {
+    let fastest = config.fastest_cluster_cycle();
+    let mut groups = vec![Vec::new(), Vec::new()];
+    for c in config.design().clusters() {
+        let slow = config.cluster_cycle(c) != fastest;
+        groups[usize::from(slow)].push(c.index());
+    }
+    groups.retain(|g| !g.is_empty());
+    groups
 }
 
 /// Coordinate-descent voltage optimisation with independent supplies per

@@ -3,12 +3,14 @@
 //!
 //! This crate closes the loop of the paper's methodology:
 //!
-//! 1. **Profile** a benchmark on the reference homogeneous machine
-//!    ([`profile_benchmark`]) — every loop is actually modulo scheduled and
-//!    simulated, yielding the dynamic information (§3) the models consume;
-//! 2. **Estimate** execution time and energy of *any* candidate
-//!    configuration from that profile alone (§3.2's IT / `it_length`
-//!    estimation combined with §3.1's energy model, [`estimate_program`]);
+//! 1. **Profile** a suite on the reference homogeneous machine
+//!    ([`experiments::profile_suite`]) — every loop is actually modulo
+//!    scheduled and simulated, yielding the dynamic information (§3) the
+//!    models consume;
+//! 2. **Estimate** the usage of *any* candidate configuration from that
+//!    profile alone ([`estimate_usage`]: exact for frequency-homogeneous
+//!    machines, §5.1, and §3.2's IT / `it_length` estimation otherwise)
+//!    and price it with §3.1's energy model ([`price_usage`]);
 //! 3. Search the **optimum homogeneous** baseline (§5.1,
 //!    [`optimum_homogeneous_suite`]) and **select** the best heterogeneous
 //!    configuration (§3.3, [`select_heterogeneous`]);
@@ -39,22 +41,19 @@ pub mod search;
 mod select;
 pub mod store_keys;
 
-pub use estimate::{estimate_loop_it, estimate_program, estimate_usage, price_usage, HetEstimate};
+pub use estimate::{estimate_usage, price_usage, HetEstimate};
 pub use homog::{
     optimise_voltages_grouped, optimum_homogeneous_suite, HomogChoice, SuiteBaseline,
     HOMOG_CYCLE_FACTORS,
 };
-pub use profile::{
-    profile_benchmark, reference_usage_scaled, suite_reference, BenchmarkProfile, LoopProfile,
-    T_TOTAL,
-};
+pub use profile::{suite_reference, BenchmarkProfile, LoopProfile};
 pub use scale::{
     merge_shard_reports, run_search_scaled, run_search_shard, MergedReport, ScaleStats,
     ScaledSearch, ShardReport, ShardSearch,
 };
 pub use search::{ConfigSpace, SearchContext, SearchReport, SpaceKind};
 pub use select::{candidate_grid, select_heterogeneous, HeteroChoice};
-pub use store_keys::{benchmark_content_hash, config_fingerprint};
+pub use store_keys::config_fingerprint;
 
 // Everything the parallel experiment runners share across worker threads.
 const fn _assert_send_sync<T: Send + Sync>() {}

@@ -10,7 +10,7 @@ use vliw_workloads::Benchmark;
 /// invocation counts are scaled so each loop's share of this time equals
 /// its profile weight; all model outputs are ratios, so the absolute value
 /// is arbitrary.
-pub const T_TOTAL: Time = Time::from_fs(1_000_000 * Time::FS_PER_NS); // 1 ms
+pub(crate) const T_TOTAL: Time = Time::from_fs(1_000_000 * Time::FS_PER_NS); // 1 ms
 
 /// Everything the §3 models need to know about one loop, measured on the
 /// reference homogeneous machine.
@@ -61,9 +61,9 @@ pub struct BenchmarkProfile {
 }
 
 /// Aggregates per-benchmark reference profiles into one suite-level
-/// profile: each benchmark contributes the same nominal time
-/// ([`T_TOTAL`]), so the suite runs for `n · T_TOTAL` and its event counts
-/// are the per-benchmark sums.
+/// profile: each benchmark contributes the same nominal time (1 ms), so
+/// the suite runs for `n` times that and its event counts are the
+/// per-benchmark sums.
 ///
 /// The paper's §5 energy shares describe the reference machine running the
 /// *whole* workload, so the energy units are calibrated once on this
@@ -84,22 +84,24 @@ pub fn suite_reference(profiles: &[BenchmarkProfile]) -> ReferenceProfile {
     }
 }
 
-/// The §3.1 usage profile of one benchmark's reference run at a scaled
-/// cycle time (homogeneous machines keep their schedules, so counts are
-/// invariant and time scales linearly).
-#[must_use]
-pub fn reference_usage_scaled(
-    profile: &BenchmarkProfile,
-    num_clusters: u8,
-    time_factor: f64,
-) -> vliw_power::UsageProfile {
-    let exec_time = Time::from_ns(profile.reference.exec_time.as_ns() * time_factor);
-    let per = profile.reference.weighted_ins / f64::from(num_clusters);
-    vliw_power::UsageProfile {
-        weighted_ins_per_cluster: vec![per; usize::from(num_clusters)],
-        comms: profile.reference.comms,
-        mem_accesses: profile.reference.mem_accesses,
-        exec_time,
+/// The aggregate reference run of a benchmark's loops: every count is
+/// `Σ invocations · trips · per-iteration count`, over the nominal
+/// [`T_TOTAL`].
+pub(crate) fn reference_aggregate(loops: &[LoopProfile]) -> ReferenceProfile {
+    let mut agg_ins = 0.0f64;
+    let mut agg_comms = 0.0f64;
+    let mut agg_mem = 0.0f64;
+    for l in loops {
+        let trips = l.trips as f64;
+        agg_ins += l.invocations * l.weighted_ins * trips;
+        agg_comms += l.invocations * l.comms as f64 * trips;
+        agg_mem += l.invocations * l.mem_accesses as f64 * trips;
+    }
+    ReferenceProfile {
+        weighted_ins: agg_ins,
+        comms: agg_comms.round() as u64,
+        mem_accesses: agg_mem.round() as u64,
+        exec_time: T_TOTAL,
     }
 }
 
@@ -115,17 +117,13 @@ pub fn reference_usage_scaled(
 ///
 /// Propagates scheduling failures (which indicate a malformed workload —
 /// generated suites always schedule).
-pub fn profile_benchmark(
+pub(crate) fn profile_benchmark(
     bench: &Benchmark,
     design: MachineDesign,
     ws: &mut SchedWorkspace,
 ) -> Result<BenchmarkProfile, SchedError> {
     let config = ClockedConfig::reference(design);
     let mut loops = Vec::with_capacity(bench.loops.len());
-    let mut agg_ins = 0.0f64;
-    let mut agg_comms = 0.0f64;
-    let mut agg_mem = 0.0f64;
-
     for l in &bench.loops {
         let ddg = l.ddg();
         let opts = ScheduleOptions {
@@ -164,21 +162,11 @@ pub fn profile_benchmark(
             exec_time_ref,
             invocations,
         });
-        let trips = l.trip_count() as f64;
-        agg_ins += invocations * ddg.iteration_energy() * trips;
-        agg_comms += invocations * sched.comms_per_iter() as f64 * trips;
-        agg_mem += invocations * sched.mem_accesses_per_iter() as f64 * trips;
     }
-
     Ok(BenchmarkProfile {
         name: bench.name.clone(),
+        reference: reference_aggregate(&loops),
         loops,
-        reference: ReferenceProfile {
-            weighted_ins: agg_ins,
-            comms: agg_comms.round() as u64,
-            mem_accesses: agg_mem.round() as u64,
-            exec_time: T_TOTAL,
-        },
     })
 }
 

@@ -33,14 +33,14 @@ use serde::Serialize;
 
 use vliw_exec::Executor;
 use vliw_machine::{ClockedConfig, FrequencyMenu, Time, Voltages};
-use vliw_power::{PowerModel, UsageProfile};
+use vliw_power::{ed2, PowerModel};
 use vliw_search::{ArchiveEntry, GridSpace, Objectives, SearchSpace};
 
 use crate::estimate::estimate_usage;
 use crate::experiments::{ExperimentOptions, ProfiledSuite};
-use crate::homog::optimise_voltages_grouped;
-use crate::profile::{reference_usage_scaled, suite_reference};
-use crate::select::{speed_groups, FAST_FACTORS, SLOW_RATIOS};
+use crate::homog::{optimise_voltages_grouped, speed_groups};
+use crate::profile::suite_reference;
+use crate::select::{FAST_FACTORS, SLOW_RATIOS};
 
 /// Extended fast-cluster cycle-time factors (×reference cycle).
 pub const EXT_FAST_FACTORS: [f64; 7] = [0.85, 0.90, 0.95, 1.00, 1.05, 1.10, 1.15];
@@ -296,7 +296,7 @@ impl<'a> SearchContext<'a> {
         let config = match self.space.kind {
             SpaceKind::Paper => {
                 let base = ClockedConfig::heterogeneous(design, fast, num_fast, slow);
-                let voltages = self.descend_voltages(bus, &base, slow_ratio, fast_factor)?;
+                let voltages = self.descend_voltages(bus, &base)?;
                 base.with_voltages(voltages)
             }
             SpaceKind::Extended => {
@@ -351,67 +351,41 @@ impl<'a> SearchContext<'a> {
     }
 
     /// The paper space's voltage rule: the §3.3/§5.1 grouped coordinate
-    /// descent minimising model-estimated *suite* energy (exact
-    /// reference-scaled usage for frequency-homogeneous candidates, §3.2
-    /// estimates otherwise).
-    fn descend_voltages(
-        &self,
-        bus: &BusContext<'a>,
-        base: &ClockedConfig,
-        slow_ratio: f64,
-        fast_factor: f64,
-    ) -> Option<Voltages> {
-        let design = bus.suite.design;
-        let usages: Option<Vec<UsageProfile>> = bus
+    /// descent minimising the model's *suite* energy over the usages
+    /// [`estimate_usage`] gives (exact for frequency-homogeneous
+    /// candidates, §3.2 estimates otherwise).
+    fn descend_voltages(&self, bus: &BusContext<'a>, base: &ClockedConfig) -> Option<Voltages> {
+        let usages = bus
             .suite
             .profiles
             .iter()
-            .map(|profile| {
-                if slow_ratio == 1.0 {
-                    Some(reference_usage_scaled(
-                        profile,
-                        design.num_clusters,
-                        fast_factor,
-                    ))
-                } else {
-                    estimate_usage(profile, base, &self.menu)
-                }
-            })
-            .collect();
-        let groups = speed_groups(design, slow_ratio);
-        optimise_voltages_grouped(base, &groups, &bus.power, &usages?)
+            .map(|profile| estimate_usage(profile, base, &self.menu))
+            .collect::<Option<Vec<_>>>()?;
+        optimise_voltages_grouped(base, &speed_groups(base), &bus.power, &usages)
     }
 
-    /// Measures `config` on every benchmark of `bus`'s suite and totals
-    /// time, energy and ED². Frequency-homogeneous configurations use
-    /// the exact §5.1 reference scaling (their schedules are the
-    /// reference schedules); everything else re-schedules through the
-    /// suite's memo cache.
+    /// Measures `config` on every benchmark of `bus`'s suite through the
+    /// suite's memo cache ([`ProfiledSuite::measure_memoised`], exact for
+    /// frequency-homogeneous configurations) and totals time, energy and
+    /// ED².
     fn measure_config(
         &self,
         bus: &BusContext<'a>,
         config: &ClockedConfig,
         exec: &Executor,
     ) -> Option<Objectives> {
-        let design = bus.suite.design;
         let mut total_time_ns = 0.0f64;
         let mut total_energy = 0.0f64;
         let mut total_ed2 = 0.0f64;
-        for (i, profile) in bus.suite.profiles.iter().enumerate() {
-            let usage = if config.is_homogeneous() {
-                let factor =
-                    config.fastest_cluster_cycle().as_ns() / ClockedConfig::REFERENCE_CYCLE.as_ns();
-                reference_usage_scaled(profile, design.num_clusters, factor)
-            } else {
-                bus.suite
-                    .measure_memoised(i, config, &bus.power, &self.menu, exec)
-                    .ok()?
-            };
+        for i in 0..bus.suite.profiles.len() {
+            let usage = bus
+                .suite
+                .measure_memoised(i, config, &bus.power, &self.menu, exec)
+                .ok()?;
             let energy = bus.power.estimate_energy(config, &usage)?;
-            let secs = usage.exec_time.as_secs();
             total_time_ns += usage.exec_time.as_ns();
             total_energy += energy;
-            total_ed2 += energy * secs * secs;
+            total_ed2 += ed2(energy, usage.exec_time.as_secs());
         }
         Some(Objectives {
             exec_time_ns: total_time_ns,

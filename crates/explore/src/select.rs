@@ -8,10 +8,10 @@
 
 use vliw_exec::Executor;
 use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, Time};
-use vliw_power::{PowerModel, UsageProfile};
+use vliw_power::PowerModel;
 
 use crate::estimate::{estimate_usage, price_usage, HetEstimate};
-use crate::homog::optimise_voltages_grouped;
+use crate::homog::{optimise_voltages_grouped, speed_groups};
 use crate::profile::BenchmarkProfile;
 
 /// The fast-cluster cycle-time factors explored (×reference cycle), §5.
@@ -96,35 +96,19 @@ fn evaluate_candidate(
     let slow = Time::from_ns(fast.as_ns() * slow_ratio);
     let base = ClockedConfig::heterogeneous(design, fast, 1, slow);
     // Voltages do not change the time estimate, only energy — so the usage
-    // profile is computed once per candidate and the coordinate descent
-    // below prices voltages against it, with independent supplies for the
-    // fast and slow groups.
-    let groups = speed_groups(design, slow_ratio);
-    // Homogeneous candidates are evaluated with the *exact* model (§5.1:
-    // the schedule is the reference schedule, so counts are known);
-    // heterogeneous ones use the §3.2 estimators.
-    let usage: UsageProfile = if slow_ratio == 1.0 {
-        let factor = fast.as_ns() / ClockedConfig::REFERENCE_CYCLE.as_ns();
-        crate::profile::reference_usage_scaled(profile, design.num_clusters, factor)
-    } else {
-        estimate_usage(profile, &base, menu)?
-    };
-    let voltages = optimise_voltages_grouped(&base, &groups, power, std::slice::from_ref(&usage))?;
+    // profile is computed once per candidate (exactly, §5.1, when the
+    // ratio is 1) and the coordinate descent below prices voltages against
+    // it, with independent supplies for the fast and slow groups.
+    let usage = estimate_usage(profile, &base, menu)?;
+    let voltages = optimise_voltages_grouped(
+        &base,
+        &speed_groups(&base),
+        power,
+        std::slice::from_ref(&usage),
+    )?;
     let config = base.with_voltages(voltages);
     let estimate = price_usage(&usage, &config, power)?;
     Some(HeteroChoice { config, estimate })
-}
-
-/// The cluster speed groups of a §3.3 candidate, each swept with one
-/// supply: the fast cluster 0 and the slow rest when `slow_ratio > 1`,
-/// otherwise every cluster together.
-pub(crate) fn speed_groups(design: MachineDesign, slow_ratio: f64) -> Vec<Vec<usize>> {
-    let nc = usize::from(design.num_clusters);
-    if slow_ratio > 1.0 {
-        vec![vec![0], (1..nc).collect()]
-    } else {
-        vec![(0..nc).collect()]
-    }
 }
 
 #[cfg(test)]

@@ -8,15 +8,15 @@
 //! key addresses a measurement in the in-memory memo
 //! ([`MeasureCache`](crate::experiments::MeasureCache)) and on disk.
 //!
-//! Both hashes use [`StableHasher`], extending the
-//! `PowerModel::fingerprint` discipline — exact bit patterns, no
-//! epsilon classes — to digests that are stable across processes,
-//! machines and compiler releases (the in-memory fingerprint uses
-//! `DefaultHasher`, which is documented unstable across Rust releases
-//! and therefore never touches disk).
+//! Both hashes use [`StableHasher`]: floats are hashed by exact bit
+//! pattern, with no epsilon classes, into digests that are stable across
+//! processes, machines and compiler releases.
 
 use vliw_machine::{ClockedConfig, FrequencyMenu, Time};
-use vliw_power::{PowerModel, ReferenceProfile, UsageProfile, SUBTHRESHOLD_SWING_V};
+use vliw_power::{
+    PowerModel, ReferenceProfile, UsageProfile, ALPHA, FREQ_REF_GHZ, SUBTHRESHOLD_SWING_V, VDD_REF,
+    VTH_REF,
+};
 use vliw_sched::{ims, MAX_IT_ATTEMPTS};
 use vliw_store::{LoopProfileRecord, MeasureRecord, ProfileRecord, StableHasher};
 use vliw_workloads::Benchmark;
@@ -32,7 +32,7 @@ use crate::profile::{BenchmarkProfile, LoopProfile};
 /// Names are included deliberately: stored reference profiles carry
 /// loop names, so the address must pin them too.
 #[must_use]
-pub fn benchmark_content_hash(bench: &Benchmark) -> u64 {
+pub(crate) fn benchmark_content_hash(bench: &Benchmark) -> u64 {
     let mut h = StableHasher::new();
     h.write_str(&bench.name);
     h.write_u64(bench.loops.len() as u64);
@@ -123,13 +123,13 @@ pub(crate) fn hash_scheduler(h: &mut StableHasher, menu: &FrequencyMenu) {
     }
 }
 
-/// Absorbs every stable parameter of a calibrated power model — the
-/// exact list `PowerModel::fingerprint` digests in memory, hashed with
-/// the on-disk discipline.
+/// Absorbs every stable parameter of a calibrated power model: its
+/// shares and unit energies, then the α-power reference point and the
+/// subthreshold swing. The reference point is constant, but hashing it
+/// keeps every address as it was when it was an option.
 pub(crate) fn hash_power(h: &mut StableHasher, p: &PowerModel) {
     let s = p.shares();
     let u = p.units();
-    let a = p.alpha_model();
     for v in [
         s.icn,
         s.cache,
@@ -142,10 +142,10 @@ pub(crate) fn hash_power(h: &mut StableHasher, p: &PowerModel) {
         u.e_static_cluster_per_s,
         u.e_static_icn_per_s,
         u.e_static_cache_per_s,
-        a.alpha(),
-        a.vdd_ref(),
-        a.vth_ref(),
-        a.freq_ref_ghz(),
+        ALPHA,
+        VDD_REF,
+        VTH_REF,
+        FREQ_REF_GHZ,
         SUBTHRESHOLD_SWING_V,
     ] {
         h.write_f64(v);

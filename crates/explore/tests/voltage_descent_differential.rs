@@ -1,20 +1,25 @@
-//! Differential test of the table-driven voltage descent.
+//! Differential tests of the table-driven voltage descent and of the
+//! §5.1 homogeneous usage.
 //!
-//! The oracle is the closure-driven coordinate descent: every candidate
-//! supply vector is range-checked, turned into a configuration and priced
-//! with one `PowerModel::estimate_energy` call per usage. Over three suite
-//! seeds and both bus counts, every §5.1 homogeneous cycle factor and
-//! every §3.3 candidate of every benchmark must get bit-identical voltages
-//! and energies from `optimise_voltages_grouped`, and the public
-//! `optimum_homogeneous_suite` and `select_heterogeneous` must pick the
-//! oracle's winners with the oracle's numbers.
+//! The descent's oracle is the closure-driven coordinate descent: every
+//! candidate supply vector is range-checked, turned into a configuration
+//! and priced with one `PowerModel::estimate_energy` call per usage. Over
+//! three suite seeds and both bus counts, every §5.1 homogeneous cycle
+//! factor and every §3.3 candidate of every benchmark must get
+//! bit-identical voltages and energies from `optimise_voltages_grouped`,
+//! and the public `optimum_homogeneous_suite` and `select_heterogeneous`
+//! must pick the oracle's winners with the oracle's numbers.
+//!
+//! The usage's oracle scales the reference run by the raw grid factor,
+//! where `UsageProfile::homogeneous` scales it by the ratio of the
+//! configuration's cycle time to the reference cycle.
 
 use vliw_exec::Executor;
 use vliw_explore::experiments::{profile_suite, ProfiledSuite};
+use vliw_explore::search::EXT_FAST_FACTORS;
 use vliw_explore::{
     candidate_grid, estimate_usage, optimise_voltages_grouped, optimum_homogeneous_suite,
-    price_usage, reference_usage_scaled, select_heterogeneous, suite_reference, BenchmarkProfile,
-    HOMOG_CYCLE_FACTORS,
+    price_usage, select_heterogeneous, suite_reference, BenchmarkProfile, HOMOG_CYCLE_FACTORS,
 };
 use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, Time, Voltages};
 use vliw_power::{EnergyShares, PowerModel, UsageProfile};
@@ -144,6 +149,15 @@ fn all_clusters(design: MachineDesign) -> Vec<Vec<usize>> {
     vec![(0..usize::from(design.num_clusters)).collect()]
 }
 
+/// Every benchmark's §5.1 usage on the homogeneous `base`.
+fn homogeneous_usages(suite: &ProfiledSuite, base: &ClockedConfig) -> Vec<UsageProfile> {
+    suite
+        .profiles
+        .iter()
+        .map(|p| UsageProfile::homogeneous(&p.reference, base).expect("one clock"))
+        .collect()
+}
+
 fn profiled(seed: u64, buses: u32) -> ProfiledSuite {
     profile_suite(&suite_seeded(LOOPS, seed), buses, &Executor::serial(), None)
         .expect("generated suites schedule")
@@ -160,11 +174,7 @@ fn check_homogeneous(suite: &ProfiledSuite, power: &PowerModel, tag: &str) {
             design,
             Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * factor),
         );
-        let usages: Vec<UsageProfile> = suite
-            .profiles
-            .iter()
-            .map(|p| reference_usage_scaled(p, design.num_clusters, factor))
-            .collect();
+        let usages = homogeneous_usages(suite, &base);
         let Some(voltages) = descend_both(&base, &all_clusters(design), power, &usages, &what)
         else {
             continue;
@@ -219,14 +229,10 @@ fn check_selection(
         } else {
             all_clusters(design)
         };
-        let usage = if slow_ratio == 1.0 {
-            let factor = fast.as_ns() / ClockedConfig::REFERENCE_CYCLE.as_ns();
-            reference_usage_scaled(profile, design.num_clusters, factor)
-        } else {
-            match estimate_usage(profile, &base, &menu) {
-                Some(u) => u,
-                None => continue,
-            }
+        let usage = UsageProfile::homogeneous(&profile.reference, &base)
+            .or_else(|| estimate_usage(profile, &base, &menu));
+        let Some(usage) = usage else {
+            continue;
         };
         let usages = std::slice::from_ref(&usage);
         let Some(voltages) = descend_both(&base, &groups, power, usages, &what) else {
@@ -294,11 +300,7 @@ fn range_maximum_fallback_matches_the_oracle() {
             design,
             Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * factor),
         );
-        let usages: Vec<UsageProfile> = suite
-            .profiles
-            .iter()
-            .map(|p| reference_usage_scaled(p, design.num_clusters, factor))
-            .collect();
+        let usages = homogeneous_usages(&suite, &base);
         let what = format!("fallback factor {factor}");
         let chosen = descend_both(&base, &all_clusters(design), &power, &usages, &what);
         match chosen {
@@ -309,4 +311,104 @@ fn range_maximum_fallback_matches_the_oracle() {
     }
     assert!(fell_back > 0, "some factor starts from the range maxima");
     assert!(infeasible > 0, "some factor is infeasible even there");
+}
+
+/// The §5.1 shortcut as the call sites wrote it before it became one
+/// function: the reference run with its time scaled by the raw grid
+/// factor and its work spread evenly over the clusters.
+fn oracle_usage(profile: &BenchmarkProfile, num_clusters: u8, factor: f64) -> UsageProfile {
+    let exec_time = Time::from_ns(profile.reference.exec_time.as_ns() * factor);
+    let per = profile.reference.weighted_ins / f64::from(num_clusters);
+    UsageProfile {
+        weighted_ins_per_cluster: vec![per; usize::from(num_clusters)],
+        comms: profile.reference.comms,
+        mem_accesses: profile.reference.mem_accesses,
+        exec_time,
+    }
+}
+
+fn usage_bits(u: &UsageProfile) -> (Vec<u64>, u64, u64, u64) {
+    let ins = u
+        .weighted_ins_per_cluster
+        .iter()
+        .map(|w| w.to_bits())
+        .collect();
+    (ins, u.comms, u.mem_accesses, u.exec_time.as_fs())
+}
+
+/// Every cycle factor of the three grids the code scales by — the §3.3
+/// fast factors, the extended space's and the §5.1 baseline's — on every
+/// benchmark: the configuration's usage is the oracle's bit for bit, on
+/// a homogeneous machine and on a paper-shaped one at slow/fast ratio 1.
+/// On a homogeneous configuration `measure_memoised` answers it too,
+/// without touching the memo.
+#[test]
+fn homogeneous_usage_matches_the_raw_factor_oracle() {
+    let mut paper: Vec<f64> = candidate_grid().into_iter().map(|(f, _)| f).collect();
+    paper.dedup();
+    let grids = [
+        ("paper", &paper[..]),
+        ("extended", &EXT_FAST_FACTORS[..]),
+        ("homogeneous", &HOMOG_CYCLE_FACTORS[..]),
+    ];
+    let mut differ = Vec::new();
+    for seed in SEEDS {
+        for buses in [1, 2] {
+            let suite = profiled(seed, buses);
+            let design = suite.design;
+            let power = PowerModel::calibrate(
+                design,
+                EnergyShares::PAPER,
+                &suite_reference(&suite.profiles),
+            );
+            let menu = FrequencyMenu::unrestricted();
+            for (grid, factors) in grids {
+                for &factor in factors {
+                    let fast = Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * factor);
+                    let homogeneous = ClockedConfig::homogeneous(design, fast);
+                    let ratio_one = ClockedConfig::heterogeneous(
+                        design,
+                        fast,
+                        1,
+                        Time::from_ns(fast.as_ns() * 1.0),
+                    );
+                    for (i, profile) in suite.profiles.iter().enumerate() {
+                        let want = usage_bits(&oracle_usage(profile, design.num_clusters, factor));
+                        let measured = suite
+                            .measure_memoised(i, &homogeneous, &power, &menu, &Executor::serial())
+                            .ok();
+                        let got = [
+                            (
+                                "homogeneous",
+                                UsageProfile::homogeneous(&profile.reference, &homogeneous),
+                            ),
+                            (
+                                "ratio 1",
+                                UsageProfile::homogeneous(&profile.reference, &ratio_one),
+                            ),
+                            ("measure_memoised", measured),
+                        ];
+                        for (how, usage) in got {
+                            if usage.as_ref().map(usage_bits) != Some(want.clone()) {
+                                differ.push(format!(
+                                    "seed {seed}, {buses} bus(es), {grid} factor {factor}, {}, {how}",
+                                    profile.name
+                                ));
+                            }
+                        }
+                    }
+                }
+            }
+            assert_eq!(
+                (
+                    suite.cache().hits(),
+                    suite.cache().misses(),
+                    suite.measured()
+                ),
+                (0, 0, 0),
+                "homogeneous configurations never reach the memo"
+            );
+        }
+    }
+    assert!(differ.is_empty(), "differs from the oracle at {differ:#?}");
 }

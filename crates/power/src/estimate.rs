@@ -2,9 +2,9 @@
 
 use vliw_machine::{ClockedConfig, DomainId, MachineDesign, Time};
 
-use crate::alpha::AlphaPowerModel;
+use crate::alpha::threshold_for;
 use crate::reference::{EnergyShares, EnergyUnits, ReferenceProfile};
-use crate::scaling::{dynamic_scale, static_scale, SUBTHRESHOLD_SWING_V};
+use crate::scaling::{dynamic_scale, static_scale};
 
 /// Resource usage of a program on some (possibly heterogeneous) machine:
 /// where the instructions executed and how long the run took.
@@ -26,18 +26,28 @@ pub struct UsageProfile {
 }
 
 impl UsageProfile {
-    /// Derives a usage profile from a reference profile assuming work is
-    /// spread evenly across `num_clusters` identical clusters — exact for
-    /// the reference homogeneous machine where `p_Ci = 1/n` for all `i`.
+    /// The §5.1 usage of the reference run on a frequency-homogeneous
+    /// `config`, or `None` when `config` is not homogeneous.
+    ///
+    /// The homogeneous model is exact: every loop keeps its reference
+    /// schedule at any frequency, so the event counts are the reference
+    /// run's, work is spread evenly across the identical clusters
+    /// (`p_Ci = 1/n`), and execution time scales with the cycle time.
     #[must_use]
-    pub fn homogeneous(profile: &ReferenceProfile, num_clusters: u8) -> Self {
-        let per = profile.weighted_ins / f64::from(num_clusters);
-        UsageProfile {
-            weighted_ins_per_cluster: vec![per; usize::from(num_clusters)],
-            comms: profile.comms,
-            mem_accesses: profile.mem_accesses,
-            exec_time: profile.exec_time,
+    pub fn homogeneous(reference: &ReferenceProfile, config: &ClockedConfig) -> Option<Self> {
+        if !config.is_homogeneous() {
+            return None;
         }
+        let factor =
+            config.fastest_cluster_cycle().as_ns() / ClockedConfig::REFERENCE_CYCLE.as_ns();
+        let num_clusters = config.design().num_clusters;
+        let per = reference.weighted_ins / f64::from(num_clusters);
+        Some(UsageProfile {
+            weighted_ins_per_cluster: vec![per; usize::from(num_clusters)],
+            comms: reference.comms,
+            mem_accesses: reference.mem_accesses,
+            exec_time: Time::from_ns(reference.exec_time.as_ns() * factor),
+        })
     }
 
     /// Total weighted instructions across clusters.
@@ -117,12 +127,10 @@ pub struct PowerModel {
     design: MachineDesign,
     shares: EnergyShares,
     units: EnergyUnits,
-    alpha: AlphaPowerModel,
 }
 
 impl PowerModel {
-    /// Calibrates a model from the reference homogeneous run, using the
-    /// paper's α-power reference point.
+    /// Calibrates a model from the reference homogeneous run.
     ///
     /// # Panics
     ///
@@ -139,7 +147,6 @@ impl PowerModel {
             design,
             shares,
             units,
-            alpha: AlphaPowerModel::paper_reference(),
         }
     }
 
@@ -153,12 +160,6 @@ impl PowerModel {
     #[must_use]
     pub fn shares(&self) -> EnergyShares {
         self.shares
-    }
-
-    /// The α-power model in use.
-    #[must_use]
-    pub fn alpha_model(&self) -> &AlphaPowerModel {
-        &self.alpha
     }
 
     /// The machine design this model was calibrated for.
@@ -176,16 +177,10 @@ impl PowerModel {
     /// pairs tabulate this once per pair.
     #[must_use]
     pub fn scaling(&self, cycle: Time, vdd: f64) -> Option<DomainScaling> {
-        let vth = self.alpha.threshold_for(cycle.freq_ghz(), vdd)?;
+        let vth = threshold_for(cycle.freq_ghz(), vdd)?;
         Some(DomainScaling {
-            delta: dynamic_scale(vdd, self.alpha.vdd_ref()),
-            sigma: static_scale(
-                vdd,
-                vth,
-                self.alpha.vdd_ref(),
-                self.alpha.vth_ref(),
-                SUBTHRESHOLD_SWING_V,
-            ),
+            delta: dynamic_scale(vdd),
+            sigma: static_scale(vdd, vth),
             vth,
         })
     }
@@ -280,48 +275,6 @@ impl PowerModel {
         self.scale_config(config, &mut scaling)
             .then(|| self.price(&scaling, usage))
     }
-
-    /// A stable 64-bit fingerprint of every quantity that influences this
-    /// model's estimates: the machine design, the calibration shares, the
-    /// calibrated unit energies and the α-power parameters.
-    ///
-    /// Two models with equal fingerprints produce identical estimates for
-    /// every `(config, usage)` pair, which makes the fingerprint a sound
-    /// memoisation-key component for caches layered over the exploration
-    /// pipeline. Floats are hashed by bit pattern, so the fingerprint is
-    /// exact (no epsilon classes) and deterministic across runs.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        self.design.num_clusters.hash(&mut h);
-        self.design.buses.hash(&mut h);
-        self.design.cluster.int_fus.hash(&mut h);
-        self.design.cluster.fp_fus.hash(&mut h);
-        self.design.cluster.mem_ports.hash(&mut h);
-        self.design.cluster.registers.hash(&mut h);
-        for v in [
-            self.shares.icn,
-            self.shares.cache,
-            self.shares.leak_cluster,
-            self.shares.leak_icn,
-            self.shares.leak_cache,
-            self.units.e_ins,
-            self.units.e_comm,
-            self.units.e_access,
-            self.units.e_static_cluster_per_s,
-            self.units.e_static_icn_per_s,
-            self.units.e_static_cache_per_s,
-            self.alpha.alpha(),
-            self.alpha.vdd_ref(),
-            self.alpha.vth_ref(),
-            self.alpha.freq_ref_ghz(),
-            SUBTHRESHOLD_SWING_V,
-        ] {
-            v.to_bits().hash(&mut h);
-        }
-        h.finish()
-    }
 }
 
 #[cfg(test)]
@@ -346,11 +299,41 @@ mod tests {
         )
     }
 
+    /// The reference run's usage on the reference machine.
+    fn reference_usage() -> UsageProfile {
+        let config = ClockedConfig::reference(MachineDesign::paper_machine(1));
+        UsageProfile::homogeneous(&reference_profile(), &config).expect("one clock")
+    }
+
+    #[test]
+    fn homogeneous_usage_scales_time_on_one_clock_only() {
+        let design = MachineDesign::paper_machine(1);
+        let usage = reference_usage();
+        assert_eq!(usage.weighted_ins_per_cluster, vec![2_500.0; 4]);
+        assert_eq!((usage.comms, usage.mem_accesses), (800, 2_500));
+        assert_eq!(usage.exec_time, reference_profile().exec_time);
+
+        let slow = ClockedConfig::homogeneous(design, Time::from_ns(1.25));
+        let scaled = UsageProfile::homogeneous(&reference_profile(), &slow).unwrap();
+        assert_eq!(scaled.exec_time, Time::from_ns(25_000.0));
+        assert_eq!(
+            scaled.weighted_ins_per_cluster,
+            usage.weighted_ins_per_cluster
+        );
+
+        let hetero =
+            ClockedConfig::heterogeneous(design, Time::from_ns(1.0), 1, Time::from_ns(1.25));
+        assert_eq!(
+            UsageProfile::homogeneous(&reference_profile(), &hetero),
+            None
+        );
+    }
+
     #[test]
     fn reference_config_estimates_unit_energy() {
         let m = model();
         let cfg = ClockedConfig::reference(m.design());
-        let usage = UsageProfile::homogeneous(&reference_profile(), 4);
+        let usage = reference_usage();
         let e = m.estimate_energy(&cfg, &usage).unwrap();
         assert!((e - 1.0).abs() < 1e-12, "reference energy = {e}");
     }
@@ -359,7 +342,7 @@ mod tests {
     fn slower_run_leaks_more() {
         let m = model();
         let cfg = ClockedConfig::reference(m.design());
-        let mut usage = UsageProfile::homogeneous(&reference_profile(), 4);
+        let mut usage = reference_usage();
         usage.exec_time = Time::from_ns(40_000.0); // twice as long
         let e = m.estimate_energy(&cfg, &usage).unwrap();
         assert!(e > 1.0);
@@ -381,7 +364,7 @@ mod tests {
                 icn: 0.9,
                 cache: 1.0,
             });
-        let usage = UsageProfile::homogeneous(&reference_profile(), 4);
+        let usage = reference_usage();
         let e_slow = m.estimate_energy(&slow, &usage).unwrap();
         // Dynamic scales by 0.81 on clusters and ICN; cache still 1.0 V but
         // at 0.8 GHz it can raise vth, cutting σ. Everything ≤ reference.
@@ -398,7 +381,7 @@ mod tests {
             icn: 0.7,
             cache: 0.7,
         });
-        let usage = UsageProfile::homogeneous(&reference_profile(), 4);
+        let usage = reference_usage();
         assert!(m.estimate_energy(&cfg, &usage).is_none());
     }
 
@@ -413,8 +396,7 @@ mod tests {
                 icn: 1.0,
                 cache: 1.0,
             });
-        let p = reference_profile();
-        let balanced = UsageProfile::homogeneous(&p, 4);
+        let balanced = reference_usage();
         let mut skewed = balanced.clone();
         // Push most work into the low-voltage clusters.
         skewed.weighted_ins_per_cluster = vec![1_000.0, 3_000.0, 3_000.0, 3_000.0];

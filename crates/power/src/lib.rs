@@ -17,7 +17,12 @@
 //! * dynamic: `δ = (Vdd / Vdd₀)²` ([`dynamic_scale`]),
 //! * static: `σ = 10^((Vth₀ − Vth)/S) · (Vdd / Vdd₀)` ([`static_scale`]),
 //! * the α-power law relating maximum frequency, supply and threshold
-//!   voltage ([`AlphaPowerModel`]).
+//!   voltage ([`threshold_for`]).
+//!
+//! The reference point of all three is the paper's one operating point,
+//! held in constants: 1 GHz ([`FREQ_REF_GHZ`]) at 1 V ([`VDD_REF`]) with a
+//! 0.25 V threshold ([`VTH_REF`]), α = 1.36 ([`ALPHA`]) and a 100 mV/decade
+//! subthreshold swing ([`SUBTHRESHOLD_SWING_V`]).
 //!
 //! The headline metric is the energy–delay² product ([`ed2`]).
 //!
@@ -38,8 +43,8 @@
 //!
 //! // Re-estimating the reference run on the reference machine returns the
 //! // normalisation point: total energy 1.
-//! let usage = UsageProfile::homogeneous(&reference_run, design.num_clusters);
 //! let config = ClockedConfig::reference(design);
+//! let usage = UsageProfile::homogeneous(&reference_run, &config).unwrap();
 //! let energy = model.estimate_energy(&config, &usage).unwrap();
 //! assert!((energy - 1.0).abs() < 1e-9);
 //! ```
@@ -53,7 +58,7 @@ mod estimate;
 mod reference;
 mod scaling;
 
-pub use alpha::AlphaPowerModel;
+pub use alpha::{threshold_for, ALPHA, FREQ_REF_GHZ, VDD_REF, VTH_REF};
 pub use estimate::{ConfigScaling, DomainScaling, PowerModel, UsageProfile};
 pub use reference::{EnergyShares, EnergyUnits, ReferenceProfile};
 pub use scaling::{dynamic_scale, static_scale, SUBTHRESHOLD_SWING_V};
@@ -81,5 +86,4 @@ const _: () = {
     _assert_send_sync::<ReferenceProfile>();
     _assert_send_sync::<UsageProfile>();
     _assert_send_sync::<ConfigScaling>();
-    _assert_send_sync::<AlphaPowerModel>();
 };

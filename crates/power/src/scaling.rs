@@ -1,13 +1,15 @@
 //! Voltage/frequency scaling laws for dynamic and static energy (§3.1.1,
-//! §3.1.2 of the paper).
+//! §3.1.2 of the paper), relative to the reference operating point
+//! ([`VDD_REF`], [`VTH_REF`]).
+
+use crate::alpha::{VDD_REF, VTH_REF};
 
 /// Subthreshold swing `S`: volts of threshold-voltage reduction per decade
 /// of leakage-current increase.
 ///
 /// 100 mV/decade, the standard value for the paper's technology
 /// generation. Together with `α = 1.36` this places the ED²-optimal
-/// homogeneous design exactly at the paper's 1 GHz / 1 V reference point —
-/// see EXPERIMENTS.md for the calibration discussion.
+/// homogeneous design exactly at the paper's 1 GHz / 1 V reference point.
 pub const SUBTHRESHOLD_SWING_V: f64 = 0.10;
 
 /// Dynamic-energy scaling factor δ (§3.1.1).
@@ -18,20 +20,19 @@ pub const SUBTHRESHOLD_SWING_V: f64 = 0.10;
 ///
 /// # Panics
 ///
-/// Panics if either voltage is not positive and finite.
+/// Panics if `vdd` is not positive and finite.
 ///
 /// # Example
 ///
 /// ```
 /// // Dropping from 1.0 V to 0.8 V saves 36 % of dynamic energy.
-/// let delta = vliw_power::dynamic_scale(0.8, 1.0);
+/// let delta = vliw_power::dynamic_scale(0.8);
 /// assert!((delta - 0.64).abs() < 1e-12);
 /// ```
 #[must_use]
-pub fn dynamic_scale(vdd: f64, vdd_ref: f64) -> f64 {
+pub fn dynamic_scale(vdd: f64) -> f64 {
     check_voltage(vdd, "vdd");
-    check_voltage(vdd_ref, "vdd_ref");
-    let r = vdd / vdd_ref;
+    let r = vdd / VDD_REF;
     r * r
 }
 
@@ -44,26 +45,21 @@ pub fn dynamic_scale(vdd: f64, vdd_ref: f64) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics if a voltage is not positive/finite or a threshold is not finite.
+/// Panics if `vdd` is not positive/finite or `vth` is not finite.
 ///
 /// # Example
 ///
 /// ```
-/// use vliw_power::{static_scale, SUBTHRESHOLD_SWING_V};
+/// use vliw_power::{static_scale, SUBTHRESHOLD_SWING_V, VTH_REF};
 /// // Raising Vth by one subthreshold swing cuts leakage 10×.
-/// let sigma = static_scale(1.0, 0.25 + SUBTHRESHOLD_SWING_V, 1.0, 0.25, SUBTHRESHOLD_SWING_V);
+/// let sigma = static_scale(1.0, VTH_REF + SUBTHRESHOLD_SWING_V);
 /// assert!((sigma - 0.1).abs() < 1e-12);
 /// ```
 #[must_use]
-pub fn static_scale(vdd: f64, vth: f64, vdd_ref: f64, vth_ref: f64, swing: f64) -> f64 {
+pub fn static_scale(vdd: f64, vth: f64) -> f64 {
     check_voltage(vdd, "vdd");
-    check_voltage(vdd_ref, "vdd_ref");
-    assert!(
-        vth.is_finite() && vth_ref.is_finite(),
-        "thresholds must be finite"
-    );
-    assert!(swing.is_finite() && swing > 0.0, "swing must be positive");
-    10f64.powf((vth_ref - vth) / swing) * (vdd / vdd_ref)
+    assert!(vth.is_finite(), "threshold must be finite");
+    10f64.powf((VTH_REF - vth) / SUBTHRESHOLD_SWING_V) * (vdd / VDD_REF)
 }
 
 fn check_voltage(v: f64, name: &str) {
@@ -80,58 +76,47 @@ mod tests {
 
     #[test]
     fn reference_point_scales_to_one() {
-        assert_eq!(dynamic_scale(1.0, 1.0), 1.0);
-        assert_eq!(
-            static_scale(1.0, 0.25, 1.0, 0.25, SUBTHRESHOLD_SWING_V),
-            1.0
-        );
+        assert_eq!(dynamic_scale(1.0), 1.0);
+        assert_eq!(static_scale(1.0, 0.25), 1.0);
     }
 
     #[test]
     fn dynamic_is_quadratic() {
-        assert!((dynamic_scale(1.2, 1.0) - 1.44).abs() < 1e-12);
-        assert!((dynamic_scale(0.7, 1.0) - 0.49).abs() < 1e-12);
+        assert!((dynamic_scale(1.2) - 1.44).abs() < 1e-12);
+        assert!((dynamic_scale(0.7) - 0.49).abs() < 1e-12);
     }
 
     #[test]
     fn lower_vth_leaks_exponentially_more() {
-        let one_decade = static_scale(1.0, 0.15, 1.0, 0.25, 0.1);
+        let one_decade = static_scale(1.0, 0.15);
         assert!((one_decade - 10.0).abs() < 1e-9);
-        let two_decades = static_scale(1.0, 0.05, 1.0, 0.25, 0.1);
+        let two_decades = static_scale(1.0, 0.05);
         assert!((two_decades - 100.0).abs() < 1e-7);
     }
 
     #[test]
     fn static_scale_is_linear_in_vdd() {
-        let a = static_scale(0.8, 0.25, 1.0, 0.25, SUBTHRESHOLD_SWING_V);
+        let a = static_scale(0.8, 0.25);
         assert!((a - 0.8).abs() < 1e-12);
     }
 
     #[test]
     #[should_panic(expected = "positive and finite")]
     fn zero_voltage_panics() {
-        let _ = dynamic_scale(0.0, 1.0);
+        let _ = dynamic_scale(0.0);
     }
 
     proptest! {
         #[test]
         fn dynamic_monotone_in_vdd(v1 in 0.5f64..2.0, v2 in 0.5f64..2.0) {
             prop_assume!(v1 < v2);
-            prop_assert!(dynamic_scale(v1, 1.0) < dynamic_scale(v2, 1.0));
+            prop_assert!(dynamic_scale(v1) < dynamic_scale(v2));
         }
 
         #[test]
         fn static_monotone_decreasing_in_vth(t1 in 0.05f64..0.5, t2 in 0.05f64..0.5) {
             prop_assume!(t1 < t2);
-            prop_assert!(static_scale(1.0, t1, 1.0, 0.25, 0.1) > static_scale(1.0, t2, 1.0, 0.25, 0.1));
-        }
-
-        #[test]
-        fn scales_compose(v in 0.5f64..2.0) {
-            // δ(v, ref) · δ(ref, v) = 1.
-            let forward = dynamic_scale(v, 1.0);
-            let back = dynamic_scale(1.0, v);
-            prop_assert!((forward * back - 1.0).abs() < 1e-9);
+            prop_assert!(static_scale(1.0, t1) > static_scale(1.0, t2));
         }
     }
 }

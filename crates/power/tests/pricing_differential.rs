@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use vliw_machine::{ClockedConfig, DomainId, MachineDesign, Time, Voltages};
 use vliw_power::{
-    dynamic_scale, static_scale, ConfigScaling, EnergyShares, PowerModel, ReferenceProfile,
-    UsageProfile, SUBTHRESHOLD_SWING_V,
+    dynamic_scale, static_scale, threshold_for, ConfigScaling, EnergyShares, PowerModel,
+    ReferenceProfile, UsageProfile,
 };
 
 fn model(buses: u32) -> PowerModel {
@@ -28,19 +28,10 @@ fn model(buses: u32) -> PowerModel {
 /// model at the point of use, in the formula's order.
 fn oracle_energy(power: &PowerModel, config: &ClockedConfig, usage: &UsageProfile) -> Option<f64> {
     let units = power.units();
-    let alpha = power.alpha_model();
     let scale = |d: DomainId| -> Option<(f64, f64)> {
         let vdd = config.voltages().domain(d);
-        let vth = alpha.threshold_for(config.domain_cycle(d).freq_ghz(), vdd)?;
-        let delta = dynamic_scale(vdd, alpha.vdd_ref());
-        let sigma = static_scale(
-            vdd,
-            vth,
-            alpha.vdd_ref(),
-            alpha.vth_ref(),
-            SUBTHRESHOLD_SWING_V,
-        );
-        Some((delta, sigma))
+        let vth = threshold_for(config.domain_cycle(d).freq_ghz(), vdd)?;
+        Some((dynamic_scale(vdd), static_scale(vdd, vth)))
     };
     let secs = usage.exec_time.as_secs();
     let mut dynamic = 0.0;
@@ -132,14 +123,13 @@ proptest! {
 #[test]
 fn scaling_feasibility_matches_the_threshold_solve() {
     let power = model(1);
-    let alpha = power.alpha_model();
     let (mut feasible, mut infeasible) = (0, 0);
     for ci in 0..=30 {
         let cycle = Time::from_ns(0.5 + 0.05 * f64::from(ci));
         for vi in 0..=36 {
             let vdd = 0.6 + 0.025 * f64::from(vi);
             let s = power.scaling(cycle, vdd);
-            let vth = alpha.threshold_for(cycle.freq_ghz(), vdd);
+            let vth = threshold_for(cycle.freq_ghz(), vdd);
             assert_eq!(s.map(|s| s.vth.to_bits()), vth.map(f64::to_bits));
             if s.is_some() {
                 feasible += 1;

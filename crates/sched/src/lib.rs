@@ -12,7 +12,7 @@
 //!    synchronisation failures;
 //! 3. partition the data-dependence graph across clusters with a multilevel
 //!    strategy whose refinement minimises estimated ED²
-//!    ([`partition::compute_partition`]) — critical recurrences are
+//!    ([`partition_candidates_ws`]) — critical recurrences are
 //!    pre-placed whole into the slowest cluster that can still schedule
 //!    them (§4.1.1);
 //! 4. schedule with a Rau-style iterative modulo scheduler over per-cluster
@@ -106,7 +106,7 @@ pub use hetero::{
     schedule_loop, schedule_loop_with_partition, schedule_loop_ws, ScheduleOptions, MAX_IT_ATTEMPTS,
 };
 pub use mrt::{BusMrt, ClusterMrt};
-pub use partition::{compute_partition, partition_candidates_ws, Partition, PartitionObjective};
+pub use partition::{partition_candidates_ws, Partition, PartitionObjective};
 pub use regs::{lifetime_sum_ticks, max_lives};
 pub use schedule::{ScheduledCopy, ScheduledLoop};
 pub use timing::LoopClocks;

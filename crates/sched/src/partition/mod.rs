@@ -99,28 +99,6 @@ impl Default for PartitionObjective<'_> {
     }
 }
 
-/// Computes the refined cluster assignment for `ddg` at the given clocks
-/// under `objective`: the first of [`partition_candidates_ws`]'s
-/// candidates, computed with a fresh scratch.
-///
-/// # Errors
-///
-/// Returns [`SchedError::RecurrenceDoesNotFit`] when some recurrence cannot
-/// be placed in any cluster at this initiation time — the driver reacts by
-/// increasing the `IT`.
-pub fn compute_partition(
-    ddg: &Ddg,
-    config: &ClockedConfig,
-    clocks: &LoopClocks,
-    objective: &PartitionObjective<'_>,
-) -> Result<Partition, SchedError> {
-    let mut scratch = PartitionScratch::new();
-    let candidates = partition_candidates_ws(ddg, config, clocks, objective, &mut scratch)?;
-    Ok(Partition {
-        assignment: candidates[0].clone(),
-    })
-}
-
 /// The candidate partitions the scheduling driver tries at one initiation
 /// time, in order, without duplicates:
 ///
@@ -141,7 +119,9 @@ pub fn compute_partition(
 ///
 /// # Errors
 ///
-/// As [`compute_partition`].
+/// Returns [`SchedError::RecurrenceDoesNotFit`] when some recurrence cannot
+/// be placed in any cluster at this initiation time — the driver reacts by
+/// increasing the `IT`.
 pub fn partition_candidates_ws<'s>(
     ddg: &Ddg,
     config: &ClockedConfig,

@@ -160,11 +160,12 @@ mod tests {
         let recs = condensation(&ddg).recurrences(&ddg);
         assert_eq!(pin(&ddg, &recs, &config, &clocks), Err(6));
         // The public entry point reports it as the driver's error.
-        let err = crate::partition::compute_partition(
+        let err = crate::partition::partition_candidates_ws(
             &ddg,
             &config,
             &clocks,
             &crate::partition::PartitionObjective::default(),
+            &mut crate::PartitionScratch::new(),
         )
         .unwrap_err();
         assert!(matches!(

@@ -119,10 +119,22 @@ impl Refiner {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::partition::{compute_partition, PartitionObjective};
+    use crate::partition::{partition_candidates_ws, PartitionObjective};
     use crate::timing::LoopClocks;
+    use crate::workspace::PartitionScratch;
     use vliw_ir::{Ddg, DdgBuilder, OpClass};
     use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, Time};
+
+    /// The refined partition: the first of the driver's candidates.
+    fn refined_partition(
+        ddg: &Ddg,
+        config: &ClockedConfig,
+        clocks: &LoopClocks,
+        objective: &PartitionObjective<'_>,
+    ) -> Vec<ClusterId> {
+        let mut scratch = PartitionScratch::new();
+        partition_candidates_ws(ddg, config, clocks, objective, &mut scratch).unwrap()[0].clone()
+    }
 
     fn setup(it_ns: f64) -> (ClockedConfig, LoopClocks) {
         let config = ClockedConfig::reference(MachineDesign::paper_machine(1));
@@ -146,14 +158,10 @@ mod tests {
         }
         let ddg = b.build().unwrap();
         let (config, clocks) = setup(3.0);
-        let p = compute_partition(&ddg, &config, &clocks, &PartitionObjective::default()).unwrap();
+        let p = refined_partition(&ddg, &config, &clocks, &PartitionObjective::default());
         // A 3-op chain fits one cluster (II 3); splitting costs a bus trip.
-        let first = p.assignment[0];
-        assert!(
-            p.assignment.iter().all(|&c| c == first),
-            "{:?}",
-            p.assignment
-        );
+        let first = p[0];
+        assert!(p.iter().all(|&c| c == first), "{:?}", p);
     }
 
     #[test]
@@ -164,12 +172,12 @@ mod tests {
         }
         let ddg = b.build().unwrap();
         let (config, clocks) = setup(2.0);
-        let p = compute_partition(&ddg, &config, &clocks, &PartitionObjective::default()).unwrap();
+        let p = refined_partition(&ddg, &config, &clocks, &PartitionObjective::default());
         let mut per = [0usize; 4];
-        for &c in &p.assignment {
+        for &c in &p {
             per[c.index()] += 1;
         }
-        assert_eq!(per, [2, 2, 2, 2], "{:?}", p.assignment);
+        assert_eq!(per, [2, 2, 2, 2], "{:?}", p);
     }
 
     #[test]
@@ -187,8 +195,8 @@ mod tests {
             b.op(format!("f{i}"), OpClass::IntArith);
         }
         let ddg = b.build().unwrap();
-        let p = compute_partition(&ddg, &config, &clocks, &PartitionObjective::default()).unwrap();
-        assert_eq!(config.cluster_cycle(p.assignment[0]), Time::from_ns(2.0));
+        let p = refined_partition(&ddg, &config, &clocks, &PartitionObjective::default());
+        assert_eq!(config.cluster_cycle(p[0]), Time::from_ns(2.0));
     }
 
     #[test]
@@ -203,15 +211,15 @@ mod tests {
             b.op(format!("n{i}"), OpClass::IntArith);
         }
         let ddg = b.build().unwrap();
-        let p = compute_partition(&ddg, &config, &clocks, &PartitionObjective::default()).unwrap();
-        assert!(p.assignment.iter().all(|&c| c == ClusterId(0)));
+        let p = refined_partition(&ddg, &config, &clocks, &PartitionObjective::default());
+        assert!(p.iter().all(|&c| c == ClusterId(0)));
     }
 
     #[test]
     fn empty_ddg_gives_empty_partition() {
         let ddg = DdgBuilder::new("empty").build().unwrap();
         let (config, clocks) = setup(1.0);
-        let p = compute_partition(&ddg, &config, &clocks, &PartitionObjective::default()).unwrap();
+        let p = refined_partition(&ddg, &config, &clocks, &PartitionObjective::default());
         assert!(p.is_empty());
     }
 
@@ -290,7 +298,7 @@ mod tests {
                 hierarchy
                     .build(&ddg, &recurrences, config, &clocks)
                     .unwrap();
-                let refined = compute_partition(&ddg, config, &clocks, &objective).unwrap();
+                let refined = refined_partition(&ddg, config, &clocks, &objective);
                 let seed_eval = evaluate_partition(
                     &ddg,
                     hierarchy.seed(),
@@ -299,14 +307,8 @@ mod tests {
                     &clocks,
                     &objective,
                 );
-                let refined_eval = evaluate_partition(
-                    &ddg,
-                    &refined.assignment,
-                    &recurrences,
-                    config,
-                    &clocks,
-                    &objective,
-                );
+                let refined_eval =
+                    evaluate_partition(&ddg, &refined, &recurrences, config, &clocks, &objective);
                 assert!(
                     refined_eval.ed2 <= seed_eval.ed2 * (1.0 + 1e-12),
                     "{}: refinement worsened cost ({} -> {})",

@@ -9,8 +9,8 @@
 //! hashed content, never on the process, machine or compiler that
 //! computed it.
 //!
-//! Floats are hashed by bit pattern, extending the exact (no epsilon
-//! classes) discipline of `PowerModel::fingerprint` to persistent keys.
+//! Floats are hashed by bit pattern, so two keys are equal only when
+//! every hashed float is equal exactly: there are no epsilon classes.
 
 /// 64-bit FNV-1a over an explicitly encoded byte stream.
 #[derive(Debug, Clone)]

@@ -3,7 +3,8 @@
 //! The paper evaluates on >4000 software-pipelinable Fortran loops that the
 //! ORC compiler extracted from ten SPECfp2000 benchmarks. Neither ORC nor
 //! SPEC sources are available here, so this crate generates *synthetic*
-//! suites with the same decision-relevant structure (see DESIGN.md §3):
+//! suites with the same decision-relevant structure, the structure the
+//! paper's §5.2 analysis attributes each benchmark's result to:
 //!
 //! * per benchmark, the fraction of execution time spent in
 //!   resource-constrained, borderline and recurrence-constrained loops

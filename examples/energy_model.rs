@@ -6,9 +6,7 @@
 //! ```
 
 use heterovliw::machine::{ClockedConfig, DomainId, MachineDesign, Time, Voltages};
-use heterovliw::power::{
-    AlphaPowerModel, EnergyShares, PowerModel, ReferenceProfile, UsageProfile,
-};
+use heterovliw::power::{threshold_for, EnergyShares, PowerModel, ReferenceProfile, UsageProfile};
 
 fn main() {
     let design = MachineDesign::paper_machine(1);
@@ -19,13 +17,13 @@ fn main() {
         exec_time: Time::from_ns(400_000.0),
     };
     let power = PowerModel::calibrate(design, EnergyShares::PAPER, &reference);
-    let usage = UsageProfile::homogeneous(&reference, design.num_clusters);
+    let usage = UsageProfile::homogeneous(&reference, &ClockedConfig::reference(design))
+        .expect("the reference machine has one clock");
 
     // The α-power law: what threshold voltage does each (f, Vdd) pair get?
-    let alpha = AlphaPowerModel::paper_reference();
     println!("α-power thresholds (f in GHz, Vdd in V):");
     for (f, vdd) in [(1.0, 1.0), (1.111, 1.1), (0.8, 0.85), (0.667, 0.75)] {
-        match alpha.threshold_for(f, vdd) {
+        match threshold_for(f, vdd) {
             Some(vth) => println!("  f={f:.3}, Vdd={vdd:.2} -> Vth={vth:.3} V"),
             None => println!("  f={f:.3}, Vdd={vdd:.2} -> infeasible"),
         }

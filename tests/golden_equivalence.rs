@@ -57,6 +57,17 @@ fn figure6_loops16_json_is_byte_identical() {
     );
 }
 
+/// `paper figure6`: the CLI defaults (40 loops, both buses, seed 0).
+/// The smaller goldens cannot see an answer change that first shows at
+/// 40 loops, such as a lower IMS eject budget.
+#[test]
+fn figure6_at_the_cli_defaults_is_byte_identical() {
+    check(
+        r#"{"kind":"figure6","loops":40,"buses":"both","seed":0}"#,
+        "figure6_loops40_busesboth.json",
+    );
+}
+
 /// `paper --experiment figure7 --loops 4 --buses 1` (pre-refactor seed).
 #[test]
 fn figure7_json_is_byte_identical_to_pre_refactor_output() {
