@@ -133,10 +133,12 @@ pub fn estimate_usage(
         .clusters()
         .filter(|&c| config.cluster_cycle(c) == fastest)
         .collect();
-    let slow_clusters: Vec<ClusterId> = design
+    // Capacity ∝ 1 / cycle time (II per unit of IT).
+    let inv_ct: Vec<f64> = design
         .clusters()
-        .filter(|&c| config.cluster_cycle(c) != fastest)
+        .map(|c| 1.0 / config.cluster_cycle(c).as_ns())
         .collect();
+    let total_cap: f64 = inv_ct.iter().sum();
 
     let mut total_ns = 0.0f64;
     let mut weighted = vec![0.0f64; usize::from(design.num_clusters)];
@@ -158,25 +160,13 @@ pub fn estimate_usage(
         } else {
             0.0
         };
-        if slow_clusters.is_empty() {
-            for c in design.clusters() {
-                weighted[c.index()] += per_iter / f64::from(design.num_clusters);
-            }
-        } else {
-            let rec_part = per_iter * rec_share / fast_clusters.len() as f64;
-            for &c in &fast_clusters {
-                weighted[c.index()] += rec_part;
-            }
-            // Capacity ∝ 1 / cycle time (II per unit of IT).
-            let inv_ct: Vec<f64> = design
-                .clusters()
-                .map(|c| 1.0 / config.cluster_cycle(c).as_ns())
-                .collect();
-            let total_cap: f64 = inv_ct.iter().sum();
-            let rest = per_iter * (1.0 - rec_share);
-            for c in design.clusters() {
-                weighted[c.index()] += rest * inv_ct[c.index()] / total_cap;
-            }
+        let rec_part = per_iter * rec_share / fast_clusters.len() as f64;
+        for &c in &fast_clusters {
+            weighted[c.index()] += rec_part;
+        }
+        let rest = per_iter * (1.0 - rec_share);
+        for c in design.clusters() {
+            weighted[c.index()] += rest * inv_ct[c.index()] / total_cap;
         }
         comms += l.invocations * l.comms as f64 * l.trips as f64;
         mems += l.invocations * l.mem_accesses as f64 * l.trips as f64;
@@ -288,6 +278,31 @@ mod tests {
             }
         }
         assert!(grew > 0, "capacity loss must bite somewhere");
+    }
+
+    #[test]
+    fn equal_cluster_cycles_split_the_work_evenly() {
+        // Four 1 ns clusters behind a 1.25 ns ICN: not homogeneous, so the
+        // §3.2 estimator answers, and every cluster is a fast one.
+        let (p, design) = profiled(8, 6); // sixtrack: recurrence work too
+        let config = ClockedConfig::from_parts(
+            design,
+            vec![Time::from_ns(1.0); 4],
+            Time::from_ns(1.25),
+            Time::from_ns(1.0),
+            vliw_machine::Voltages::reference(design.num_clusters),
+        );
+        assert!(!config.is_homogeneous());
+        let usage = estimate_usage(&p, &config, &FrequencyMenu::unrestricted()).unwrap();
+        let total: f64 = p
+            .loops
+            .iter()
+            .map(|l| l.weighted_ins * l.invocations * l.trips as f64)
+            .sum();
+        let even = total / 4.0;
+        for &w in &usage.weighted_ins_per_cluster {
+            assert!(((w - even) / even).abs() < 1e-12, "{w} vs even {even}");
+        }
     }
 
     #[test]

@@ -7,6 +7,17 @@
 //! it is *forced* in and the conflicting occupants are ejected and
 //! rescheduled later, within a bounded budget (Rau's IMS \[28\]).
 //!
+//! Before it places anything, an attempt counts the nodes each issue
+//! resource must hold — one cluster's int, fp or mem units, or the bus —
+//! and fails with [`ImsFailure::OverCapacity`] if any count exceeds the
+//! resource's modulo reservation table slots (FU count × II, or buses ×
+//! ICN II). This is Rau's ResMII bound applied per resource after
+//! partitioning: a finished placement holds one reservation per node, so
+//! such an attempt could only spend its whole budget and fail. The check
+//! changes no schedule, only the work spent on attempts that cannot
+//! succeed (`tests::too_many_ops_for_capacity_fails` and the
+//! `regs_incremental` proptest pin it).
+//!
 //! Heterogeneity enters through the time base: every node issues on its own
 //! domain's cycle grid (cluster cycles for operations, ICN cycles for
 //! copies), and dependences are checked in exact ticks, so a fast-cluster
@@ -15,7 +26,7 @@
 use vliw_machine::{ClockedConfig, DomainId};
 
 use crate::comm::{ExtGraph, NodeId, NodePlace};
-use crate::mrt::{kind_slot, BusMrt, ClusterMrt};
+use crate::mrt::{kind_slot, BusMrt, ClusterMrt, CLUSTER_KINDS};
 use crate::regs::max_lives_maintained_into;
 use crate::timing::LoopClocks;
 use crate::work::{phase_done, Phase};
@@ -35,16 +46,25 @@ pub struct ImsResult {
 }
 
 /// Why scheduling at the current initiation time failed. Every variant is
-/// cured (eventually) by increasing the `IT`, which the driver does.
+/// cured (eventually) by increasing the `IT`, which the driver does; the
+/// driver treats them all alike.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ImsFailure {
+    /// Some issue resource — one cluster's int, fp or mem units, or the
+    /// bus — must hold more nodes than its reservation table has slots
+    /// (FU count × II, or buses × ICN II), so no placement exists. Found
+    /// before any node is placed.
+    OverCapacity,
     /// A dependence cycle is longer than one initiation time even before
     /// resources are considered (copies and synchronisation pushed a
-    /// recurrence over budget).
+    /// recurrence over budget). Found before any node is placed.
     PositiveCycle,
-    /// The eject-and-retry budget ran out.
+    /// The placement loop gave up: it placed [`BUDGET_RATIO`] × nodes
+    /// operations, or a node's earliest cycle passed the cycle cap,
+    /// without every node placed at once.
     BudgetExhausted,
-    /// The schedule exists but needs more registers than a cluster has.
+    /// Every node is placed, but a cluster needs more registers than it
+    /// has; the vector holds MaxLives per cluster.
     RegisterPressure(Vec<u32>),
 }
 
@@ -169,10 +189,8 @@ fn place(
     let n = graph.num_nodes();
     let design = config.design();
     let num_clusters = usize::from(design.num_clusters);
+    let num_res = num_clusters * 3 + 1;
     let l = clocks.ticks_per_it();
-    if !compute_heights_into(graph, l, &mut ws.heights) {
-        return Err(ImsFailure::PositiveCycle);
-    }
 
     // Reservation tables: reset in place, allocating only when the machine
     // grows beyond anything this workspace has seen.
@@ -183,6 +201,27 @@ fn place(
         ws.cluster_mrts[c.index()].reset(design.cluster, clocks.cluster_ii(c));
     }
     ws.bus_mrt.reset(design.buses, clocks.icn_ii());
+
+    // A finished placement holds one reservation per node, so a resource
+    // with more nodes than slots could only exhaust the budget.
+    let cluster_mrts = &ws.cluster_mrts[..num_clusters];
+    let res_nodes = &mut ws.res_nodes;
+    res_nodes.clear();
+    res_nodes.resize(num_res, 0);
+    for v in graph.nodes() {
+        res_nodes[res_id(graph, v, num_clusters)] += 1;
+    }
+    let slots = |r: usize| match cluster_mrts.get(r / 3) {
+        Some(mrt) => mrt.free_slots(CLUSTER_KINDS[r % 3]),
+        None => ws.bus_mrt.free_slots(),
+    };
+    if res_nodes.iter().enumerate().any(|(r, &k)| k > slots(r)) {
+        return Err(ImsFailure::OverCapacity);
+    }
+
+    if !compute_heights_into(graph, l, &mut ws.heights) {
+        return Err(ImsFailure::PositiveCycle);
+    }
 
     ws.sched.clear();
     ws.sched.resize(n, None);
@@ -245,7 +284,6 @@ fn place(
     let mut ready_hint = 0usize;
 
     // Per-resource scheduled-node bitsets for eject-candidate enumeration.
-    let num_res = num_clusters * 3 + 1;
     res_sched.clear();
     res_sched.resize(num_res * nw, 0);
 
@@ -707,7 +745,8 @@ mod tests {
 
     #[test]
     fn too_many_ops_for_capacity_fails() {
-        // 4 int ops on 1 int FU at II = 3: pigeonhole ⇒ no schedule.
+        // Pigeonhole ⇒ no schedule, found before any node is placed.
+        // First 4 int ops on 1 int FU at II = 3.
         let design = MachineDesign::new(
             1,
             vliw_machine::ClusterDesign {
@@ -718,18 +757,42 @@ mod tests {
             },
             1,
         );
-        let config = ClockedConfig::reference(design);
-        let clocks = clocks_for(&config, 3.0);
+        let one = ClockedConfig::reference(design);
+        let clocks = clocks_for(&one, 3.0);
         let mut b = DdgBuilder::new("par");
         for i in 0..4 {
             b.op(format!("n{i}"), OpClass::IntArith);
         }
-        let ddg = b.build().unwrap();
-        let g = ExtGraph::build(&ddg, &[ClusterId(0); 4], &config, &clocks);
-        assert_eq!(
-            schedule(&g, &config, &clocks),
-            Err(ImsFailure::BudgetExhausted)
+        let ints = ExtGraph::build(&b.build().unwrap(), &[ClusterId(0); 4], &one, &clocks);
+
+        // Then 2 copies on 1 bus at ICN II = 1, on two clusters whose own
+        // units fit (one int and one fp op each).
+        let two =
+            ClockedConfig::reference(MachineDesign::new(2, vliw_machine::ClusterDesign::PAPER, 1));
+        let tight = clocks_for(&two, 1.0);
+        let mut b = DdgBuilder::new("two-comms");
+        let a1 = b.op("a1", OpClass::IntArith);
+        let a2 = b.op("a2", OpClass::FpArith);
+        let u1 = b.op("u1", OpClass::IntArith);
+        let u2 = b.op("u2", OpClass::FpArith);
+        b.flow(a1, u1);
+        b.flow(a2, u2);
+        let comms = ExtGraph::build(
+            &b.build().unwrap(),
+            &[ClusterId(0), ClusterId(0), ClusterId(1), ClusterId(1)],
+            &two,
+            &tight,
         );
+        assert_eq!((comms.copies().len(), tight.icn_ii()), (2, 1));
+
+        for (g, config, clocks) in [(&ints, &one, &clocks), (&comms, &two, &tight)] {
+            let mut ws = SchedWorkspace::new();
+            assert_eq!(
+                schedule_into(g, config, clocks, &mut ws),
+                Err(ImsFailure::OverCapacity)
+            );
+            assert_eq!(ws.placements, 0, "the attempt placed a node");
+        }
     }
 
     #[test]
@@ -884,12 +947,15 @@ mod tests {
         //! from-scratch sweep [`crate::regs::max_lives`], on random DDGs
         //! with random two-cluster assignments, at every IT the retry
         //! ladder reaches — with one warm workspace carried across
-        //! attempts, exactly like the scheduling driver.
+        //! attempts, exactly like the scheduling driver. At each IT it
+        //! also checks the slot count against the test's own tally of
+        //! nodes per resource, and every schedule against its tables.
 
         use super::*;
         use proptest::collection::vec as pvec;
         use proptest::prelude::*;
-        use vliw_ir::Ddg;
+        use std::collections::HashMap;
+        use vliw_ir::{Ddg, FuKind};
 
         const CLASSES: [OpClass; 8] = [
             OpClass::IntArith,
@@ -927,6 +993,32 @@ mod tests {
             b.build().unwrap()
         }
 
+        /// The test's own tally of the issue resources: for each (place,
+        /// FU kind) the graph uses, its units, its II and its nodes.
+        fn resources(
+            g: &ExtGraph,
+            config: &ClockedConfig,
+            clocks: &LoopClocks,
+        ) -> HashMap<(NodePlace, FuKind), (u64, u64, Vec<NodeId>)> {
+            let design = config.design();
+            let mut tally = HashMap::new();
+            for v in g.nodes() {
+                let (units, ii) = match g.place(v) {
+                    NodePlace::Cluster(c) => (
+                        u64::from(design.cluster.fu_count(g.fu_kind(v))),
+                        clocks.cluster_ii(c),
+                    ),
+                    NodePlace::Bus => (u64::from(design.buses), clocks.icn_ii()),
+                };
+                tally
+                    .entry((g.place(v), g.fu_kind(v)))
+                    .or_insert((units, ii, Vec::new()))
+                    .2
+                    .push(v);
+            }
+            tally
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -954,10 +1046,35 @@ mod tests {
                 for it in 2..40 {
                     let clocks = clocks_for(&config, f64::from(it));
                     let g = ExtGraph::build(&ddg, &assignment, &config, &clocks);
-                    if schedule_into(&g, &config, &clocks, &mut ws)
-                        .is_err()
-                    {
+                    let result = schedule_into(&g, &config, &clocks, &mut ws);
+                    // A resource with more nodes than slots, and only
+                    // that, fails the attempt before placement.
+                    let tally = resources(&g, &config, &clocks);
+                    let over = tally
+                        .values()
+                        .any(|(units, ii, nodes)| nodes.len() as u64 > units * ii);
+                    prop_assert_eq!(
+                        result == Err(ImsFailure::OverCapacity),
+                        over,
+                        "the slot count mispredicted {:?} at IT {}ns",
+                        result,
+                        it
+                    );
+                    if result.is_err() {
                         continue;
+                    }
+                    // A schedule fits: no modulo row of a resource holds
+                    // more nodes than it has units.
+                    for (units, ii, nodes) in tally.values() {
+                        let mut rows = vec![0u64; usize::try_from(*ii).unwrap()];
+                        for v in nodes {
+                            rows[usize::try_from(ws.issue_cycles()[v.index()] % ii).unwrap()] += 1;
+                        }
+                        prop_assert!(
+                            rows.iter().all(|r| r <= units),
+                            "a modulo row overflows at IT {}ns",
+                            it
+                        );
                     }
                     oks += 1;
                     let fresh = crate::regs::max_lives(&g, &clocks, nc, ws.issue_ticks());

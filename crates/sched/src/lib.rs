@@ -19,7 +19,11 @@
 //!    modulo reservation tables, inserting explicit inter-cluster copies on
 //!    the bus ([`ims`]);
 //! 5. on failure (resources, recurrences or register pressure), increase
-//!    the `IT` and retry.
+//!    the `IT` and retry. An IMS attempt fails on resources before it
+//!    places anything when some cluster FU kind or the bus must hold more
+//!    nodes than its reservation table has slots
+//!    ([`ims::ImsFailure::OverCapacity`], Rau's ResMII bound per resource
+//!    after partitioning).
 //!
 //! Two inputs vary between calls and make up [`ScheduleOptions`]: the
 //! frequency menu (Figure 7 sweeps it) and the loop's trip count. The
@@ -27,7 +31,9 @@
 //! most [`ims::BUDGET_RATIO`] × nodes operations, and the driver tries at
 //! most [`MAX_IT_ATTEMPTS`] initiation times. The measurement store
 //! hashes both constants into every content address, so changing one
-//! re-addresses every stored measurement.
+//! re-addresses every stored measurement. An attempt that fails the slot
+//! count spends none of that budget: it could only have spent all of it
+//! and failed, since a finished placement holds one reservation per node.
 //!
 //! The same machinery schedules *homogeneous* machines (the paper's
 //! baseline \[2\]\[3\]) — pass a homogeneous [`ClockedConfig`] and no power

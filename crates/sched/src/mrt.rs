@@ -35,6 +35,9 @@
 use vliw_ir::FuKind;
 use vliw_machine::ClusterDesign;
 
+/// The cluster FU kinds in [`kind_slot`] order.
+pub(crate) const CLUSTER_KINDS: [FuKind; 3] = [FuKind::Int, FuKind::Fp, FuKind::Mem];
+
 /// Dense slot index of a cluster FU kind (`Int`, `Fp`, `Mem`).
 ///
 /// # Panics
@@ -181,10 +184,7 @@ impl ClusterMrt {
         self.design = design;
         self.wpr = words_per_rowset(ii);
         let mut base = 0usize;
-        for (k, kind) in [FuKind::Int, FuKind::Fp, FuKind::Mem]
-            .into_iter()
-            .enumerate()
-        {
+        for (k, kind) in CLUSTER_KINDS.into_iter().enumerate() {
             self.kind_base[k] = base;
             let units = usize::try_from(design.fu_count(kind)).expect("fu count fits");
             base += units * self.wpr;

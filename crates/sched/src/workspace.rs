@@ -106,6 +106,9 @@ pub struct SchedWorkspace {
     pub(crate) res_sched: Vec<u64>,
     /// Ticks per local cycle of each node's issue domain, precomputed.
     pub(crate) node_cyc_ticks: Vec<u64>,
+    /// Nodes per issue resource (same order as `res_sched`), counted
+    /// before placement to reject an attempt that cannot fit.
+    pub(crate) res_nodes: Vec<u64>,
     // --- incremental register-pressure state ---
     /// Per-producer max read tick over *currently placed* value consumers.
     pub(crate) reg_last_read: Vec<u64>,
@@ -146,6 +149,7 @@ impl SchedWorkspace {
             ready: Vec::new(),
             res_sched: Vec::new(),
             node_cyc_ticks: Vec::new(),
+            res_nodes: Vec::new(),
             reg_last_read: Vec::new(),
             reg_readers: Vec::new(),
             issue_cycles: Vec::new(),
