@@ -9,8 +9,9 @@
 //! * a JSON **array** of request objects on one line is a batch: it
 //!   fans out across the engine's worker pool ([`Engine::run_batch`])
 //!   and the reply is one array of responses in request order;
-//! * a malformed line yields a per-request error response — the
-//!   connection (and the daemon) stay up;
+//! * a malformed line, including one that is not UTF-8, yields a
+//!   per-request error response — the connection (and the daemon) stay
+//!   up;
 //! * a line longer than [`MAX_LINE_BYTES`] is answered with one error
 //!   response and its connection is closed, so a client that never
 //!   sends a newline cannot grow the daemon's memory;
@@ -179,14 +180,15 @@ fn handle_connection(
             eprintln!("[serve] over-long request line: connection closed");
             break;
         }
-        let Ok(line) = std::str::from_utf8(&buf) else {
-            break; // not text: the peer is not speaking the protocol
+        let (reply, stop) = match std::str::from_utf8(&buf) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => answer_line(engine, line.trim(), opts),
+            Err(e) => {
+                vliw_obs::counter("serve_errors_total").inc();
+                let error = format!("request line is not valid UTF-8: {e}");
+                (Response::protocol_error(error).to_json_line(), false)
+            }
         };
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let (reply, stop) = answer_line(engine, line, opts);
         if writer
             .write_all(reply.as_bytes())
             .and_then(|()| writer.write_all(b"\n"))

@@ -134,19 +134,21 @@ fn malformed_lines_get_error_responses_and_the_connection_survives() {
             let mut raw = UnixStream::connect(&opts.socket).expect("connect");
             let mut reader = BufReader::new(raw.try_clone().expect("clone"));
             for (line, needle) in [
-                ("this is not json", "malformed request"),
-                ("{\"kind\":\"frobnicate\"}", "unknown request kind"),
-                ("{\"kind\":\"figure6\",\"budget\":3}", "search"),
-                ("[{\"kind\":\"ping\"},42]", "request must be a JSON object"),
+                (&b"this is not json"[..], "malformed request"),
+                (b"{\"kind\":\"frobnicate\"}", "unknown request kind"),
+                (b"{\"kind\":\"figure6\",\"budget\":3}", "search"),
+                (b"[{\"kind\":\"ping\"},42]", "request must be a JSON object"),
+                (b"\xff\xfe{\"kind\":\"ping\"}", "UTF-8"),
             ] {
-                raw.write_all(line.as_bytes()).expect("send");
+                let shown = String::from_utf8_lossy(line);
+                raw.write_all(line).expect("send");
                 raw.write_all(b"\n").expect("send newline");
                 let mut reply = String::new();
                 reader.read_line(&mut reply).expect("receive");
                 let resp = Response::from_json_str(reply.trim_end()).expect("parse");
-                assert!(!resp.ok, "{line} must fail");
+                assert!(!resp.ok, "{shown} must fail");
                 let err = resp.error.expect("error message");
-                assert!(err.contains(needle), "{line}: {err}");
+                assert!(err.contains(needle), "{shown}: {err}");
             }
             // The same connection still serves good requests.
             raw.write_all(b"{\"kind\":\"ping\"}\n").expect("send ping");

@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::Hash;
@@ -432,13 +433,25 @@ impl<K: Eq + Hash, V: Clone> MemoCache<K, V> {
     /// computation never blocks unrelated lookups; if two threads race on
     /// the same key, both compute but the first store wins for everyone.
     pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> V {
+        self.get_or_insert(key, compute).0
+    }
+
+    /// [`get_or_compute`](Self::get_or_compute), also saying whether this
+    /// call added `key`'s entry. However many threads race to compute one
+    /// key, exactly one of them gets `true`, so counting the `true`s
+    /// counts entries added — a number that, unlike
+    /// [`misses`](Self::misses), does not depend on the interleaving.
+    pub fn get_or_insert(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
         if let Some(v) = self.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
-            return v.clone();
+            return (v.clone(), false);
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let value = compute();
-        self.lock().entry(key).or_insert(value).clone()
+        match self.lock().entry(key) {
+            Entry::Occupied(stored) => (stored.get().clone(), false),
+            Entry::Vacant(slot) => (slot.insert(value).clone(), true),
+        }
     }
 
     /// Number of distinct keys stored.
@@ -725,6 +738,22 @@ mod tests {
         }
         assert_eq!(cache.len(), 5);
         assert_eq!(cache.hits() + cache.misses(), 200);
+    }
+
+    /// Racing computations of one key all get the stored value, and
+    /// exactly one of them reports adding it.
+    #[test]
+    fn memo_cache_reports_each_entry_added_once() {
+        let cache: MemoCache<u32, u32> = MemoCache::new();
+        let items: Vec<u32> = (0..200).collect();
+        let out = Executor::new(8).map(&items, |_, &x| cache.get_or_insert(x % 5, || x % 5));
+        let added = out.iter().filter(|&&(_, added)| added).count();
+        for (i, &(v, _)) in out.iter().enumerate() {
+            assert_eq!(v, (i as u32) % 5);
+        }
+        assert_eq!(added, 5, "one addition per key");
+        assert!(cache.misses() >= 5);
+        assert_eq!(cache.get_or_insert(3, || 99), (3, false));
     }
 
     #[test]

@@ -114,7 +114,9 @@ pub fn estimate_it_length(profile: &LoopProfile, config: &ClockedConfig) -> Time
 /// Cycle times and the frequency menu fully determine the result; supply
 /// voltages only enter the energy model afterwards. The selection scheme
 /// exploits that split: one usage estimate per candidate configuration is
-/// shared across the entire voltage-descent grid.
+/// shared across the entire voltage-descent grid, and the profiled suite
+/// memoises it across selections
+/// ([`ProfiledSuite::estimate_memoised`](crate::experiments::ProfiledSuite::estimate_memoised)).
 ///
 /// Returns `None` when some loop cannot synchronise within the search
 /// horizon.

@@ -19,13 +19,17 @@ use std::sync::Arc;
 use serde::Serialize;
 
 use vliw_exec::{Executor, MemoCache};
-use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, MenuKind, Time};
+use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, MenuKind, Time, Voltages};
 use vliw_power::{ed2, EnergyShares, PowerModel, UsageProfile};
 use vliw_sched::{schedule_loop_ws, SchedError, SchedWorkspace, ScheduleOptions};
 use vliw_store::{MeasureStore, StoreKey};
 use vliw_workloads::{classify, Benchmark, LoopClass};
 
-use crate::homog::{optimum_homogeneous_suite, HomogChoice};
+use crate::estimate::estimate_usage;
+use crate::homog::{
+    optimise_voltages_grouped, optimum_homogeneous_suite, speed_groups, HomogChoice, SupplyGrid,
+    SupplyRow, SupplyRows,
+};
 use crate::profile::{profile_benchmark, reference_aggregate, suite_reference, BenchmarkProfile};
 use crate::select::select_heterogeneous;
 use crate::store_keys::{
@@ -71,8 +75,32 @@ impl Default for ExperimentOptions {
 /// partitions, so they correctly miss.
 pub type MeasureCache = MemoCache<StoreKey, Result<UsageProfile, SchedError>>;
 
+/// What a §3.2 usage estimate reads besides its suite: the benchmark,
+/// every domain's cycle time and the frequency menu. Voltages and the
+/// power model stay out of the key because the estimate reads neither.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct EstimateKey {
+    bench: usize,
+    cycles: Vec<Time>,
+    menu: FrequencyMenu,
+}
+
 /// A reference-profiled suite for one bus count; reusable across variant
 /// sweeps (profiling is share- and menu-independent).
+///
+/// Besides the measurement memo, a suite tabulates the power-independent
+/// inputs of the §3.3 selection, each on first use and shared by every
+/// request on the suite:
+///
+/// * **supply rows** ([`supply_rows`](Self::supply_rows)): a domain's
+///   δ/σ at every supply of its grid, one row per (grid, cycle time);
+/// * **§3.2 estimates** ([`estimate_memoised`](Self::estimate_memoised)):
+///   one usage per (benchmark, domain cycle times, frequency menu).
+///
+/// Both are exact: a row holds the same `vliw_power::scaling` calls and
+/// an estimate the same [`estimate_usage`] call that the selection would
+/// make, only made once. Recalibrating the power model (Figures 8 and 9)
+/// reuses both, since neither reads it.
 #[derive(Debug)]
 pub struct ProfiledSuite {
     /// The machine shape (4 clusters, `buses` buses).
@@ -94,6 +122,10 @@ pub struct ProfiledSuite {
     /// Configurations this suite actually re-scheduled: memo misses the
     /// store could not answer either.
     measured: AtomicU64,
+    /// Supply rows, one per (grid, cycle time).
+    supply_table: MemoCache<(SupplyGrid, Time), SupplyRow>,
+    /// §3.2 usage estimates (`None` where a loop cannot synchronise).
+    estimates: MemoCache<EstimateKey, Option<UsageProfile>>,
 }
 
 impl ProfiledSuite {
@@ -177,6 +209,80 @@ impl ProfiledSuite {
         })
     }
 
+    /// The supply rows of every domain of `base`'s cycle times, each
+    /// tabulated on first use and shared by every later descent on this
+    /// suite, whatever its power model. Each row added counts in
+    /// `explore_supply_rows_total`.
+    #[must_use]
+    pub fn supply_rows(&self, base: &ClockedConfig) -> SupplyRows {
+        SupplyRows::collect(base, |grid, cycle| {
+            let (row, added) = self
+                .supply_table
+                .get_or_insert((grid, cycle), || grid.tabulate(cycle));
+            if added {
+                vliw_obs::counter("explore_supply_rows_total").inc();
+            }
+            row
+        })
+    }
+
+    /// The usage of benchmark `index` on `config` under `menu`: the §5.1
+    /// usage when `config` is frequency-homogeneous, otherwise the §3.2
+    /// [`estimate_usage`], memoised in this suite on first use. As in
+    /// [`measure_memoised`](Self::measure_memoised), the homogeneous
+    /// shortcut comes first and never reaches the memo. Each estimate
+    /// added counts in `explore_estimates_total`.
+    ///
+    /// Returns `None` when some loop cannot synchronise within the
+    /// estimator's horizon.
+    #[must_use]
+    pub fn estimate_memoised(
+        &self,
+        index: usize,
+        config: &ClockedConfig,
+        menu: &FrequencyMenu,
+    ) -> Option<UsageProfile> {
+        let profile = &self.profiles[index];
+        if let Some(usage) = UsageProfile::homogeneous(&profile.reference, config) {
+            return Some(usage);
+        }
+        let key = EstimateKey {
+            bench: index,
+            cycles: config
+                .domains()
+                .into_iter()
+                .map(|d| config.domain_cycle(d))
+                .collect(),
+            menu: menu.clone(),
+        };
+        let (usage, added) = self
+            .estimates
+            .get_or_insert(key, || estimate_usage(profile, config, menu));
+        if added {
+            vliw_obs::counter("explore_estimates_total").inc();
+        }
+        usage
+    }
+
+    /// Entries in this suite's supply table and estimate memo.
+    #[must_use]
+    pub fn table_entries(&self) -> (usize, usize) {
+        (self.supply_table.len(), self.estimates.len())
+    }
+
+    /// The grouped voltage descent (§3.3, §5.1) of `usages` on `base`'s
+    /// cycle times over its [`speed_groups`], priced from this suite's
+    /// supply rows.
+    pub(crate) fn descend_voltages(
+        &self,
+        base: &ClockedConfig,
+        power: &PowerModel,
+        usages: &[UsageProfile],
+    ) -> Option<Voltages> {
+        let rows = self.supply_rows(base);
+        optimise_voltages_grouped(base, &speed_groups(base), power, usages, &rows)
+    }
+
     /// Per-benchmark structural content hashes, in suite order (the first
     /// half of every store key).
     pub(crate) fn content(&self) -> &[u64] {
@@ -197,9 +303,9 @@ impl ProfiledSuite {
     /// against heterogeneous ones.
     ///
     /// The screening suite shares the attached persistent store but owns
-    /// a fresh memo cache and *distinct* content hashes (truncated
-    /// benchmarks hash differently), so screening measurements never
-    /// pollute full-fidelity records.
+    /// a fresh memo cache, fresh selection tables and *distinct* content
+    /// hashes (truncated benchmarks hash differently), so screening
+    /// measurements never pollute full-fidelity records.
     #[must_use]
     pub fn screen_subset(&self) -> ProfiledSuite {
         let mut benches = Vec::with_capacity(self.benches.len());
@@ -240,6 +346,8 @@ impl ProfiledSuite {
             store: self.store.clone(),
             content,
             measured: AtomicU64::new(0),
+            supply_table: MemoCache::new(),
+            estimates: MemoCache::new(),
         }
     }
 }
@@ -321,6 +429,8 @@ pub fn profile_suite(
         store,
         content,
         measured: AtomicU64::new(0),
+        supply_table: MemoCache::new(),
+        estimates: MemoCache::new(),
     })
 }
 
@@ -353,10 +463,10 @@ pub struct BenchmarkResult {
 }
 
 /// Runs the measurement pipeline for benchmark `index` of `profiled`
-/// against a suite-level baseline: the §3.3 candidate sweep and the
-/// per-loop measurement fan out across `exec`'s worker pool, and the
-/// measured usage is memoised through the suite
-/// ([`ProfiledSuite::measure_memoised`]).
+/// against a suite-level baseline: the §3.3 candidate sweep (over the
+/// suite's selection tables) and the per-loop measurement fan out across
+/// `exec`'s worker pool, and the measured usage is memoised through the
+/// suite ([`ProfiledSuite::measure_memoised`]).
 ///
 /// The result is identical for every worker count and with or without a
 /// store: candidates are reduced in grid order and per-loop
@@ -374,8 +484,7 @@ pub fn run_benchmark(
     exec: &Executor,
 ) -> Result<BenchmarkResult, SchedError> {
     let design = profiled.design;
-    let profile = &profiled.profiles[index];
-    let het = select_heterogeneous(profile, design, power, &opts.menu, exec)
+    let het = select_heterogeneous(profiled, index, power, &opts.menu, exec)
         .expect("the selection space contains feasible points");
 
     // §5.1 answers a homogeneous selection exactly; any other is measured
@@ -455,7 +564,10 @@ fn measure_usage(
 /// the homogeneous baseline search fans its cycle-time grid out first.
 /// Rows come back in suite order and measured configurations are memoised
 /// in the suite's [`MeasureCache`], so repeated calls (Figures 7–9's
-/// variant sweeps) skip re-measuring configurations they have seen.
+/// variant sweeps) skip re-measuring configurations they have seen; the
+/// baseline and the selection read the suite's supply rows and §3.2
+/// estimates ([`ProfiledSuite`]), so a repeated call under one menu
+/// tabulates and estimates nothing either.
 ///
 /// # Errors
 ///
@@ -471,7 +583,7 @@ pub fn figure6(
         opts.shares,
         &suite_reference(&profiled.profiles),
     );
-    let baseline = optimum_homogeneous_suite(&profiled.profiles, profiled.design, &power, exec);
+    let baseline = optimum_homogeneous_suite(profiled, &power, exec);
     let jobs: Vec<(usize, &HomogChoice)> = baseline.per_benchmark.iter().enumerate().collect();
     // One worker per benchmark; the per-candidate/per-loop fan-out inside
     // run_benchmark stays serial to avoid oversubscribing the pool.

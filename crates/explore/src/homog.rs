@@ -1,4 +1,6 @@
-//! The optimum homogeneous baseline (§5.1 of the paper).
+//! The optimum homogeneous baseline (§5.1 of the paper), and the grouped
+//! voltage descent it shares with the §3.3 selection and the paper-space
+//! search.
 //!
 //! Before crediting heterogeneity, the paper normalises against the *best*
 //! homogeneous design: the frequency and per-component voltages that
@@ -6,12 +8,19 @@
 //! is exact — every loop's schedule is identical at any frequency, so the
 //! cycle count is invariant and execution time scales linearly with the
 //! cycle time, while energy follows §3.1 directly.
+//!
+//! The descent prices supplies from [`SupplyRows`]: each domain's δ/σ at
+//! every supply of its grid. Those depend on the domain's cycle time
+//! alone, so a [`ProfiledSuite`] tabulates each (grid, cycle time) once
+//! and every descent on the suite reads the same rows.
+
+use std::sync::{Arc, OnceLock};
 
 use vliw_exec::Executor;
-use vliw_machine::{ClockedConfig, DomainId, MachineDesign, Time, Voltages};
+use vliw_machine::{ClockedConfig, DomainId, Time, Voltages};
 use vliw_power::{ConfigScaling, DomainScaling, PowerModel, UsageProfile};
 
-use crate::profile::BenchmarkProfile;
+use crate::experiments::ProfiledSuite;
 
 /// The chosen homogeneous baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,23 +66,23 @@ pub struct SuiteBaseline {
 ///
 /// The cycle-time grid fans out across `exec`'s worker pool; the
 /// minimiser is reduced in grid order, so the result is identical for
-/// every worker count.
+/// every worker count. Each candidate's descent reads its supply rows
+/// from `suite`'s table ([`ProfiledSuite::supply_rows`]).
 ///
 /// # Panics
 ///
-/// Panics if `profiles` is empty or no configuration is feasible (cannot
+/// Panics if the suite is empty or no configuration is feasible (cannot
 /// happen for the paper's reference machine, whose own operating point is
 /// always a candidate).
 #[must_use]
 pub fn optimum_homogeneous_suite(
-    profiles: &[BenchmarkProfile],
-    design: MachineDesign,
+    suite: &ProfiledSuite,
     power: &PowerModel,
     exec: &Executor,
 ) -> SuiteBaseline {
-    assert!(!profiles.is_empty(), "empty suite");
+    assert!(!suite.profiles.is_empty(), "empty suite");
     let candidates = exec.map(&HOMOG_CYCLE_FACTORS, |_, &factor| {
-        suite_candidate(profiles, design, power, factor)
+        suite_candidate(suite, power, factor)
     });
     let mut best: Option<SuiteBaseline> = None;
     for choice in candidates.into_iter().flatten() {
@@ -86,21 +95,21 @@ pub fn optimum_homogeneous_suite(
 
 /// Evaluates one suite-wide homogeneous cycle factor.
 fn suite_candidate(
-    profiles: &[BenchmarkProfile],
-    design: MachineDesign,
+    suite: &ProfiledSuite,
     power: &PowerModel,
     factor: f64,
 ) -> Option<SuiteBaseline> {
     let cycle = Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * factor);
-    let base = ClockedConfig::homogeneous(design, cycle);
-    let usages = profiles
+    let base = ClockedConfig::homogeneous(suite.design, cycle);
+    let usages = suite
+        .profiles
         .iter()
         .map(|p| UsageProfile::homogeneous(&p.reference, &base))
         .collect::<Option<Vec<_>>>()?;
     // All clusters share one frequency, hence one optimal supply.
-    let voltages = optimise_voltages_grouped(&base, &speed_groups(&base), power, &usages)?;
+    let voltages = suite.descend_voltages(&base, power, &usages)?;
     let config = base.with_voltages(voltages);
-    let mut per_benchmark = Vec::with_capacity(profiles.len());
+    let mut per_benchmark = Vec::with_capacity(suite.profiles.len());
     let mut suite_ed2 = 0.0;
     for usage in &usages {
         let energy = power.estimate_energy(&config, usage)?;
@@ -135,6 +144,113 @@ pub(crate) fn speed_groups(config: &ClockedConfig) -> Vec<Vec<usize>> {
     groups
 }
 
+/// The supply grid one clock domain's voltage is swept over.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum SupplyGrid {
+    /// [`Voltages::CLUSTER_RANGE`].
+    Cluster,
+    /// [`Voltages::ICN_RANGE`].
+    Icn,
+    /// [`Voltages::CACHE_RANGE`].
+    Cache,
+}
+
+impl SupplyGrid {
+    fn of(domain: DomainId) -> Self {
+        match domain {
+            DomainId::Cluster(_) => SupplyGrid::Cluster,
+            DomainId::Icn => SupplyGrid::Icn,
+            DomainId::Cache => SupplyGrid::Cache,
+        }
+    }
+
+    /// Every supply of the grid: its range, accumulated in [`V_STEP`]s
+    /// from the lower bound. The `hi + 1e-9` bound is
+    /// `Voltages::in_range`'s own tolerance, so every grid point is in
+    /// range and candidates need no range check.
+    fn supplies(self) -> &'static [f64] {
+        static GRIDS: OnceLock<[Vec<f64>; 3]> = OnceLock::new();
+        let grids = GRIDS.get_or_init(|| {
+            [
+                Voltages::CLUSTER_RANGE,
+                Voltages::ICN_RANGE,
+                Voltages::CACHE_RANGE,
+            ]
+            .map(|(lo, hi)| {
+                let mut v = Vec::new();
+                let mut x = lo;
+                while x <= hi + 1e-9 {
+                    v.push(x);
+                    x += V_STEP;
+                }
+                v
+            })
+        });
+        &grids[self as usize]
+    }
+
+    /// The row of a domain of this grid at cycle time `cycle`: its
+    /// [`vliw_power::scaling`] at every supply of the grid.
+    pub(crate) fn tabulate(self, cycle: Time) -> SupplyRow {
+        self.supplies()
+            .iter()
+            .map(|&vdd| vliw_power::scaling(cycle, vdd))
+            .collect()
+    }
+}
+
+/// A domain's δ/σ at every supply of its grid (`None` where the supply
+/// cannot sustain the domain's cycle time).
+pub(crate) type SupplyRow = Arc<[Option<DomainScaling>]>;
+
+/// One domain of a [`SupplyRows`].
+#[derive(Debug, Clone)]
+struct DomainRow {
+    domain: DomainId,
+    cycle: Time,
+    row: SupplyRow,
+}
+
+/// The tabulated supply rows of every clock domain of one configuration's
+/// cycle times, in [`ClockedConfig::domains`] order: what
+/// [`optimise_voltages_grouped`] prices its candidates from. A suite
+/// hands them out from its table ([`ProfiledSuite::supply_rows`]).
+#[derive(Debug, Clone)]
+pub struct SupplyRows(Vec<DomainRow>);
+
+impl SupplyRows {
+    /// `base`'s rows, fetching each domain's from `row(grid, cycle)`.
+    pub(crate) fn collect(
+        base: &ClockedConfig,
+        mut row: impl FnMut(SupplyGrid, Time) -> SupplyRow,
+    ) -> Self {
+        SupplyRows(
+            base.domains()
+                .into_iter()
+                .map(|domain| {
+                    let cycle = base.domain_cycle(domain);
+                    DomainRow {
+                        domain,
+                        cycle,
+                        row: row(SupplyGrid::of(domain), cycle),
+                    }
+                })
+                .collect(),
+        )
+    }
+
+    /// Whether these are the rows of `base`'s cycle times.
+    fn fit(&self, base: &ClockedConfig) -> bool {
+        let domains = base.domains();
+        self.0.len() == domains.len()
+            && self
+                .0
+                .iter()
+                .zip(domains)
+                .all(|(r, d)| r.domain == d && r.cycle == base.domain_cycle(d))
+    }
+}
+
 /// Coordinate-descent voltage optimisation with independent supplies per
 /// cluster *speed group* (fast clusters want high voltage, slow clusters
 /// low voltage — the heterogeneous design's central lever), minimising
@@ -143,25 +259,26 @@ pub(crate) fn speed_groups(config: &ClockedConfig) -> Vec<Vec<usize>> {
 /// cache independently is exact.
 ///
 /// A domain's δ/σ depend only on its cycle time and supply, and the
-/// descent never changes a cycle time, so every supply grid is tabulated
-/// once per descent — one row per cluster, one for the ICN, one for the
-/// cache — and each candidate is priced from those rows without
-/// allocating. The 1 V start point and the range-maximum fallback are
-/// priced directly.
+/// descent never changes a cycle time, so every candidate is priced from
+/// `rows` — `base`'s tabulated supply rows — without allocating. The 1 V
+/// start point and the range-maximum fallback are priced directly.
 ///
 /// Returns `None` when neither start point is electrically feasible.
 ///
 /// # Panics
 ///
-/// Panics if a usage or a group names a cluster count or index the
-/// design does not have.
+/// Panics if `rows` were tabulated for other cycle times than `base`'s,
+/// or if a usage or a group names a cluster count or index the design
+/// does not have.
 #[must_use]
 pub fn optimise_voltages_grouped(
     base: &ClockedConfig,
     cluster_groups: &[Vec<usize>],
     power: &PowerModel,
     usages: &[UsageProfile],
+    rows: &SupplyRows,
 ) -> Option<Voltages> {
+    assert!(rows.fit(base), "supply rows of other cycle times");
     let design = base.design();
     // Start at 1 V everywhere; fall back to the highest supplies if that
     // is infeasible (very fast cycle times need more voltage).
@@ -181,44 +298,20 @@ pub fn optimise_voltages_grouped(
         Descent::start(base, power, usages, v)
     })?;
 
-    // The `hi + 1e-9` bound is `Voltages::in_range`'s own tolerance, so
-    // every grid point is in range and candidates need no range check.
-    let grid = |(lo, hi): (f64, f64)| -> Vec<f64> {
-        let mut v = Vec::new();
-        let mut x = lo;
-        while x <= hi + 1e-9 {
-            v.push(x);
-            x += V_STEP;
-        }
-        v
-    };
-    let row = |domain: DomainId, grid: &[f64]| -> Row {
-        let cycle = base.domain_cycle(domain);
-        let row = grid.iter().map(|&vdd| power.scaling(cycle, vdd)).collect();
-        (domain, row)
-    };
-    let cluster_grid = grid(Voltages::CLUSTER_RANGE);
-    let icn_grid = grid(Voltages::ICN_RANGE);
-    let cache_grid = grid(Voltages::CACHE_RANGE);
-    let cluster_rows: Vec<_> = design
-        .clusters()
-        .map(|c| row(DomainId::Cluster(c), &cluster_grid))
-        .collect();
-    let icn_row = row(DomainId::Icn, &icn_grid);
-    let cache_row = row(DomainId::Cache, &cache_grid);
-
     // The coordinates in sweep order. Clusters within one speed group
     // share a frequency, hence one optimal supply; different groups are
-    // swept independently, then the ICN, then the cache.
-    let mut coordinates: Vec<(&[f64], Vec<&Row>)> = cluster_groups
+    // swept independently, then the ICN, then the cache. `rows` holds the
+    // clusters in order, then the ICN, then the cache.
+    let nc = usize::from(design.num_clusters);
+    let mut coordinates: Vec<(&[f64], Vec<&DomainRow>)> = cluster_groups
         .iter()
         .map(|group| {
-            let members = group.iter().map(|&c| &cluster_rows[c]).collect();
-            (&cluster_grid[..], members)
+            let members = group.iter().map(|&c| &rows.0[c]).collect();
+            (SupplyGrid::Cluster.supplies(), members)
         })
         .collect();
-    coordinates.push((&icn_grid, vec![&icn_row]));
-    coordinates.push((&cache_grid, vec![&cache_row]));
+    coordinates.push((SupplyGrid::Icn.supplies(), vec![&rows.0[nc]]));
+    coordinates.push((SupplyGrid::Cache.supplies(), vec![&rows.0[nc + 1]]));
 
     // One pass per coordinate is exact by separability; a second pass
     // guards the (non-separable) corner cases defensively.
@@ -229,10 +322,6 @@ pub fn optimise_voltages_grouped(
     }
     Some(descent.voltages)
 }
-
-/// A domain with its tabulated scaling at every supply of its grid
-/// (`None` where the supply cannot sustain the domain's frequency).
-type Row = (DomainId, Vec<Option<DomainScaling>>);
 
 /// One voltage descent's state: the current supplies with their domain
 /// scalings and priced energy, plus a candidate buffer every move reuses.
@@ -272,26 +361,26 @@ impl<'a> Descent<'a> {
 
     /// Moves every domain of `members` together through each supply of
     /// `grid`, keeping a move when it strictly lowers the energy.
-    fn sweep(&mut self, grid: &[f64], members: &[&Row]) {
+    fn sweep(&mut self, grid: &[f64], members: &[&DomainRow]) {
         // Only the members' entries differ between candidates, and every
         // feasible candidate overwrites all of them.
         self.candidate.clone_from(&self.scaling);
         for (k, &vdd) in grid.iter().enumerate() {
             let mut feasible = true;
-            for &(domain, row) in members {
-                let Some(s) = row[k] else {
+            for member in members {
+                let Some(s) = member.row[k] else {
                     feasible = false;
                     break;
                 };
-                *self.candidate.domain_mut(*domain) = s;
+                *self.candidate.domain_mut(member.domain) = s;
             }
             if !feasible {
                 continue;
             }
             let e = total_energy(self.power, self.usages, &self.candidate);
             if e < self.energy {
-                for &(domain, _) in members {
-                    *self.voltages.domain_mut(*domain) = vdd;
+                for member in members {
+                    *self.voltages.domain_mut(member.domain) = vdd;
                 }
                 self.scaling.clone_from(&self.candidate);
                 self.energy = e;
@@ -313,25 +402,20 @@ fn total_energy(power: &PowerModel, usages: &[UsageProfile], scaling: &ConfigSca
 mod tests {
     use super::*;
     use vliw_power::EnergyShares;
-    use vliw_sched::SchedWorkspace;
     use vliw_workloads::{generate, spec_fp2000};
 
-    use crate::profile::profile_benchmark;
+    use crate::experiments::profile_suite;
+    use crate::profile::BenchmarkProfile;
 
     /// The suite baseline of a one-benchmark suite: that benchmark's own
     /// optimum homogeneous design.
     fn single(spec: usize) -> (BenchmarkProfile, SuiteBaseline) {
-        let design = MachineDesign::paper_machine(1);
         let bench = generate(&spec_fp2000()[spec], 6);
-        let mut ws = SchedWorkspace::new();
-        let p = profile_benchmark(&bench, design, &mut ws).unwrap();
-        let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
-        let baseline = optimum_homogeneous_suite(
-            std::slice::from_ref(&p),
-            design,
-            &power,
-            &Executor::serial(),
-        );
+        let serial = Executor::serial();
+        let suite = profile_suite(std::slice::from_ref(&bench), 1, &serial, None).unwrap();
+        let p = suite.profiles[0].clone();
+        let power = PowerModel::calibrate(suite.design, EnergyShares::PAPER, &p.reference);
+        let baseline = optimum_homogeneous_suite(&suite, &power, &serial);
         (p, baseline)
     }
 

@@ -43,7 +43,7 @@ pub mod store_keys;
 
 pub use estimate::{estimate_usage, price_usage, HetEstimate};
 pub use homog::{
-    optimise_voltages_grouped, optimum_homogeneous_suite, HomogChoice, SuiteBaseline,
+    optimise_voltages_grouped, optimum_homogeneous_suite, HomogChoice, SuiteBaseline, SupplyRows,
     HOMOG_CYCLE_FACTORS,
 };
 pub use profile::{suite_reference, BenchmarkProfile, LoopProfile};
@@ -63,6 +63,7 @@ const _: () = {
     _assert_send_sync::<HeteroChoice>();
     _assert_send_sync::<HomogChoice>();
     _assert_send_sync::<SuiteBaseline>();
+    _assert_send_sync::<SupplyRows>();
     _assert_send_sync::<HetEstimate>();
     _assert_send_sync::<experiments::ProfiledSuite>();
     _assert_send_sync::<experiments::ExperimentOptions>();

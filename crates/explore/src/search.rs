@@ -36,9 +36,7 @@ use vliw_machine::{ClockedConfig, FrequencyMenu, Time, Voltages};
 use vliw_power::{ed2, PowerModel};
 use vliw_search::{ArchiveEntry, GridSpace, Objectives, SearchSpace};
 
-use crate::estimate::estimate_usage;
 use crate::experiments::{ExperimentOptions, ProfiledSuite};
-use crate::homog::{optimise_voltages_grouped, speed_groups};
 use crate::profile::suite_reference;
 use crate::select::{FAST_FACTORS, SLOW_RATIOS};
 
@@ -351,17 +349,16 @@ impl<'a> SearchContext<'a> {
     }
 
     /// The paper space's voltage rule: the §3.3/§5.1 grouped coordinate
-    /// descent minimising the model's *suite* energy over the usages
-    /// [`estimate_usage`] gives (exact for frequency-homogeneous
-    /// candidates, §3.2 estimates otherwise).
+    /// descent minimising the model's *suite* energy over every
+    /// benchmark's usage ([`ProfiledSuite::estimate_memoised`]: exact for
+    /// frequency-homogeneous candidates, §3.2 estimates otherwise), read
+    /// from the same suite tables as the §3.3 selection.
     fn descend_voltages(&self, bus: &BusContext<'a>, base: &ClockedConfig) -> Option<Voltages> {
-        let usages = bus
-            .suite
-            .profiles
-            .iter()
-            .map(|profile| estimate_usage(profile, base, &self.menu))
+        let suite = bus.suite;
+        let usages = (0..suite.profiles.len())
+            .map(|i| suite.estimate_memoised(i, base, &self.menu))
             .collect::<Option<Vec<_>>>()?;
-        optimise_voltages_grouped(base, &speed_groups(base), &bus.power, &usages)
+        suite.descend_voltages(base, &bus.power, &usages)
     }
 
     /// Measures `config` on every benchmark of `bus`'s suite through the

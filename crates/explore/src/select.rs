@@ -5,14 +5,19 @@
 //! {1, 1.25, 1.33, 1.5}, one fast cluster — and per-component supply
 //! voltages, estimating every candidate's ED² with the §3 models and
 //! returning the minimiser.
+//!
+//! Neither a candidate's §3.2 usage estimate nor its domains' supply rows
+//! read the power model, so both come from the profiled suite's tables
+//! ([`ProfiledSuite::estimate_memoised`], [`ProfiledSuite::supply_rows`]):
+//! a selection repeated on one suite under one menu estimates nothing,
+//! whatever the energy shares.
 
 use vliw_exec::Executor;
-use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, Time};
+use vliw_machine::{ClockedConfig, FrequencyMenu, Time};
 use vliw_power::PowerModel;
 
-use crate::estimate::{estimate_usage, price_usage, HetEstimate};
-use crate::homog::{optimise_voltages_grouped, speed_groups};
-use crate::profile::BenchmarkProfile;
+use crate::estimate::{price_usage, HetEstimate};
+use crate::experiments::ProfiledSuite;
 
 /// The fast-cluster cycle-time factors explored (×reference cycle), §5.
 pub const FAST_FACTORS: [f64; 5] = [0.90, 0.95, 1.00, 1.05, 1.10];
@@ -45,28 +50,43 @@ pub fn candidate_grid() -> Vec<(f64, f64)> {
     grid
 }
 
-/// Selects frequencies and voltages for the heterogeneous machine: the
-/// candidate minimising *estimated* ED², with the candidate grid fanned
-/// out across `exec`'s worker pool.
+/// Selects frequencies and voltages for benchmark `index` of `suite` on
+/// the heterogeneous machine: the candidate minimising *estimated* ED²,
+/// with the candidate grid fanned out across `exec`'s worker pool.
 ///
 /// Each of the 20 `(fast factor, slow ratio)` candidates is evaluated
-/// independently — usage estimation once, then voltage coordinate descent
-/// on energy alone — and the minimiser is reduced in grid order, so the
+/// independently — the suite's memoised usage estimate, then voltage
+/// coordinate descent on energy alone over the suite's supply rows, then
+/// the final pricing — and the minimiser is reduced in grid order, so the
 /// result is identical for every worker count.
 ///
 /// Returns `None` only if no candidate is feasible (cannot happen for the
 /// paper's ranges, where the all-reference candidate always qualifies).
+///
+/// # Panics
+///
+/// Panics if `index` is not a benchmark of `suite`.
 #[must_use]
 pub fn select_heterogeneous(
-    profile: &BenchmarkProfile,
-    design: MachineDesign,
+    suite: &ProfiledSuite,
+    index: usize,
     power: &PowerModel,
     menu: &FrequencyMenu,
     exec: &Executor,
 ) -> Option<HeteroChoice> {
     let grid = candidate_grid();
     let evaluated = exec.map(&grid, |_, &(fast_factor, slow_ratio)| {
-        evaluate_candidate(profile, design, power, menu, fast_factor, slow_ratio)
+        let fast = Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * fast_factor);
+        let slow = Time::from_ns(fast.as_ns() * slow_ratio);
+        let base = ClockedConfig::heterogeneous(suite.design, fast, 1, slow);
+        // Voltages do not change the time estimate, only energy — so one
+        // usage (exact, §5.1, when the ratio is 1) serves the whole
+        // descent, with independent supplies for the fast and slow groups.
+        let usage = suite.estimate_memoised(index, &base, menu)?;
+        let voltages = suite.descend_voltages(&base, power, std::slice::from_ref(&usage))?;
+        let config = base.with_voltages(voltages);
+        let estimate = price_usage(&usage, &config, power)?;
+        Some(HeteroChoice { config, estimate })
     });
     // Reduce in input order with a strict `<`: the first minimum wins,
     // exactly as the original nested loops behaved.
@@ -82,64 +102,37 @@ pub fn select_heterogeneous(
     best
 }
 
-/// Evaluates one `(fast factor, slow ratio)` candidate: usage estimate,
-/// voltage coordinate descent, final pricing.
-fn evaluate_candidate(
-    profile: &BenchmarkProfile,
-    design: MachineDesign,
-    power: &PowerModel,
-    menu: &FrequencyMenu,
-    fast_factor: f64,
-    slow_ratio: f64,
-) -> Option<HeteroChoice> {
-    let fast = Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * fast_factor);
-    let slow = Time::from_ns(fast.as_ns() * slow_ratio);
-    let base = ClockedConfig::heterogeneous(design, fast, 1, slow);
-    // Voltages do not change the time estimate, only energy — so the usage
-    // profile is computed once per candidate (exactly, §5.1, when the
-    // ratio is 1) and the coordinate descent below prices voltages against
-    // it, with independent supplies for the fast and slow groups.
-    let usage = estimate_usage(profile, &base, menu)?;
-    let voltages = optimise_voltages_grouped(
-        &base,
-        &speed_groups(&base),
-        power,
-        std::slice::from_ref(&usage),
-    )?;
-    let config = base.with_voltages(voltages);
-    let estimate = price_usage(&usage, &config, power)?;
-    Some(HeteroChoice { config, estimate })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vliw_power::EnergyShares;
-    use vliw_sched::SchedWorkspace;
     use vliw_workloads::{generate, spec_fp2000};
 
-    use crate::profile::profile_benchmark;
+    use crate::experiments::profile_suite;
 
-    fn setup(idx: usize, n: usize) -> (BenchmarkProfile, MachineDesign, PowerModel) {
-        let design = MachineDesign::paper_machine(1);
+    /// A one-benchmark suite with a power model calibrated on it.
+    fn setup(idx: usize, n: usize) -> (ProfiledSuite, PowerModel) {
         let bench = generate(&spec_fp2000()[idx], n);
-        let mut ws = SchedWorkspace::new();
-        let p = profile_benchmark(&bench, design, &mut ws).unwrap();
-        let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
-        (p, design, power)
+        let suite = profile_suite(&[bench], 1, &Executor::serial(), None).unwrap();
+        let power = PowerModel::calibrate(
+            suite.design,
+            EnergyShares::PAPER,
+            &suite.profiles[0].reference,
+        );
+        (suite, power)
     }
 
-    fn select(p: &BenchmarkProfile, design: MachineDesign, power: &PowerModel) -> HeteroChoice {
+    fn select(suite: &ProfiledSuite, power: &PowerModel) -> HeteroChoice {
         let menu = FrequencyMenu::unrestricted();
-        select_heterogeneous(p, design, power, &menu, &Executor::serial()).unwrap()
+        select_heterogeneous(suite, 0, power, &menu, &Executor::serial()).unwrap()
     }
 
     #[test]
     fn recurrence_benchmark_gets_a_speed_gap() {
         // sixtrack: the selection should pick a fast cluster strictly
         // faster than the slow ones (big recurrence wins, §5.2).
-        let (p, design, power) = setup(8, 8);
-        let choice = select(&p, design, &power);
+        let (suite, power) = setup(8, 8);
+        let choice = select(&suite, &power);
         let fast = choice.config.fastest_cluster_cycle();
         let slow = choice.config.slowest_cluster_cycle();
         assert!(
@@ -151,9 +144,9 @@ mod tests {
 
     #[test]
     fn estimated_ed2_beats_reference_homogeneous() {
-        let (p, design, power) = setup(6, 6); // lucas
-        let choice = select(&p, design, &power);
-        let secs = p.reference.exec_time.as_secs();
+        let (suite, power) = setup(6, 6); // lucas
+        let choice = select(&suite, &power);
+        let secs = suite.profiles[0].reference.exec_time.as_secs();
         let reference_ed2 = secs * secs; // energy 1 by calibration
         assert!(
             choice.estimate.ed2 < reference_ed2,
@@ -166,8 +159,8 @@ mod tests {
         // swim: 100 % resource constrained — slowing 3 clusters shrinks
         // slot capacity and hurts time, so the model should keep the
         // frequency gap small (ratio 1) and save energy with voltage.
-        let (p, design, power) = setup(1, 8);
-        let choice = select(&p, design, &power);
+        let (suite, power) = setup(1, 8);
+        let choice = select(&suite, &power);
         let ratio = choice.config.slowest_cluster_cycle().as_ns()
             / choice.config.fastest_cluster_cycle().as_ns();
         assert!(

@@ -1,21 +1,27 @@
-//! Differential tests of the table-driven voltage descent and of the
-//! §5.1 homogeneous usage.
+//! Differential tests of the table-driven voltage descent, of the
+//! profiled suite's selection tables and of the §5.1 homogeneous usage.
 //!
 //! The descent's oracle is the closure-driven coordinate descent: every
 //! candidate supply vector is range-checked, turned into a configuration
 //! and priced with one `PowerModel::estimate_energy` call per usage. Over
 //! three suite seeds and both bus counts, every §5.1 homogeneous cycle
 //! factor and every §3.3 candidate of every benchmark must get
-//! bit-identical voltages and energies from `optimise_voltages_grouped`,
-//! and the public `optimum_homogeneous_suite` and `select_heterogeneous`
-//! must pick the oracle's winners with the oracle's numbers.
+//! bit-identical voltages and energies from `optimise_voltages_grouped`
+//! over the suite's supply rows, and the public `optimum_homogeneous_suite`
+//! and `select_heterogeneous` — the path `figure6` takes — must pick the
+//! oracle's winners with the oracle's numbers. The suite's rows are
+//! filled first under a Figure 8 energy-share variant, so the match also
+//! shows that the rows do not depend on the power model.
+//!
+//! The suite's memoised §3.2 estimates must equal a fresh
+//! `estimate_usage` bit for bit under every Figure 7 menu.
 //!
 //! The usage's oracle scales the reference run by the raw grid factor,
 //! where `UsageProfile::homogeneous` scales it by the ratio of the
 //! configuration's cycle time to the reference cycle.
 
 use vliw_exec::Executor;
-use vliw_explore::experiments::{profile_suite, ProfiledSuite};
+use vliw_explore::experiments::{figure7_menus, profile_suite, ProfiledSuite, FIGURE8_SHARES};
 use vliw_explore::search::EXT_FAST_FACTORS;
 use vliw_explore::{
     candidate_grid, estimate_usage, optimise_voltages_grouped, optimum_homogeneous_suite,
@@ -127,15 +133,18 @@ fn voltage_bits(v: &Voltages) -> Vec<u64> {
         .collect()
 }
 
-/// Runs both descents on one problem and asserts they agree bit for bit.
+/// Runs both descents on one problem, the table-driven one over
+/// `suite`'s supply rows, and asserts they agree bit for bit.
 fn descend_both(
+    suite: &ProfiledSuite,
     base: &ClockedConfig,
     groups: &[Vec<usize>],
     power: &PowerModel,
     usages: &[UsageProfile],
     what: &str,
 ) -> Option<Voltages> {
-    let tabled = optimise_voltages_grouped(base, groups, power, usages);
+    let rows = suite.supply_rows(base);
+    let tabled = optimise_voltages_grouped(base, groups, power, usages, &rows);
     let oracle = oracle_descent(base.design(), groups, oracle_pricing(base, power, usages));
     assert_eq!(
         tabled.as_ref().map(voltage_bits),
@@ -175,8 +184,8 @@ fn check_homogeneous(suite: &ProfiledSuite, power: &PowerModel, tag: &str) {
             Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * factor),
         );
         let usages = homogeneous_usages(suite, &base);
-        let Some(voltages) = descend_both(&base, &all_clusters(design), power, &usages, &what)
-        else {
+        let groups = all_clusters(design);
+        let Some(voltages) = descend_both(suite, &base, &groups, power, &usages, &what) else {
             continue;
         };
         let config = base.with_voltages(voltages);
@@ -193,7 +202,7 @@ fn check_homogeneous(suite: &ProfiledSuite, power: &PowerModel, tag: &str) {
         }
     }
     let (suite_ed2, config, energies) = best.expect("a feasible factor");
-    let baseline = optimum_homogeneous_suite(&suite.profiles, design, power, &Executor::serial());
+    let baseline = optimum_homogeneous_suite(suite, power, &Executor::serial());
     assert_eq!(baseline.config, config, "{tag}: baseline configuration");
     assert_eq!(baseline.suite_ed2.to_bits(), suite_ed2.to_bits(), "{tag}");
     let got: Vec<u64> = baseline
@@ -204,14 +213,10 @@ fn check_homogeneous(suite: &ProfiledSuite, power: &PowerModel, tag: &str) {
     assert_eq!(got, energies, "{tag}: per-benchmark baseline energies");
 }
 
-/// Every §3.3 candidate's descent for one benchmark, and the selection
-/// the public sweep makes from them.
-fn check_selection(
-    profile: &BenchmarkProfile,
-    design: MachineDesign,
-    power: &PowerModel,
-    tag: &str,
-) {
+/// Every §3.3 candidate's descent for benchmark `index`, and the
+/// selection the public sweep makes from them.
+fn check_selection(suite: &ProfiledSuite, index: usize, power: &PowerModel, tag: &str) {
+    let (profile, design) = (&suite.profiles[index], suite.design);
     let menu = FrequencyMenu::unrestricted();
     let mut best: Option<(ClockedConfig, [u64; 3])> = None;
     let mut best_ed2 = f64::INFINITY;
@@ -235,7 +240,7 @@ fn check_selection(
             continue;
         };
         let usages = std::slice::from_ref(&usage);
-        let Some(voltages) = descend_both(&base, &groups, power, usages, &what) else {
+        let Some(voltages) = descend_both(suite, &base, &groups, power, usages, &what) else {
             continue;
         };
         let config = base.with_voltages(voltages);
@@ -253,7 +258,7 @@ fn check_selection(
         }
     }
     let (config, numbers) = best.expect("a feasible candidate");
-    let choice = select_heterogeneous(profile, design, power, &menu, &Executor::serial())
+    let choice = select_heterogeneous(suite, index, power, &menu, &Executor::serial())
         .expect("a feasible candidate");
     assert_eq!(choice.config, config, "{tag} {}: selection", profile.name);
     let got = [
@@ -264,22 +269,84 @@ fn check_selection(
     assert_eq!(got, numbers, "{tag} {}: selected estimate", profile.name);
 }
 
+/// Runs the §5.1 baseline and every benchmark's §3.3 selection under
+/// `power`, as `figure6` does, filling the suite's tables.
+fn warm_tables(suite: &ProfiledSuite, power: &PowerModel) {
+    let serial = Executor::serial();
+    let menu = FrequencyMenu::unrestricted();
+    let _ = optimum_homogeneous_suite(suite, power, &serial);
+    for i in 0..suite.profiles.len() {
+        let _ = select_heterogeneous(suite, i, power, &menu, &serial);
+    }
+}
+
 #[test]
 fn table_driven_descent_matches_the_closure_oracle() {
     for seed in SEEDS {
         for buses in [1, 2] {
             let tag = format!("seed {seed}, {buses} bus(es)");
             let suite = profiled(seed, buses);
-            let power = PowerModel::calibrate(
-                suite.design,
-                EnergyShares::PAPER,
-                &suite_reference(&suite.profiles),
+            let reference = suite_reference(&suite.profiles);
+            let (icn, cache) = FIGURE8_SHARES[4];
+            let variant = EnergyShares::with_component_shares(icn, cache);
+            warm_tables(
+                &suite,
+                &PowerModel::calibrate(suite.design, variant, &reference),
             );
+            let warmed = suite.table_entries();
+            let power = PowerModel::calibrate(suite.design, EnergyShares::PAPER, &reference);
             check_homogeneous(&suite, &power, &tag);
-            for profile in &suite.profiles {
-                check_selection(profile, suite.design, &power, &tag);
+            for i in 0..suite.profiles.len() {
+                check_selection(&suite, i, &power, &tag);
+            }
+            assert_eq!(
+                suite.table_entries(),
+                warmed,
+                "{tag}: the paper's shares reuse the variant's rows and estimates"
+            );
+        }
+    }
+}
+
+/// Under every Figure 7 menu and both bus counts, every §3.3 candidate's
+/// memoised estimate is a fresh `estimate_usage` bit for bit; only the
+/// heterogeneous candidates enter the memo, and a second pass adds no
+/// entry.
+#[test]
+fn memoised_estimates_match_a_fresh_estimate_under_every_menu() {
+    for buses in [1, 2] {
+        let suite = profiled(0, buses);
+        let design = suite.design;
+        let mut expected_entries = 0;
+        for (name, menu) in figure7_menus() {
+            for pass in 0..2 {
+                for (i, profile) in suite.profiles.iter().enumerate() {
+                    for (fast_factor, slow_ratio) in candidate_grid() {
+                        let fast =
+                            Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * fast_factor);
+                        let slow = Time::from_ns(fast.as_ns() * slow_ratio);
+                        let base = ClockedConfig::heterogeneous(design, fast, 1, slow);
+                        let memo = suite.estimate_memoised(i, &base, &menu);
+                        let fresh = estimate_usage(profile, &base, &menu);
+                        assert_eq!(
+                            memo.as_ref().map(usage_bits),
+                            fresh.as_ref().map(usage_bits),
+                            "{buses} bus(es), {name}, pass {pass}, {} ({fast_factor}, {slow_ratio})",
+                            profile.name
+                        );
+                        if pass == 0 && !base.is_homogeneous() {
+                            expected_entries += 1;
+                        }
+                    }
+                }
+                assert_eq!(
+                    suite.table_entries().1,
+                    expected_entries,
+                    "{buses} bus(es), {name}, pass {pass}: one entry per heterogeneous estimate"
+                );
             }
         }
+        assert_eq!(expected_entries, 4 * 15 * suite.profiles.len());
     }
 }
 
@@ -302,7 +369,8 @@ fn range_maximum_fallback_matches_the_oracle() {
         );
         let usages = homogeneous_usages(&suite, &base);
         let what = format!("fallback factor {factor}");
-        let chosen = descend_both(&base, &all_clusters(design), &power, &usages, &what);
+        let groups = all_clusters(design);
+        let chosen = descend_both(&suite, &base, &groups, &power, &usages, &what);
         match chosen {
             None => infeasible += 1,
             Some(_) if power.estimate_energy(&base, &usages[0]).is_none() => fell_back += 1,

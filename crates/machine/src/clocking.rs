@@ -43,7 +43,7 @@ pub enum MenuKind {
 /// assert_eq!(menu4.available_ii(Time::from_ns(1.0), Time::from_ns(3.0)), Some(3));
 /// assert_eq!(menu4.available_ii(Time::from_ns(1.0), Time::from_ns(3.7)), None);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct FrequencyMenu {
     /// Sorted ascending cycle times; `None` means unrestricted.
     cycle_times: Option<Vec<Time>>,

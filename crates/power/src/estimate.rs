@@ -2,9 +2,8 @@
 
 use vliw_machine::{ClockedConfig, DomainId, MachineDesign, Time};
 
-use crate::alpha::threshold_for;
 use crate::reference::{EnergyShares, EnergyUnits, ReferenceProfile};
-use crate::scaling::{dynamic_scale, static_scale};
+use crate::scaling::scaling;
 
 /// Resource usage of a program on some (possibly heterogeneous) machine:
 /// where the instructions executed and how long the run took.
@@ -75,8 +74,7 @@ pub struct DomainScaling {
 /// A domain's δ/σ depend only on its cycle time and supply, so a caller
 /// that prices many usages, or many supplies at fixed cycle times, fills
 /// this once (with [`PowerModel::scale_config`], or from tabulated
-/// [`PowerModel::scaling`] values) and prices each usage with
-/// [`PowerModel::price`].
+/// [`scaling`] values) and prices each usage with [`PowerModel::price`].
 #[derive(Debug, Default, PartialEq)]
 pub struct ConfigScaling {
     /// One entry per cluster, in cluster order.
@@ -168,32 +166,16 @@ impl PowerModel {
         self.design
     }
 
-    /// Scaling factors of a clock domain with cycle time `cycle` supplied
-    /// with `vdd`, or `None` when that frequency is unreachable at that
-    /// supply (no valid threshold exists).
-    ///
-    /// Nothing else of a configuration enters a domain's δ/σ, so callers
-    /// pricing many configurations over a fixed set of (cycle, supply)
-    /// pairs tabulate this once per pair.
-    #[must_use]
-    pub fn scaling(&self, cycle: Time, vdd: f64) -> Option<DomainScaling> {
-        let vth = threshold_for(cycle.freq_ghz(), vdd)?;
-        Some(DomainScaling {
-            delta: dynamic_scale(vdd),
-            sigma: static_scale(vdd, vth),
-            vth,
-        })
-    }
-
-    /// Scaling factors for one domain of `config`, or `None` when the
-    /// domain's frequency is unreachable at its supply voltage.
+    /// Scaling factors for one domain of `config` ([`scaling`] at the
+    /// domain's cycle time and supply), or `None` when the domain's
+    /// frequency is unreachable at its supply voltage.
     #[must_use]
     pub fn domain_scaling(
         &self,
         config: &ClockedConfig,
         domain: DomainId,
     ) -> Option<DomainScaling> {
-        self.scaling(
+        scaling(
             config.domain_cycle(domain),
             config.voltages().domain(domain),
         )

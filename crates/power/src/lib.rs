@@ -19,6 +19,9 @@
 //! * the α-power law relating maximum frequency, supply and threshold
 //!   voltage ([`threshold_for`]).
 //!
+//! A domain's δ and σ together are [`scaling`], a function of its cycle
+//! time and supply alone.
+//!
 //! The reference point of all three is the paper's one operating point,
 //! held in constants: 1 GHz ([`FREQ_REF_GHZ`]) at 1 V ([`VDD_REF`]) with a
 //! 0.25 V threshold ([`VTH_REF`]), α = 1.36 ([`ALPHA`]) and a 100 mV/decade
@@ -61,7 +64,7 @@ mod scaling;
 pub use alpha::{threshold_for, ALPHA, FREQ_REF_GHZ, VDD_REF, VTH_REF};
 pub use estimate::{ConfigScaling, DomainScaling, PowerModel, UsageProfile};
 pub use reference::{EnergyShares, EnergyUnits, ReferenceProfile};
-pub use scaling::{dynamic_scale, static_scale, SUBTHRESHOLD_SWING_V};
+pub use scaling::{dynamic_scale, scaling, static_scale, SUBTHRESHOLD_SWING_V};
 
 /// The energy–delay² product: the paper's figure of merit for simultaneously
 /// rewarding speed and energy savings.

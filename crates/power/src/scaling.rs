@@ -2,7 +2,10 @@
 //! §3.1.2 of the paper), relative to the reference operating point
 //! ([`VDD_REF`], [`VTH_REF`]).
 
-use crate::alpha::{VDD_REF, VTH_REF};
+use vliw_machine::Time;
+
+use crate::alpha::{threshold_for, VDD_REF, VTH_REF};
+use crate::estimate::DomainScaling;
 
 /// Subthreshold swing `S`: volts of threshold-voltage reduction per decade
 /// of leakage-current increase.
@@ -60,6 +63,36 @@ pub fn static_scale(vdd: f64, vth: f64) -> f64 {
     check_voltage(vdd, "vdd");
     assert!(vth.is_finite(), "threshold must be finite");
     10f64.powf((VTH_REF - vth) / SUBTHRESHOLD_SWING_V) * (vdd / VDD_REF)
+}
+
+/// Scaling factors of a clock domain with cycle time `cycle` supplied
+/// with `vdd`, or `None` when that frequency is unreachable at that
+/// supply (no valid threshold exists).
+///
+/// Nothing else enters a domain's δ/σ — neither the rest of its
+/// configuration nor the calibrated power model — so a caller pricing
+/// many configurations over a fixed set of (cycle, supply) pairs can
+/// tabulate this once per pair and share the table across models.
+///
+/// # Example
+///
+/// ```
+/// use vliw_machine::Time;
+///
+/// // The reference point: 1 ns at 1 V scales nothing.
+/// let s = vliw_power::scaling(Time::from_ns(1.0), 1.0).unwrap();
+/// assert_eq!(s.delta, 1.0);
+/// // 0.5 ns cycles (2 GHz) are out of reach at 0.7 V.
+/// assert!(vliw_power::scaling(Time::from_ns(0.5), 0.7).is_none());
+/// ```
+#[must_use]
+pub fn scaling(cycle: Time, vdd: f64) -> Option<DomainScaling> {
+    let vth = threshold_for(cycle.freq_ghz(), vdd)?;
+    Some(DomainScaling {
+        delta: dynamic_scale(vdd),
+        sigma: static_scale(vdd, vth),
+        vth,
+    })
 }
 
 fn check_voltage(v: f64, name: &str) {

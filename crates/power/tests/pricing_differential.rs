@@ -106,7 +106,7 @@ proptest! {
             // voltage descent does, yields the same scalings.
             let mut tabulated = ConfigScaling::default();
             for d in config.domains() {
-                let s = power.scaling(config.domain_cycle(d), config.voltages().domain(d));
+                let s = vliw_power::scaling(config.domain_cycle(d), config.voltages().domain(d));
                 match d {
                     DomainId::Cluster(_) => tabulated.clusters.push(s.unwrap()),
                     _ => *tabulated.domain_mut(d) = s.unwrap(),
@@ -122,13 +122,12 @@ proptest! {
 /// threshold solve fails, and the sweep covers both outcomes.
 #[test]
 fn scaling_feasibility_matches_the_threshold_solve() {
-    let power = model(1);
     let (mut feasible, mut infeasible) = (0, 0);
     for ci in 0..=30 {
         let cycle = Time::from_ns(0.5 + 0.05 * f64::from(ci));
         for vi in 0..=36 {
             let vdd = 0.6 + 0.025 * f64::from(vi);
-            let s = power.scaling(cycle, vdd);
+            let s = vliw_power::scaling(cycle, vdd);
             let vth = threshold_for(cycle.freq_ghz(), vdd);
             assert_eq!(s.map(|s| s.vth.to_bits()), vth.map(f64::to_bits));
             if s.is_some() {

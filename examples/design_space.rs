@@ -40,7 +40,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &suite_reference(&profiled.profiles),
     );
 
-    let baseline = optimum_homogeneous_suite(&profiled.profiles, design, &power, &serial);
+    let baseline = optimum_homogeneous_suite(&profiled, &power, &serial);
     println!(
         "optimum homogeneous: {} per cluster, cluster Vdd {:.2} V",
         baseline.config.fastest_cluster_cycle(),
@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let menu = FrequencyMenu::unrestricted();
-    let het = select_heterogeneous(profile, design, &power, &menu, &serial)
+    let het = select_heterogeneous(&profiled, 0, &power, &menu, &serial)
         .expect("selection space is feasible");
     println!(
         "selected heterogeneous: fast {} @ {:.2} V, slow {} @ {:.2} V",

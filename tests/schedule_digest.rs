@@ -96,7 +96,7 @@ fn compute() -> Digests {
         );
         let reference = ClockedConfig::reference(design);
         for (i, bench) in suite.iter().enumerate() {
-            let chosen = select_heterogeneous(&profiled.profiles[i], design, &power, &menu, &exec)
+            let chosen = select_heterogeneous(&profiled, i, &power, &menu, &exec)
                 .expect("the selection space contains feasible points")
                 .config;
             let cycles = format!(

@@ -4,7 +4,8 @@
 //! The cost of the §4 scheduler is algorithmic work — IMS placements
 //! and ejections, IT retries, pseudo-schedule pricings and accepted
 //! refinement moves — and the cost of the layers above it is
-//! measurements, search evaluations and store traffic. All of it is
+//! measurements, §3.2 estimates and supply rows added to a suite's
+//! selection tables, search evaluations and store traffic. All of it is
 //! counted deterministically in the `vliw_obs` registry, so this test
 //! gates it exactly, independent of the machine it runs on. At one and
 //! four workers it runs five steps and compares each step's counter
@@ -40,13 +41,15 @@ use heterovliw::sched::{schedule_loop_ws, SchedWorkspace, ScheduleOptions};
 use heterovliw::workloads::suite_seeded;
 
 /// The pinned registry counters.
-const COUNTERS: [&str; 12] = [
+const COUNTERS: [&str; 14] = [
     "sched_loops_scheduled_total",
     "sched_placements_total",
     "sched_ejections_total",
     "sched_it_retries_total",
     "sched_pricings_total",
     "sched_refine_moves_total",
+    "explore_estimates_total",
+    "explore_supply_rows_total",
     "search_evals_total",
     "search_screens_total",
     "store_records_read_total",
