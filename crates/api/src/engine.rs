@@ -39,13 +39,13 @@ use std::fmt::Write as _;
 
 use vliw_exec::Executor;
 use vliw_explore::experiments::{self, ExperimentOptions, ProfiledSuite};
-use vliw_explore::{run_search_scaled, run_search_shard, SpaceKind};
+use vliw_explore::{run_search, SearchReport, SearchRun, ShardReport, SpaceKind};
 use vliw_ir::OpClass;
 use vliw_machine::{ClockedConfig, MachineDesign, Time};
 use vliw_sched::{schedule_loop_ws, SchedWorkspace, ScheduleOptions};
 use vliw_sim::validate;
 use vliw_store::{MeasureStore, StoreConfig};
-use vliw_workloads::{classify, family_suite_seeded, suite_seeded, Benchmark, Corpus, LoopClass};
+use vliw_workloads::{class_shares, family_suite_seeded, suite_seeded, Benchmark, Corpus};
 
 use crate::artifacts::format_bar;
 use crate::request::{Request, RunParams, SearchParams};
@@ -438,13 +438,11 @@ impl Engine {
             text,
             "\n== Figure 7: ED2 vs number of supported frequencies =="
         );
-        let opts = ExperimentOptions::default();
         let mut all = Vec::new();
         for &buses in p.buses.list() {
             let _ = writeln!(text, "-- {buses} bus(es) --");
             let profiled = self.profiled(false, p, buses)?;
-            let rows =
-                experiments::figure7(&profiled, &opts, &self.exec).map_err(|e| e.to_string())?;
+            let rows = experiments::figure7(&profiled, &self.exec).map_err(|e| e.to_string())?;
             for r in &rows {
                 let _ = writeln!(text, "{}", format_bar(&r.menu, r.mean_ed2_normalized));
             }
@@ -455,13 +453,11 @@ impl Engine {
 
     fn figure8(&self, p: &RunParams, text: &mut String) -> Result<Artifacts, String> {
         let _ = writeln!(text, "\n== Figure 8: ED2 vs ICN/cache energy shares ==");
-        let opts = ExperimentOptions::default();
         let mut all = Vec::new();
         for &buses in p.buses.list() {
             let _ = writeln!(text, "-- {buses} bus(es) --");
             let profiled = self.profiled(false, p, buses)?;
-            let rows =
-                experiments::figure8(&profiled, &opts, &self.exec).map_err(|e| e.to_string())?;
+            let rows = experiments::figure8(&profiled, &self.exec).map_err(|e| e.to_string())?;
             for r in &rows {
                 let label = format!(
                     ".{:<2} / {:.2}",
@@ -480,13 +476,11 @@ impl Engine {
             text,
             "\n== Figure 9: ED2 vs leakage shares (cluster/ICN/cache) =="
         );
-        let opts = ExperimentOptions::default();
         let mut all = Vec::new();
         for &buses in p.buses.list() {
             let _ = writeln!(text, "-- {buses} bus(es) --");
             let profiled = self.profiled(false, p, buses)?;
-            let rows =
-                experiments::figure9(&profiled, &opts, &self.exec).map_err(|e| e.to_string())?;
+            let rows = experiments::figure9(&profiled, &self.exec).map_err(|e| e.to_string())?;
             for r in &rows {
                 let label = format!(
                     "{:.2}/{:.2}/{:.2}",
@@ -504,13 +498,12 @@ impl Engine {
             text,
             "\n== familysweep: ED2 of generator families across figure-6/7 configs =="
         );
-        let opts = ExperimentOptions::default();
         let mut all = Vec::new();
         for &buses in p.buses.list() {
             let _ = writeln!(text, "-- {buses} bus(es) --");
             let profiled = self.profiled(true, p, buses)?;
-            let rows = experiments::familysweep(&profiled, &opts, &self.exec)
-                .map_err(|e| e.to_string())?;
+            let rows =
+                experiments::familysweep(&profiled, &self.exec).map_err(|e| e.to_string())?;
             for r in &rows {
                 let label = format!("{}/{}", r.family, r.menu);
                 let _ = writeln!(text, "{}", format_bar(&label, r.ed2_normalized));
@@ -541,87 +534,45 @@ impl Engine {
             .map(|&b| self.profiled(false, p, b))
             .collect::<Result<_, _>>()?;
         let suite_refs: Vec<&ProfiledSuite> = suites.iter().map(Arc::as_ref).collect();
-        let opts = ExperimentOptions::default();
-        if let Some((shard, shard_count)) = sp.shard {
-            let result = run_search_shard(
-                sp.space,
-                sp.strategy,
-                sp.budget,
-                p.seed,
-                &suite_refs,
-                &opts,
-                &self.exec,
-                sp.racing,
-                shard,
-                shard_count,
-            );
-            let report = &result.report;
-            let _ = writeln!(
-                text,
-                "shard {}/{}: {} of {} candidates, budget {}, seed {}: {} evaluations, \
-                 {} frontier points",
-                report.shard,
-                report.shard_count,
-                report.shard_size,
-                report.space_size,
-                report.budget,
-                report.seed,
-                report.evaluations,
-                report.frontier.len()
-            );
-            if sp.racing {
-                let _ = writeln!(
-                    text,
-                    "racing: {} candidates screened on the subsample suite",
-                    result.stats.screened
-                );
-            }
-            render_frontier(text, report.best.as_ref(), &report.frontier);
-            let meta = pretty(&ShardSearchMeta {
-                experiment: "search_shard".to_owned(),
-                strategy: sp.strategy.name().to_owned(),
-                space: sp.space.name().to_owned(),
-                budget: sp.budget,
-                seed: p.seed,
-                loops_per_benchmark: p.loops,
-                buses,
-                racing: sp.racing,
-                screened: result.stats.screened,
-                shard,
-                shard_count,
-            });
-            return Ok((Some(pretty(report)), Some(meta)));
-        }
-        let result = run_search_scaled(
+        let run = run_search(
             sp.space,
             sp.strategy,
             sp.budget,
             p.seed,
             &suite_refs,
-            &opts,
             &self.exec,
             sp.racing,
+            sp.shard.unwrap_or((1, 1)),
+        )?;
+        let points = format!(
+            "budget {}, seed {}: {} evaluations, {} frontier points",
+            run.budget,
+            run.seed,
+            run.evaluations,
+            run.frontier.len()
         );
-        let report = &result.report;
-        let _ = writeln!(
-            text,
-            "space {} ({} candidates), budget {}, seed {}: {} evaluations, {} frontier points",
-            report.space,
-            report.space_size,
-            report.budget,
-            report.seed,
-            report.evaluations,
-            report.frontier.len()
-        );
+        let _ = match sp.shard {
+            Some((shard, count)) => writeln!(
+                text,
+                "shard {shard}/{count}: {} of {} candidates, {points}",
+                run.shard_size, run.space_size
+            ),
+            None => writeln!(
+                text,
+                "space {} ({} candidates), {points}",
+                sp.space.name(),
+                run.space_size
+            ),
+        };
         if sp.racing {
             let _ = writeln!(
                 text,
                 "racing: {} candidates screened on the subsample suite",
-                result.stats.screened
+                run.screened
             );
         }
-        render_frontier(text, report.best.as_ref(), &report.frontier);
-        let meta = pretty(&SearchMeta {
+        render_frontier(text, &run);
+        let meta = SearchMeta {
             experiment: "search".to_owned(),
             strategy: sp.strategy.name().to_owned(),
             space: sp.space.name().to_owned(),
@@ -630,9 +581,27 @@ impl Engine {
             loops_per_benchmark: p.loops,
             buses,
             racing: sp.racing,
-            screened: result.stats.screened,
-        });
-        Ok((Some(pretty(report)), Some(meta)))
+            screened: run.screened,
+        };
+        Ok(match sp.shard {
+            Some((shard, shard_count)) => (
+                Some(pretty(&ShardReport::from(run))),
+                Some(pretty(&ShardSearchMeta {
+                    experiment: "search_shard".to_owned(),
+                    strategy: meta.strategy,
+                    space: meta.space,
+                    budget: meta.budget,
+                    seed: meta.seed,
+                    loops_per_benchmark: meta.loops_per_benchmark,
+                    buses: meta.buses,
+                    racing: meta.racing,
+                    screened: meta.screened,
+                    shard,
+                    shard_count,
+                })),
+            ),
+            None => (Some(pretty(&SearchReport::from(run))), Some(pretty(&meta))),
+        })
     }
 
     fn corpus_schedule(
@@ -733,16 +702,10 @@ impl Engine {
             "benchmark", "loops", "ops", "edges", "res%", "bord%", "rec%", "recMII~", "recMII^"
         );
         for b in &benches {
-            let mut shares = [0.0f64; 3];
+            let shares = class_shares(&b.loops, design);
             let mut rec_sum = 0u64;
             let mut rec_max = 0u32;
             for l in &b.loops {
-                let class = classify(l.ddg(), design);
-                let idx = LoopClass::ALL
-                    .iter()
-                    .position(|&c| c == class)
-                    .expect("3 classes");
-                shares[idx] += l.weight();
                 let rm = l.ddg().rec_mii();
                 rec_sum += u64::from(rm);
                 rec_max = rec_max.max(rm);
@@ -818,16 +781,10 @@ impl CorpusMeta {
     }
 }
 
-/// Renders the best line and the frontier rows of a search (or search
-/// shard) run. Shared so the shard path prints candidates exactly as
-/// the unsharded path does — the labels carry global indices either
-/// way.
-fn render_frontier(
-    text: &mut String,
-    best: Option<&vliw_explore::search::FrontierRow>,
-    frontier: &[vliw_explore::search::FrontierRow],
-) {
-    match best {
+/// Renders the best line and the frontier rows of a search run; the
+/// labels carry global indices, sharded or not.
+fn render_frontier(text: &mut String, run: &SearchRun) {
+    match &run.best {
         Some(best) => {
             let _ = writeln!(
                 text,
@@ -849,7 +806,7 @@ fn render_frontier(
             let _ = writeln!(text, "best: no feasible candidate found within the budget");
         }
     }
-    for row in frontier {
+    for row in &run.frontier {
         let label = format!(
             "#{} {}b {}f {:.2}/{:.2}ns",
             row.index, row.buses, row.num_fast, row.fast_cycle_ns, row.slow_cycle_ns
@@ -1112,6 +1069,29 @@ mod tests {
         assert_eq!(engine.run(&Request::Ping), fresh.run(&Request::Ping));
         let f6 = Request::Figure6(small());
         assert_eq!(engine.run(&f6), fresh.run(&f6));
+    }
+
+    /// A shard count above the space size passes the wire's `i/n`
+    /// check but not the search: the answer is an ordinary counted
+    /// failure naming the space size, and the engine keeps serving.
+    #[test]
+    fn an_over_sharded_search_fails_without_panicking() {
+        let errors = || vliw_obs::counter_with("engine_request_errors_total", "kind", "search");
+        let errors_before = errors().get();
+        let engine = Engine::new(1);
+        let req =
+            Request::from_json_str(r#"{"kind":"search","loops":2,"buses":"1","shard":"1/21"}"#)
+                .expect("the wire accepts 1/21");
+        let resp = engine.run(&req);
+        assert!(!resp.ok);
+        let error = resp.error.as_deref().unwrap_or_default();
+        assert!(
+            error.contains("20"),
+            "the error names the space size: {error}"
+        );
+        assert!(!error.starts_with("request panicked"), "{error}");
+        assert!(errors().get() > errors_before, "the failure is counted");
+        assert!(engine.run(&Request::Ping).ok, "the engine keeps serving");
     }
 
     #[test]

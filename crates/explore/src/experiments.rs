@@ -23,7 +23,7 @@ use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, MenuKind, Time, 
 use vliw_power::{ed2, EnergyShares, PowerModel, UsageProfile};
 use vliw_sched::{schedule_loop_ws, SchedError, SchedWorkspace, ScheduleOptions};
 use vliw_store::{MeasureStore, StoreKey};
-use vliw_workloads::{classify, Benchmark, LoopClass};
+use vliw_workloads::{class_shares, Benchmark};
 
 use crate::estimate::estimate_usage;
 use crate::homog::{
@@ -37,7 +37,8 @@ use crate::store_keys::{
     record_to_usage, usage_to_record,
 };
 
-/// The inputs the experiment runners vary.
+/// The inputs [`figure6`] and [`run_benchmark`] take; Figures 7–9 and
+/// [`familysweep`] each vary one of them from the default.
 #[derive(Debug, Clone)]
 pub struct ExperimentOptions {
     /// Frequency menu for heterogeneous selection *and* scheduling
@@ -621,15 +622,7 @@ pub struct Table2Row {
 pub fn table2(suite: &[Benchmark], exec: &Executor) -> Vec<Table2Row> {
     let design = MachineDesign::paper_machine(1);
     exec.map(suite, |_, bench| {
-        let mut shares = [0.0f64; 3];
-        for l in &bench.loops {
-            let class = classify(l.ddg(), design);
-            let idx = LoopClass::ALL
-                .iter()
-                .position(|&c| c == class)
-                .expect("3 classes");
-            shares[idx] += l.weight();
-        }
+        let shares = class_shares(&bench.loops, design);
         Table2Row {
             benchmark: bench.name.clone(),
             resource_pct: shares[0] * 100.0,
@@ -677,16 +670,12 @@ pub fn figure7_menus() -> Vec<(String, FrequencyMenu)> {
 /// # Errors
 ///
 /// Propagates scheduling failures.
-pub fn figure7(
-    profiled: &ProfiledSuite,
-    base: &ExperimentOptions,
-    exec: &Executor,
-) -> Result<Vec<Figure7Row>, SchedError> {
+pub fn figure7(profiled: &ProfiledSuite, exec: &Executor) -> Result<Vec<Figure7Row>, SchedError> {
     let mut rows = Vec::new();
     for (name, menu) in figure7_menus() {
         let opts = ExperimentOptions {
             menu,
-            ..base.clone()
+            ..ExperimentOptions::default()
         };
         let results = figure6(profiled, &opts, exec)?;
         rows.push(Figure7Row {
@@ -729,16 +718,12 @@ pub const FIGURE8_SHARES: [(f64, f64); 5] = [
 /// # Errors
 ///
 /// Propagates scheduling failures.
-pub fn figure8(
-    profiled: &ProfiledSuite,
-    base: &ExperimentOptions,
-    exec: &Executor,
-) -> Result<Vec<Figure8Row>, SchedError> {
+pub fn figure8(profiled: &ProfiledSuite, exec: &Executor) -> Result<Vec<Figure8Row>, SchedError> {
     let mut rows = Vec::new();
     for (icn, cache) in FIGURE8_SHARES {
         let opts = ExperimentOptions {
             shares: EnergyShares::with_component_shares(icn, cache),
-            ..base.clone()
+            ..ExperimentOptions::default()
         };
         let results = figure6(profiled, &opts, exec)?;
         rows.push(Figure8Row {
@@ -780,16 +765,12 @@ pub const FIGURE9_LEAKS: [(f64, f64, f64); 4] = [
 /// # Errors
 ///
 /// Propagates scheduling failures.
-pub fn figure9(
-    profiled: &ProfiledSuite,
-    base: &ExperimentOptions,
-    exec: &Executor,
-) -> Result<Vec<Figure9Row>, SchedError> {
+pub fn figure9(profiled: &ProfiledSuite, exec: &Executor) -> Result<Vec<Figure9Row>, SchedError> {
     let mut rows = Vec::new();
     for (lc, li, lca) in FIGURE9_LEAKS {
         let opts = ExperimentOptions {
             shares: EnergyShares::with_leakage(lc, li, lca),
-            ..base.clone()
+            ..ExperimentOptions::default()
         };
         let results = figure6(profiled, &opts, exec)?;
         rows.push(Figure9Row {
@@ -842,14 +823,13 @@ pub struct FamilyRow {
 /// Propagates scheduling failures.
 pub fn familysweep(
     profiled: &ProfiledSuite,
-    base: &ExperimentOptions,
     exec: &Executor,
 ) -> Result<Vec<FamilyRow>, SchedError> {
     let mut rows = Vec::new();
     for (menu_name, menu) in figure7_menus() {
         let opts = ExperimentOptions {
             menu,
-            ..base.clone()
+            ..ExperimentOptions::default()
         };
         let results = figure6(profiled, &opts, exec)?;
         rows.extend(results.into_iter().map(|r| FamilyRow {
@@ -945,12 +925,12 @@ mod tests {
         let opts = ExperimentOptions::default();
 
         let serial_profiled = profiled(&suite);
-        let serial7 = figure7(&serial_profiled, &opts, &Executor::serial()).unwrap();
+        let serial7 = figure7(&serial_profiled, &Executor::serial()).unwrap();
         let serial6 = figure6(&serial_profiled, &opts, &Executor::serial()).unwrap();
 
         let pool = Executor::new(4);
         let par_profiled = profile_suite(&suite, 1, &pool, None).unwrap();
-        let par7 = figure7(&par_profiled, &opts, &pool).unwrap();
+        let par7 = figure7(&par_profiled, &pool).unwrap();
         let par6 = figure6(&par_profiled, &opts, &pool).unwrap();
 
         assert_eq!(
@@ -971,12 +951,7 @@ mod tests {
     #[test]
     fn familysweep_emits_rows_for_all_four_families() {
         let profiled = profiled(&vliw_workloads::family_suite(3));
-        let rows = familysweep(
-            &profiled,
-            &ExperimentOptions::default(),
-            &Executor::serial(),
-        )
-        .unwrap();
+        let rows = familysweep(&profiled, &Executor::serial()).unwrap();
         let menus = figure7_menus().len();
         assert_eq!(rows.len(), 4 * menus);
         for family in ["membound", "ilpwide", "multirec", "stress"] {

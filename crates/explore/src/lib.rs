@@ -26,7 +26,10 @@
 //!
 //! The [`experiments`] module regenerates every table and figure of the
 //! paper's evaluation (Table 2, Figures 6–9); `vliw-api`'s `Engine`
-//! serves them as requests.
+//! serves them as requests. Beyond the paper's fixed grid, [`run_search`]
+//! runs every design-space search over the profiled suites ([`search`]
+//! decodes and measures candidates, [`scale`] adds racing, warm starts
+//! and sharding); an unsharded search is shard 1 of 1.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,10 +50,7 @@ pub use homog::{
     HOMOG_CYCLE_FACTORS,
 };
 pub use profile::{suite_reference, BenchmarkProfile, LoopProfile};
-pub use scale::{
-    merge_shard_reports, run_search_scaled, run_search_shard, MergedReport, ScaleStats,
-    ScaledSearch, ShardReport, ShardSearch,
-};
+pub use scale::{merge_shard_reports, run_search, MergedReport, SearchRun, ShardReport};
 pub use search::{ConfigSpace, SearchContext, SearchReport, SpaceKind};
 pub use select::{candidate_grid, select_heterogeneous, HeteroChoice};
 pub use store_keys::config_fingerprint;
@@ -72,5 +72,5 @@ const _: () = {
     _assert_send_sync::<SearchReport>();
     _assert_send_sync::<ShardReport>();
     _assert_send_sync::<MergedReport>();
-    _assert_send_sync::<ScaleStats>();
+    _assert_send_sync::<SearchRun>();
 };

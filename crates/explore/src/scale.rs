@@ -1,6 +1,10 @@
 //! Scaled design-space search: racing, store-warmed archives, and
 //! sharded runs with deterministic merges.
 //!
+//! [`run_search`] runs every search. It always walks a [`ShardedSpace`]:
+//! an unsharded search is shard 1 of 1, whose indices, neighbours,
+//! moves and samples are the whole space's own, so both kinds of run
+//! take the same walk and return one [`SearchRun`] in global indices.
 //! Three orthogonal levers let one search cover spaces far beyond the
 //! paper's 20-point grid without giving up the byte-stable artefact
 //! discipline:
@@ -20,11 +24,10 @@
 //!   optimizer step. A warm replay of the same arguments reproduces the
 //!   cold run byte for byte while skipping every measurement.
 //! * **Sharding** — `--shard i/n` restricts the walk to the round-robin
-//!   residue class `index % n == i-1`
-//!   ([`ShardedSpace`]) and emits a
-//!   mergeable [`ShardReport`]; [`merge_shard_reports`] folds any
-//!   full set of shard artefacts into one [`MergedReport`] whose bytes
-//!   are independent of shard count and merge order.
+//!   residue class `index % n == i-1` and emits a mergeable
+//!   [`ShardReport`]; [`merge_shard_reports`] folds any full set of
+//!   shard artefacts into one [`MergedReport`] whose bytes are
+//!   independent of shard count and merge order.
 //!
 //! ```text
 //!                 gene grid (space_size candidates)
@@ -43,48 +46,86 @@
 //!                        MergedReport == unsharded frontier
 //! ```
 
-use std::sync::Arc;
-
 use serde::Serialize;
 use serde_json::Value;
 
 use vliw_exec::Executor;
 use vliw_search::{
-    ArchiveEntry, Objectives, ParetoArchive, ScaledEvaluator, SearchOutcome, SearchSpace,
-    ShardedSpace, Strategy,
+    ArchiveEntry, Objectives, ParetoArchive, ScaledEvaluator, SearchSpace, ShardedSpace, Strategy,
 };
 use vliw_store::{EvalObjectives, EvalRecord, MeasureStore, StoreKey};
 
-use crate::experiments::{ExperimentOptions, ProfiledSuite};
+use crate::experiments::ProfiledSuite;
 use crate::search::{FrontierRow, SearchContext, SearchReport, SpaceKind, TraceRow};
 
-/// Side-channel counters of one scaled run — everything the byte-stable
-/// [`SearchReport`] deliberately omits.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ScaleStats {
+/// One search run, in global canonical indices: the walk over one shard
+/// (shard 1 of 1 when unsharded) with its frontier decoded, plus the
+/// counters the byte-stable reports omit. [`SearchReport`] and
+/// [`ShardReport`] are built from it by `From`.
+#[derive(Debug, Clone)]
+pub struct SearchRun {
+    /// The strategy that ran.
+    pub strategy: &'static str,
+    /// The space it searched.
+    pub space: SpaceKind,
+    /// Requested distinct-evaluation budget.
+    pub budget: u64,
+    /// Search seed.
+    pub seed: u64,
+    /// Size of the *whole* candidate space.
+    pub space_size: u64,
+    /// This shard's 1-based number.
+    pub shard: u32,
+    /// Total number of shards (1 when unsharded).
+    pub shard_count: u32,
+    /// Number of candidates in this shard.
+    pub shard_size: u64,
+    /// Distinct candidate evaluations spent.
+    pub evaluations: u64,
+    /// The scalar (minimum-ED²) winner, if any candidate was feasible.
+    pub best: Option<FrontierRow>,
+    /// The non-dominated frontier, sorted by execution time.
+    pub frontier: Vec<FrontierRow>,
+    /// Every improvement of the best ED².
+    pub trace: Vec<TraceRow>,
     /// Distinct candidates screened by racing (0 when racing is off).
     pub screened: u64,
     /// Persisted evaluations the run warm-started from.
     pub warm_entries: u64,
 }
 
-/// A full-space scaled search: the ordinary report plus scale counters.
-#[derive(Debug, Clone)]
-pub struct ScaledSearch {
-    /// The byte-stable artefact, identical to a plain (non-racing) run
-    /// of the same arguments whenever the budget covers the space.
-    pub report: SearchReport,
-    /// Racing / warm-start counters (never serialised into the report).
-    pub stats: ScaleStats,
+impl From<SearchRun> for SearchReport {
+    fn from(run: SearchRun) -> Self {
+        SearchReport {
+            strategy: run.strategy.to_owned(),
+            space: run.space.name().to_owned(),
+            budget: run.budget,
+            seed: run.seed,
+            space_size: run.space_size,
+            evaluations: run.evaluations,
+            best: run.best,
+            frontier: run.frontier,
+            trace: run.trace,
+        }
+    }
 }
 
-/// One shard of a sharded scaled search.
-#[derive(Debug, Clone)]
-pub struct ShardSearch {
-    /// The mergeable shard artefact.
-    pub report: ShardReport,
-    /// Racing / warm-start counters for this shard.
-    pub stats: ScaleStats,
+impl From<SearchRun> for ShardReport {
+    fn from(run: SearchRun) -> Self {
+        ShardReport {
+            strategy: run.strategy.to_owned(),
+            space: run.space.name().to_owned(),
+            budget: run.budget,
+            seed: run.seed,
+            space_size: run.space_size,
+            shard: run.shard,
+            shard_count: run.shard_count,
+            shard_size: run.shard_size,
+            evaluations: run.evaluations,
+            best: run.best,
+            frontier: run.frontier,
+        }
+    }
 }
 
 /// Maps a persisted evaluation back to engine objectives.
@@ -96,19 +137,12 @@ fn record_objectives(rec: &EvalRecord) -> Option<Objectives> {
     })
 }
 
-/// Persists one evaluation under `(content, index)` unless already
-/// present. Feasible results with non-finite objectives are not
-/// persistable (the wire format carries finite numbers only) and are
-/// simply skipped; store write failures degrade to a warning, exactly
-/// like the measurement path.
+/// Persists one evaluation under `(content, index)`; the store skips a
+/// record it already holds. Feasible results with non-finite objectives
+/// are not persistable (the wire format carries finite numbers only)
+/// and are simply skipped; store write failures degrade to a warning,
+/// exactly like the measurement path.
 fn persist_eval(store: &MeasureStore, content: u64, index: u64, obj: Option<Objectives>) {
-    let key = StoreKey {
-        content,
-        config: index,
-    };
-    if store.get_eval(key).is_some() {
-        return;
-    }
     let objectives = match obj {
         None => None,
         Some(o) if o.is_finite() => Some(EvalObjectives {
@@ -118,236 +152,122 @@ fn persist_eval(store: &MeasureStore, content: u64, index: u64, obj: Option<Obje
         }),
         Some(_) => return,
     };
+    let key = StoreKey {
+        content,
+        config: index,
+    };
     if let Err(err) = store.put_eval(key, EvalRecord { objectives }) {
         eprintln!("warning: failed to persist evaluation: {err}");
     }
 }
 
-/// Every persisted evaluation of `fp`, as the engine's warm-entry table.
-fn warm_entries(store: &MeasureStore, fp: u64, size: u64) -> Vec<(u64, Option<Objectives>)> {
-    store
-        .warm_evals(fp, size)
-        .into_iter()
-        .map(|(idx, rec)| (idx, record_objectives(&rec)))
-        .collect()
-}
-
-/// Runs one strategy over `space` with the scaling levers wired in: the
-/// full measurement persists to `store` under `fp`, racing (when on)
-/// screens on truncated suites persisted under the screening context's
-/// own fingerprint, and `warm` pre-seeds the engine.
-#[allow(clippy::too_many_arguments)]
-fn drive<S: SearchSpace<Point = Vec<u32>>>(
-    ctx: &SearchContext<'_>,
-    kind: SpaceKind,
-    strategy: Strategy,
-    budget: u64,
-    seed: u64,
-    suites: &[&ProfiledSuite],
-    opts: &ExperimentOptions,
-    exec: &Executor,
-    space: &S,
-    racing: bool,
-    warm: Vec<(u64, Option<Objectives>)>,
-    fp: u64,
-    store: Option<Arc<MeasureStore>>,
-) -> SearchOutcome<Vec<u32>> {
-    let full_store = store.clone();
-    let full = move |genes: &Vec<u32>, inner: &Executor| {
-        let obj = ctx.evaluate(genes, inner);
-        if let Some(store) = &full_store {
-            persist_eval(store, fp, ctx.space().index(genes), obj);
-        }
-        obj
-    };
-    if !racing {
-        let evaluator = ScaledEvaluator::full(full).with_warm(warm);
-        return strategy.run(space, &evaluator, budget, seed, exec);
-    }
-    // The screening context: every benchmark truncated to its heaviest
-    // loops, with its own power calibration and its own store
-    // fingerprint so persisted screens can never alias full
-    // measurements.
-    let screen_suites: Vec<ProfiledSuite> = suites.iter().map(|s| s.screen_subset()).collect();
-    let screen_refs: Vec<&ProfiledSuite> = screen_suites.iter().collect();
-    let screen_ctx = SearchContext::new(kind, &screen_refs, opts);
-    let sfp = screen_ctx.space_fingerprint();
-    let screen_store = store;
-    let screen = move |genes: &Vec<u32>, inner: &Executor| {
-        let index = screen_ctx.space().index(genes);
-        if let Some(store) = &screen_store {
-            let key = StoreKey {
-                content: sfp,
-                config: index,
-            };
-            if let Some(rec) = store.get_eval(key) {
-                return record_objectives(&rec);
-            }
-        }
-        let obj = screen_ctx.evaluate(genes, inner);
-        if let Some(store) = &screen_store {
-            persist_eval(store, sfp, index, obj);
-        }
-        obj
-    };
-    let evaluator = ScaledEvaluator::new(full, screen)
-        .with_racing()
-        .with_warm(warm);
-    strategy.run(space, &evaluator, budget, seed, exec)
-}
-
-/// Builds the byte-stable report exactly as the original search runner
-/// did — the report schema gains nothing from scaling.
-fn report_from(
-    ctx: &SearchContext<'_>,
-    kind: SpaceKind,
-    outcome: &SearchOutcome<Vec<u32>>,
-) -> SearchReport {
-    // Decoding a paper-space row repeats the voltage descent, so each
-    // frontier entry is decoded once; the scalar winner is one of them.
-    let frontier: Vec<FrontierRow> = outcome
-        .archive
-        .entries()
-        .iter()
-        .map(|e| ctx.frontier_row(e))
-        .collect();
-    let best = outcome
-        .best()
-        .map(|e| e.index)
-        .and_then(|idx| frontier.iter().find(|row| row.index == idx))
-        .cloned();
-    SearchReport {
-        strategy: outcome.strategy.to_owned(),
-        space: kind.name().to_owned(),
-        budget: outcome.budget,
-        seed: outcome.seed,
-        space_size: outcome.space_size,
-        evaluations: outcome.evaluations,
-        best,
-        frontier,
-        trace: outcome
-            .trace
-            .iter()
-            .map(|t| TraceRow {
-                evaluations: t.evaluations,
-                index: t.index,
-                ed2: t.ed2,
-            })
-            .collect(),
-    }
-}
-
-/// Runs one seeded search over the profiled suites and returns the
-/// serialisable report plus its scale counters: warm starts whenever the
-/// first suite carries a store, racing when `racing` is set.
+/// Runs shard `shard` (1-based) of a `shard_count`-way search over the
+/// profiled suites; an unsharded search is `(1, 1)`. The walk is
+/// confined to the round-robin residue class `index % shard_count ==
+/// shard - 1`, warm starts whenever the first suite carries a store,
+/// and races when `racing` is set.
 ///
 /// `suites` holds one [`ProfiledSuite`] per bus count the space may
-/// place candidates on; the paper space uses only the first. The report
-/// is deterministic for fixed `(kind, strategy, budget, seed)` and
+/// place candidates on; the paper space uses only the first. The run is
+/// deterministic for fixed `(kind, strategy, budget, seed, shard)` and
 /// identical for every worker count of `exec` (candidate batches are
 /// fanned out with input-ordered reduction, and the evaluation itself is
 /// deterministic). When the first suite carries a persistent store,
-/// evaluations are persisted and a replay of the same arguments produces
-/// the same bytes without re-measuring. Racing changes *which*
-/// candidates are measured under a partial budget but leaves a
-/// full-coverage frontier byte-identical.
+/// full evaluations are persisted under global indices and a replay of
+/// the same arguments produces the same bytes without re-measuring.
+/// Racing changes *which* candidates are measured under a partial budget
+/// but leaves a full-coverage frontier byte-identical.
+///
+/// # Errors
+///
+/// Returns a description when `shard` is not in `1..=shard_count` or
+/// `shard_count` exceeds the space size (some shard would be empty).
 ///
 /// # Panics
 ///
 /// Panics if `suites` is empty.
-#[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn run_search_scaled(
+pub fn run_search(
     kind: SpaceKind,
     strategy: Strategy,
     budget: u64,
     seed: u64,
     suites: &[&ProfiledSuite],
-    opts: &ExperimentOptions,
     exec: &Executor,
     racing: bool,
-) -> ScaledSearch {
-    let ctx = SearchContext::new(kind, suites, opts);
-    let fp = ctx.space_fingerprint();
-    let store = suites[0].store().cloned();
-    let warm = store
-        .as_ref()
-        .map_or_else(Vec::new, |s| warm_entries(s, fp, ctx.space().size()));
-    let warm_count = warm.len() as u64;
-    let outcome = drive(
-        &ctx,
-        kind,
-        strategy,
-        budget,
-        seed,
-        suites,
-        opts,
-        exec,
-        ctx.space(),
-        racing,
-        warm,
-        fp,
-        store,
-    );
-    let report = report_from(&ctx, kind, &outcome);
-    ScaledSearch {
-        report,
-        stats: ScaleStats {
-            screened: outcome.screened,
-            warm_entries: warm_count,
-        },
+    (shard, shard_count): (u32, u32),
+) -> Result<SearchRun, String> {
+    let ctx = SearchContext::new(kind, suites);
+    let space_size = ctx.space().size();
+    if !(1..=shard_count).contains(&shard) {
+        return Err(format!(
+            "shard {shard}/{shard_count} is not in 1..={shard_count}"
+        ));
     }
-}
-
-/// Runs shard `shard` (1-based) of an `shard_count`-way sharded search:
-/// the walk is confined to the round-robin residue class
-/// `index % shard_count == shard - 1`, warm entries are filtered to the
-/// shard, and the artefact is a [`ShardReport`] whose frontier rows
-/// carry *global* canonical indices so shard artefacts merge without
-/// translation.
-///
-/// # Panics
-///
-/// Panics if `suites` is empty, if `shard` is not in
-/// `1..=shard_count`, or if `shard_count` exceeds the space size (some
-/// shard would be empty).
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn run_search_shard(
-    kind: SpaceKind,
-    strategy: Strategy,
-    budget: u64,
-    seed: u64,
-    suites: &[&ProfiledSuite],
-    opts: &ExperimentOptions,
-    exec: &Executor,
-    racing: bool,
-    shard: u32,
-    shard_count: u32,
-) -> ShardSearch {
-    assert!(
-        shard >= 1 && shard <= shard_count,
-        "shard must be 1..=shard_count"
-    );
-    let ctx = SearchContext::new(kind, suites, opts);
+    let count = u64::from(shard_count);
+    if count > space_size {
+        return Err(format!(
+            "cannot cut the {space_size}-candidate {} space into {shard_count} shards",
+            kind.name()
+        ));
+    }
+    let k = u64::from(shard - 1);
+    let sharded = ShardedSpace::new(ctx.space(), k, count);
     let fp = ctx.space_fingerprint();
     let store = suites[0].store().cloned();
-    let k = u64::from(shard - 1);
-    let count = u64::from(shard_count);
-    let sharded = ShardedSpace::new(ctx.space(), k, count);
-    // Warm entries are keyed by the *engine's* index space, which is
-    // shard-local here; the store always speaks global indices.
+    // The walk speaks shard-local indices; the store always speaks
+    // global ones.
     let warm: Vec<(u64, Option<Objectives>)> = store
         .as_ref()
-        .map_or_else(Vec::new, |s| warm_entries(s, fp, ctx.space().size()))
+        .map_or_else(Vec::new, |s| s.warm_evals(fp, space_size))
         .into_iter()
         .filter(|(g, _)| g % count == k)
-        .map(|(g, obj)| (g / count, obj))
+        .map(|(g, rec)| (g / count, record_objectives(&rec)))
         .collect();
-    let warm_count = warm.len() as u64;
-    let outcome = drive(
-        &ctx, kind, strategy, budget, seed, suites, opts, exec, &sharded, racing, warm, fp, store,
-    );
+    let warm_entries = warm.len() as u64;
+    let full = |genes: &Vec<u32>, inner: &Executor| {
+        let obj = ctx.evaluate(genes, inner);
+        if let Some(store) = &store {
+            persist_eval(store, fp, ctx.space().index(genes), obj);
+        }
+        obj
+    };
+    let outcome = if racing {
+        // The screening context: every benchmark truncated to its
+        // heaviest loops, with its own power calibration and its own
+        // store fingerprint so persisted screens can never alias full
+        // measurements.
+        let screen_suites: Vec<ProfiledSuite> = suites.iter().map(|s| s.screen_subset()).collect();
+        let screen_refs: Vec<&ProfiledSuite> = screen_suites.iter().collect();
+        let screen_ctx = SearchContext::new(kind, &screen_refs);
+        let sfp = screen_ctx.space_fingerprint();
+        let screen = |genes: &Vec<u32>, inner: &Executor| {
+            let index = screen_ctx.space().index(genes);
+            if let Some(store) = &store {
+                let key = StoreKey {
+                    content: sfp,
+                    config: index,
+                };
+                if let Some(rec) = store.get_eval(key) {
+                    return record_objectives(&rec);
+                }
+            }
+            let obj = screen_ctx.evaluate(genes, inner);
+            if let Some(store) = &store {
+                persist_eval(store, sfp, index, obj);
+            }
+            obj
+        };
+        let evaluator = ScaledEvaluator::new(full, screen)
+            .with_racing()
+            .with_warm(warm);
+        strategy.run(&sharded, &evaluator, budget, seed, exec)
+    } else {
+        let evaluator = ScaledEvaluator::full(full).with_warm(warm);
+        strategy.run(&sharded, &evaluator, budget, seed, exec)
+    };
+    // Decoding a paper-space row repeats the voltage descent, so each
+    // frontier entry is decoded once; the scalar winner is one of them.
     let frontier: Vec<FrontierRow> = outcome
         .archive
         .entries()
@@ -365,26 +285,30 @@ pub fn run_search_shard(
         .map(|e| sharded.global_index(e.index))
         .and_then(|idx| frontier.iter().find(|row| row.index == idx))
         .cloned();
-    let report = ShardReport {
-        strategy: outcome.strategy.to_owned(),
-        space: kind.name().to_owned(),
+    Ok(SearchRun {
+        strategy: outcome.strategy,
+        space: kind,
         budget: outcome.budget,
         seed: outcome.seed,
-        space_size: ctx.space().size(),
+        space_size,
         shard,
         shard_count,
         shard_size: sharded.size(),
         evaluations: outcome.evaluations,
         best,
         frontier,
-    };
-    ShardSearch {
-        report,
-        stats: ScaleStats {
-            screened: outcome.screened,
-            warm_entries: warm_count,
-        },
-    }
+        trace: outcome
+            .trace
+            .iter()
+            .map(|t| TraceRow {
+                evaluations: t.evaluations,
+                index: sharded.global_index(t.index),
+                ed2: t.ed2,
+            })
+            .collect(),
+        screened: outcome.screened,
+        warm_entries,
+    })
 }
 
 /// The mergeable artefact of one search shard. Frontier rows carry
@@ -676,6 +600,8 @@ impl ShardReport {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use vliw_workloads::{generate, spec_fp2000, Benchmark};
 
@@ -696,6 +622,28 @@ mod tests {
         profiled_with(None)
     }
 
+    /// One serial paper-space search of `suite`.
+    fn search(
+        strategy: Strategy,
+        budget: u64,
+        seed: u64,
+        suite: &ProfiledSuite,
+        racing: bool,
+        shard: (u32, u32),
+    ) -> SearchRun {
+        run_search(
+            SpaceKind::Paper,
+            strategy,
+            budget,
+            seed,
+            &[suite],
+            &Executor::serial(),
+            racing,
+            shard,
+        )
+        .unwrap()
+    }
+
     /// Tentpole differential: with full coverage, the racing frontier is
     /// byte-identical to the plain full-measurement frontier for every
     /// strategy — screening reorders *when* candidates are measured,
@@ -703,39 +651,18 @@ mod tests {
     #[test]
     fn racing_report_is_byte_identical_to_full_measurement() {
         let suite = profiled();
-        let suites = [&suite];
-        let opts = ExperimentOptions::default();
         for strategy in Strategy::ALL {
-            let plain = run_search_scaled(
-                SpaceKind::Paper,
-                strategy,
-                64,
-                9,
-                &suites,
-                &opts,
-                &Executor::serial(),
-                false,
-            )
-            .report;
-            let raced = run_search_scaled(
-                SpaceKind::Paper,
-                strategy,
-                64,
-                9,
-                &suites,
-                &opts,
-                &Executor::serial(),
-                true,
-            );
-            assert_eq!(raced.report.evaluations, plain.evaluations, "{strategy}");
+            let plain = search(strategy, 64, 9, &suite, false, (1, 1));
+            let raced = search(strategy, 64, 9, &suite, true, (1, 1));
+            assert_eq!(raced.evaluations, plain.evaluations, "{strategy}");
             assert_eq!(
                 serde_json::to_string_pretty(&plain.frontier).unwrap(),
-                serde_json::to_string_pretty(&raced.report.frontier).unwrap(),
+                serde_json::to_string_pretty(&raced.frontier).unwrap(),
                 "{strategy}: racing must not change a full-coverage frontier"
             );
             assert_eq!(
                 serde_json::to_string(&plain.best).unwrap(),
-                serde_json::to_string(&raced.report.best).unwrap(),
+                serde_json::to_string(&raced.best).unwrap(),
                 "{strategy}: racing must not change the winner"
             );
             if strategy == Strategy::Exhaustive || strategy == Strategy::Genetic {
@@ -743,7 +670,7 @@ mod tests {
                 // on this grid (index chunks, generational populations);
                 // hill climbing and annealing walk in steps too small to
                 // rung on 20 points.
-                assert!(raced.stats.screened > 0, "{strategy}: racing engaged");
+                assert!(raced.screened > 0, "{strategy}: racing engaged");
             }
         }
     }
@@ -754,35 +681,9 @@ mod tests {
     #[test]
     fn sharded_search_merges_to_the_unsharded_report() {
         let suite = profiled();
-        let suites = [&suite];
-        let opts = ExperimentOptions::default();
-        let whole = run_search_scaled(
-            SpaceKind::Paper,
-            Strategy::Exhaustive,
-            u64::MAX,
-            5,
-            &suites,
-            &opts,
-            &Executor::serial(),
-            false,
-        )
-        .report;
+        let whole = search(Strategy::Exhaustive, u64::MAX, 5, &suite, false, (1, 1));
         let shards: Vec<ShardReport> = (1..=3)
-            .map(|i| {
-                run_search_shard(
-                    SpaceKind::Paper,
-                    Strategy::Exhaustive,
-                    u64::MAX,
-                    5,
-                    &suites,
-                    &opts,
-                    &Executor::serial(),
-                    false,
-                    i,
-                    3,
-                )
-                .report
-            })
+            .map(|i| search(Strategy::Exhaustive, u64::MAX, 5, &suite, false, (i, 3)).into())
             .collect();
         for report in &shards {
             assert_eq!(report.evaluations, report.shard_size, "full coverage");
@@ -809,6 +710,29 @@ mod tests {
         );
     }
 
+    /// An over-sharded request is an error naming the space size, not a
+    /// panic, and so is a shard outside `1..=n`.
+    #[test]
+    fn impossible_shards_are_errors() {
+        let suite = profiled();
+        let run = |shard| {
+            run_search(
+                SpaceKind::Paper,
+                Strategy::Exhaustive,
+                64,
+                0,
+                &[&suite],
+                &Executor::serial(),
+                false,
+                shard,
+            )
+            .unwrap_err()
+        };
+        assert!(run((21, 21)).contains("20-candidate"), "{}", run((21, 21)));
+        assert!(run((0, 2)).contains("1..=2"), "{}", run((0, 2)));
+        assert!(run((3, 2)).contains("1..=2"), "{}", run((3, 2)));
+    }
+
     /// Satellite: a warm replay over a persistent store reproduces the
     /// cold report byte for byte without re-measuring, and reports how
     /// many persisted evaluations it started from.
@@ -816,37 +740,18 @@ mod tests {
     fn warm_replay_reproduces_the_cold_report() {
         let dir = std::env::temp_dir().join(format!("scale-warm-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let opts = ExperimentOptions::default();
         let store = Arc::new(MeasureStore::open(&dir).unwrap());
         let cold_suite = profiled_with(Some(store.clone()));
-        let cold = run_search_scaled(
-            SpaceKind::Paper,
-            Strategy::Genetic,
-            12,
-            4,
-            &[&cold_suite],
-            &opts,
-            &Executor::serial(),
-            false,
-        );
-        assert_eq!(cold.stats.warm_entries, 0, "first run starts cold");
+        let cold = search(Strategy::Genetic, 12, 4, &cold_suite, false, (1, 1));
+        assert_eq!(cold.warm_entries, 0, "first run starts cold");
         let warm_suite = profiled_with(Some(store.clone()));
-        let warm = run_search_scaled(
-            SpaceKind::Paper,
-            Strategy::Genetic,
-            12,
-            4,
-            &[&warm_suite],
-            &opts,
-            &Executor::serial(),
-            false,
-        );
+        let warm = search(Strategy::Genetic, 12, 4, &warm_suite, false, (1, 1));
+        assert_eq!(warm.warm_entries, cold.evaluations);
         assert_eq!(
-            serde_json::to_string_pretty(&cold.report).unwrap(),
-            serde_json::to_string_pretty(&warm.report).unwrap(),
+            serde_json::to_string_pretty(&SearchReport::from(cold)).unwrap(),
+            serde_json::to_string_pretty(&SearchReport::from(warm)).unwrap(),
             "warm replay must be byte-identical"
         );
-        assert_eq!(warm.stats.warm_entries, cold.report.evaluations);
         assert_eq!(
             warm_suite.measured(),
             0,
@@ -860,21 +765,14 @@ mod tests {
     #[test]
     fn shard_artifacts_round_trip_and_parse_strictly() {
         let suite = profiled();
-        let suites = [&suite];
-        let opts = ExperimentOptions::default();
-        let shard = run_search_shard(
-            SpaceKind::Paper,
+        let shard = ShardReport::from(search(
             Strategy::HillClimb,
             u64::MAX,
             1,
-            &suites,
-            &opts,
-            &Executor::serial(),
+            &suite,
             false,
-            2,
-            2,
-        )
-        .report;
+            (2, 2),
+        ));
         let text = serde_json::to_string_pretty(&shard).unwrap();
         let parsed = ShardReport::from_json_str(&text).unwrap();
         assert_eq!(
@@ -899,22 +797,15 @@ mod tests {
     #[test]
     fn merge_rejects_conflicts_and_mismatches() {
         let suite = profiled();
-        let suites = [&suite];
-        let opts = ExperimentOptions::default();
         let shard = |i, n| {
-            run_search_shard(
-                SpaceKind::Paper,
+            ShardReport::from(search(
                 Strategy::Exhaustive,
                 u64::MAX,
                 0,
-                &suites,
-                &opts,
-                &Executor::serial(),
+                &suite,
                 false,
-                i,
-                n,
-            )
-            .report
+                (i, n),
+            ))
         };
         assert!(merge_shard_reports(&[]).unwrap_err().contains("no shard"));
 

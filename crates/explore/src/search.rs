@@ -33,10 +33,10 @@ use serde::Serialize;
 
 use vliw_exec::Executor;
 use vliw_machine::{ClockedConfig, FrequencyMenu, Time, Voltages};
-use vliw_power::{ed2, PowerModel};
+use vliw_power::{ed2, EnergyShares, PowerModel};
 use vliw_search::{ArchiveEntry, GridSpace, Objectives, SearchSpace};
 
-use crate::experiments::{ExperimentOptions, ProfiledSuite};
+use crate::experiments::ProfiledSuite;
 use crate::profile::suite_reference;
 use crate::select::{FAST_FACTORS, SLOW_RATIOS};
 
@@ -239,15 +239,16 @@ impl<'a> SearchContext<'a> {
     /// Builds the evaluation context for `kind` over the profiled suites
     /// (one per bus count; the paper space uses only the first).
     ///
-    /// The power model is calibrated per suite exactly as
-    /// [`figure6`](crate::experiments::figure6) does, and estimation and
-    /// measurement both use `opts.menu`, as the experiment pipeline does.
+    /// The power model is calibrated per suite with the paper's energy
+    /// shares, as [`figure6`](crate::experiments::figure6) does at its
+    /// defaults, and estimation and measurement both use the
+    /// unrestricted frequency menu.
     ///
     /// # Panics
     ///
     /// Panics if `suites` is empty.
     #[must_use]
-    pub fn new(kind: SpaceKind, suites: &[&'a ProfiledSuite], opts: &ExperimentOptions) -> Self {
+    pub fn new(kind: SpaceKind, suites: &[&'a ProfiledSuite]) -> Self {
         assert!(!suites.is_empty(), "the search needs a profiled suite");
         let used = match kind {
             SpaceKind::Paper => &suites[..1],
@@ -259,7 +260,7 @@ impl<'a> SearchContext<'a> {
                 suite,
                 power: PowerModel::calibrate(
                     suite.design,
-                    opts.shares,
+                    EnergyShares::PAPER,
                     &suite_reference(&suite.profiles),
                 ),
             })
@@ -271,7 +272,7 @@ impl<'a> SearchContext<'a> {
         SearchContext {
             space,
             buses,
-            menu: opts.menu.clone(),
+            menu: FrequencyMenu::unrestricted(),
         }
     }
 
@@ -571,7 +572,7 @@ mod tests {
     use vliw_workloads::{generate, spec_fp2000, Benchmark};
 
     use crate::experiments::profile_suite;
-    use crate::scale::run_search_scaled;
+    use crate::scale::run_search;
 
     fn small_suite() -> Vec<Benchmark> {
         // One recurrence-bound and one resource-bound benchmark, as the
@@ -586,7 +587,7 @@ mod tests {
         profile_suite(&small_suite(), 1, &Executor::serial(), None).unwrap()
     }
 
-    /// One plain (non-racing) search over `suite` with default options.
+    /// One plain (non-racing, unsharded) search over `suite`.
     fn search(
         kind: SpaceKind,
         strategy: Strategy,
@@ -595,8 +596,9 @@ mod tests {
         suite: &ProfiledSuite,
         exec: &Executor,
     ) -> SearchReport {
-        let opts = ExperimentOptions::default();
-        run_search_scaled(kind, strategy, budget, seed, &[suite], &opts, exec, false).report
+        run_search(kind, strategy, budget, seed, &[suite], exec, false, (1, 1))
+            .unwrap()
+            .into()
     }
 
     /// Satellite: grid-equivalence regression. On the paper's own §3.3
@@ -714,7 +716,7 @@ mod tests {
     fn paper_space_reference_point_is_feasible_and_homogeneous() {
         let suite = profiled();
         let suites = [&suite];
-        let ctx = SearchContext::new(SpaceKind::Paper, &suites, &ExperimentOptions::default());
+        let ctx = SearchContext::new(SpaceKind::Paper, &suites);
         // FAST_FACTORS[2] = 1.00, SLOW_RATIOS[0] = 1.0.
         let genes = vec![2u32, 0u32];
         let (buses, config) = ctx.decode(&genes).expect("reference point is feasible");

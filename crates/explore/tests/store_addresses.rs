@@ -10,7 +10,7 @@
 //! fails here before it silently re-addresses a store.
 
 use vliw_exec::Executor;
-use vliw_explore::experiments::{profile_suite, ExperimentOptions};
+use vliw_explore::experiments::profile_suite;
 use vliw_explore::{config_fingerprint, SearchContext, SpaceKind};
 use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, MenuKind, Time};
 use vliw_power::{EnergyShares, PowerModel, ReferenceProfile};
@@ -48,11 +48,7 @@ fn store_addresses_are_pinned() {
         generate(&spec_fp2000()[1], 2),
     ];
     let profiled = profile_suite(&suite, 1, &Executor::serial(), None).unwrap();
-    let ctx = SearchContext::new(
-        SpaceKind::Paper,
-        &[&profiled],
-        &ExperimentOptions::default(),
-    );
+    let ctx = SearchContext::new(SpaceKind::Paper, &[&profiled]);
     assert_eq!(
         ctx.space_fingerprint(),
         0xe7ef_5776_dd1c_d1f3,

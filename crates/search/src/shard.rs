@@ -157,8 +157,10 @@ impl<S: SearchSpace> SearchSpace for ShardedSpace<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::GridSpace;
+    use crate::space::{GridSpace, Objectives};
+    use crate::{ScaledEvaluator, Strategy};
     use rand::SeedableRng;
+    use vliw_exec::Executor;
 
     #[test]
     fn shards_partition_the_space_exactly() {
@@ -202,6 +204,68 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// An unsharded search is shard 1 of 1: on `ShardedSpace::new(&g, 0,
+    /// 1)` every strategy takes the same walk as on `g` itself, with a
+    /// plain, a racing and a warm-started evaluator, under a budget below
+    /// the space size and at it. The whole outcome, archive and trace
+    /// included, is equal.
+    #[test]
+    fn one_shard_of_one_is_the_whole_space() {
+        let g = GridSpace::new(vec![9, 7]);
+        let one = ShardedSpace::new(&g, 0, 1);
+        let exec = Executor::serial();
+        // A bumpy bowl with an infeasible column, so the archive, the
+        // trace and infeasible candidates all take part.
+        let full = |p: &Vec<u32>, _: &Executor| {
+            let (x, y) = (f64::from(p[0]), f64::from(p[1]));
+            (p[0] != 4).then(|| {
+                Objectives::from_time_energy(
+                    1.0 + (x - 3.0).powi(2) + (2.0 * y).sin().abs(),
+                    1.0 + (y - 5.0).powi(2) + 0.1 * x,
+                )
+            })
+        };
+        // A screen that ranks differently from the full measurement.
+        let screen = |p: &Vec<u32>, e: &Executor| {
+            full(p, e)
+                .map(|o| Objectives::from_time_energy(o.exec_time_ns + f64::from(p[1]), o.energy))
+        };
+        let warm: Vec<(u64, Option<Objectives>)> = (0..g.size())
+            .step_by(5)
+            .map(|i| (i, full(&g.point(i), &exec)))
+            .collect();
+        let mut screened = 0;
+        for strategy in Strategy::ALL {
+            for budget in [g.size() / 2, g.size()] {
+                let plain = ScaledEvaluator::full(full);
+                let racing = ScaledEvaluator::new(full, screen).with_racing();
+                let warmed = ScaledEvaluator::full(full).with_warm(warm.clone());
+                for seed in [0, 7] {
+                    let whole = strategy.run(&g, &plain, budget, seed, &exec);
+                    assert_eq!(
+                        strategy.run(&one, &plain, budget, seed, &exec),
+                        whole,
+                        "{strategy} plain, budget {budget}, seed {seed}"
+                    );
+                    let whole = strategy.run(&g, &racing, budget, seed, &exec);
+                    screened += whole.screened;
+                    assert_eq!(
+                        strategy.run(&one, &racing, budget, seed, &exec),
+                        whole,
+                        "{strategy} racing, budget {budget}, seed {seed}"
+                    );
+                    let whole = strategy.run(&g, &warmed, budget, seed, &exec);
+                    assert_eq!(
+                        strategy.run(&one, &warmed, budget, seed, &exec),
+                        whole,
+                        "{strategy} warm, budget {budget}, seed {seed}"
+                    );
+                }
+            }
+        }
+        assert!(screened > 0, "racing engaged");
     }
 
     #[test]

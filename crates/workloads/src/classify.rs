@@ -1,6 +1,6 @@
 //! Loop classification by binding constraint (the paper's Table 2 bands).
 
-use vliw_ir::{Ddg, FuKind};
+use vliw_ir::{Ddg, FuKind, Loop};
 use vliw_machine::MachineDesign;
 
 /// Which constraint binds a loop's initiation interval on a homogeneous
@@ -73,6 +73,22 @@ pub fn classify(ddg: &Ddg, design: MachineDesign) -> LoopClass {
     }
 }
 
+/// Table 2's tally: the execution-time weight of `loops` in each
+/// constraint class, in [`LoopClass::ALL`] (declaration) order. Weights
+/// are added in loop order.
+///
+/// # Panics
+///
+/// Panics if a DDG has a zero-distance cycle.
+#[must_use]
+pub fn class_shares(loops: &[Loop], design: MachineDesign) -> [f64; 3] {
+    let mut shares = [0.0f64; 3];
+    for l in loops {
+        shares[classify(l.ddg(), design) as usize] += l.weight();
+    }
+    shares
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,6 +139,13 @@ mod tests {
         // recMII 0 < resMII 1 ⇒ resource constrained by convention.
         let ddg = DdgBuilder::new("empty").build().unwrap();
         assert_eq!(classify(&ddg, design()), LoopClass::Resource);
+    }
+
+    #[test]
+    fn all_lists_the_classes_in_declaration_order() {
+        for (i, class) in LoopClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "class_shares indexes by discriminant");
+        }
     }
 
     #[test]

@@ -60,7 +60,7 @@ mod genloop;
 mod spec;
 mod suite;
 
-pub use classify::{classify, res_mii_machine, LoopClass};
+pub use classify::{class_shares, classify, res_mii_machine, LoopClass};
 pub use corpus::{Corpus, CorpusError, CORPUS_FORMAT, CORPUS_VERSION};
 pub use families::{family_suite, family_suite_seeded, generate_family, Family};
 pub use genloop::{generate_loop, LoopParams, RecurrenceSize};

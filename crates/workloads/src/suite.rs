@@ -164,7 +164,7 @@ pub fn suite_seeded(loops_per_benchmark: usize, seed: u64) -> Vec<Benchmark> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::classify;
+    use crate::classify::class_shares;
 
     #[test]
     fn weights_sum_to_one() {
@@ -179,12 +179,7 @@ mod tests {
         let design = MachineDesign::paper_machine(1);
         for spec in spec_fp2000() {
             let b = generate(&spec, 30);
-            let mut shares = [0.0f64; 3];
-            for l in &b.loops {
-                let class = classify(l.ddg(), design);
-                let idx = LoopClass::ALL.iter().position(|&c| c == class).unwrap();
-                shares[idx] += l.weight();
-            }
+            let shares = class_shares(&b.loops, design);
             for (i, (got, want)) in shares.iter().zip(&spec.class_time_shares).enumerate() {
                 // Small shares can deviate by one loop's rounding; the
                 // *time* share itself is exact by construction.
