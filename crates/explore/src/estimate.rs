@@ -2,7 +2,7 @@
 //! from the reference profile (§3.2 of the paper).
 
 use vliw_machine::{ClockedConfig, ClusterId, FrequencyMenu, Time};
-use vliw_power::{ed2, PowerModel, UsageProfile};
+use vliw_power::UsageProfile;
 use vliw_sched::timing::{next_it_candidate, LoopClocks};
 
 use crate::profile::{BenchmarkProfile, LoopProfile};
@@ -103,7 +103,8 @@ pub fn estimate_it_length(profile: &LoopProfile, config: &ClockedConfig) -> Time
 
 /// Estimates the *usage profile* (per-cluster instruction distribution,
 /// event counts, execution time) of a whole benchmark on `config`: the
-/// voltage-independent half of an estimate, priced by [`price_usage`].
+/// voltage-independent half of an estimate, which the §3.1 energy model
+/// prices once voltages are chosen.
 ///
 /// A frequency-homogeneous `config` gets the exact §5.1 usage,
 /// [`UsageProfile::homogeneous`]. Any other gets the §3.2 estimate: each
@@ -182,30 +183,11 @@ pub fn estimate_usage(
     })
 }
 
-/// Turns a usage estimate into a full [`HetEstimate`] by pricing it with
-/// the §3.1 energy model at `config`'s voltages.
-///
-/// Returns `None` when a domain's (frequency, voltage) pair is
-/// electrically infeasible.
-#[must_use]
-pub fn price_usage(
-    usage: &UsageProfile,
-    config: &ClockedConfig,
-    power: &PowerModel,
-) -> Option<HetEstimate> {
-    let energy = power.estimate_energy(config, usage)?;
-    Some(HetEstimate {
-        exec_time: usage.exec_time,
-        energy,
-        ed2: ed2(energy, usage.exec_time.as_secs()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use vliw_machine::MachineDesign;
-    use vliw_power::EnergyShares;
+    use vliw_power::{EnergyShares, PowerModel};
     use vliw_sched::SchedWorkspace;
     use vliw_workloads::{generate, spec_fp2000};
 
@@ -228,17 +210,13 @@ mod tests {
             ClockedConfig::heterogeneous(design, Time::from_ns(1.0), 1, Time::from_ns(1.25));
         let power = PowerModel::calibrate(design, EnergyShares::PAPER, &p.reference);
         let usage = estimate_usage(&p, &config, &FrequencyMenu::unrestricted()).unwrap();
-        let est = price_usage(&usage, &config, &power).unwrap();
+        let energy = power.estimate_energy(&config, &usage).unwrap();
         // The IT estimator lower-bounds the scheduler (it ignores schedule
         // imperfection), so estimated time is within ~2× of the measured
         // T_TOTAL and energy is near 1.
-        let ratio = est.exec_time.as_ns() / crate::profile::T_TOTAL.as_ns();
+        let ratio = usage.exec_time.as_ns() / crate::profile::T_TOTAL.as_ns();
         assert!(ratio > 0.3 && ratio < 1.5, "time ratio {ratio}");
-        assert!(
-            est.energy > 0.5 && est.energy < 1.5,
-            "energy {}",
-            est.energy
-        );
+        assert!(energy > 0.5 && energy < 1.5, "energy {energy}");
     }
 
     #[test]

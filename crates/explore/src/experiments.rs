@@ -14,12 +14,12 @@
 //! 6. report `ED²(hetero, measured) / ED²(homogeneous optimum)`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::Serialize;
 
 use vliw_exec::{Executor, MemoCache};
-use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, MenuKind, Time, Voltages};
+use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, MenuKind, Time};
 use vliw_power::{ed2, EnergyShares, PowerModel, UsageProfile};
 use vliw_sched::{schedule_loop_ws, SchedError, SchedWorkspace, ScheduleOptions};
 use vliw_store::{MeasureStore, StoreKey};
@@ -28,7 +28,7 @@ use vliw_workloads::{class_shares, Benchmark};
 use crate::estimate::estimate_usage;
 use crate::homog::{
     optimise_voltages_grouped, optimum_homogeneous_suite, speed_groups, HomogChoice, SupplyGrid,
-    SupplyRow, SupplyRows,
+    SupplyRow, SupplyRows, VoltageDescent,
 };
 use crate::profile::{profile_benchmark, reference_aggregate, suite_reference, BenchmarkProfile};
 use crate::select::select_heterogeneous;
@@ -94,7 +94,8 @@ struct EstimateKey {
 /// request on the suite:
 ///
 /// * **supply rows** ([`supply_rows`](Self::supply_rows)): a domain's
-///   δ/σ at every supply of its grid, one row per (grid, cycle time);
+///   δ/σ at every supply of its grid and at the descent's two start
+///   supplies, one row per (grid, cycle time);
 /// * **§3.2 estimates** ([`estimate_memoised`](Self::estimate_memoised)):
 ///   one usage per (benchmark, domain cycle times, frequency menu).
 ///
@@ -124,9 +125,12 @@ pub struct ProfiledSuite {
     /// store could not answer either.
     measured: AtomicU64,
     /// Supply rows, one per (grid, cycle time).
-    supply_table: MemoCache<(SupplyGrid, Time), SupplyRow>,
+    supply_table: MemoCache<(SupplyGrid, Time), Arc<SupplyRow>>,
     /// §3.2 usage estimates (`None` where a loop cannot synchronise).
     estimates: MemoCache<EstimateKey, Option<UsageProfile>>,
+    /// The racing screening suite, built on first use
+    /// ([`screen_subset`](Self::screen_subset)).
+    screen: OnceLock<Box<ProfiledSuite>>,
 }
 
 impl ProfiledSuite {
@@ -279,7 +283,7 @@ impl ProfiledSuite {
         base: &ClockedConfig,
         power: &PowerModel,
         usages: &[UsageProfile],
-    ) -> Option<Voltages> {
+    ) -> Option<VoltageDescent> {
         let rows = self.supply_rows(base);
         optimise_voltages_grouped(base, &speed_groups(base), power, usages, &rows)
     }
@@ -290,7 +294,9 @@ impl ProfiledSuite {
         &self.content
     }
 
-    /// A cheap *screening* copy of this suite for racing: every benchmark
+    /// The cheap *screening* copy of this suite for racing, built on
+    /// first use and kept for the suite's life, so a racing search
+    /// repeated on this suite measures no screen twice: every benchmark
     /// keeps only its first `max(1, n / SCREEN_LOOPS_DIVISOR)` loops, with
     /// the kept loops' weights renormalised to sum to 1.
     ///
@@ -304,11 +310,16 @@ impl ProfiledSuite {
     /// against heterogeneous ones.
     ///
     /// The screening suite shares the attached persistent store but owns
-    /// a fresh memo cache, fresh selection tables and *distinct* content
+    /// its memo cache, its selection tables and *distinct* content
     /// hashes (truncated benchmarks hash differently), so screening
     /// measurements never pollute full-fidelity records.
     #[must_use]
-    pub fn screen_subset(&self) -> ProfiledSuite {
+    pub fn screen_subset(&self) -> &ProfiledSuite {
+        self.screen.get_or_init(|| Box::new(self.screening_copy()))
+    }
+
+    /// Builds [`screen_subset`](Self::screen_subset)'s suite.
+    fn screening_copy(&self) -> ProfiledSuite {
         let mut benches = Vec::with_capacity(self.benches.len());
         let mut profiles = Vec::with_capacity(self.profiles.len());
         for (bench, profile) in self.benches.iter().zip(&self.profiles) {
@@ -349,6 +360,7 @@ impl ProfiledSuite {
             measured: AtomicU64::new(0),
             supply_table: MemoCache::new(),
             estimates: MemoCache::new(),
+            screen: OnceLock::new(),
         }
     }
 }
@@ -432,6 +444,7 @@ pub fn profile_suite(
         measured: AtomicU64::new(0),
         supply_table: MemoCache::new(),
         estimates: MemoCache::new(),
+        screen: OnceLock::new(),
     })
 }
 
@@ -489,11 +502,9 @@ pub fn run_benchmark(
         .expect("the selection space contains feasible points");
 
     // §5.1 answers a homogeneous selection exactly; any other is measured
-    // by scheduling every loop.
+    // by scheduling every loop, and priced at the selection's scalings.
     let usage = profiled.measure_memoised(index, &het.config, power, &opts.menu, exec)?;
-    let energy_het = power
-        .estimate_energy(&het.config, &usage)
-        .expect("selected configuration is electrically feasible");
+    let energy_het = power.price(&het.scaling, &usage);
     let ed2_hetero = ed2(energy_het, usage.exec_time.as_secs());
 
     Ok(BenchmarkResult {

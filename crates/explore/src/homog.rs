@@ -10,15 +10,23 @@
 //! cycle time, while energy follows §3.1 directly.
 //!
 //! The descent prices supplies from [`SupplyRows`]: each domain's δ/σ at
-//! every supply of its grid. Those depend on the domain's cycle time
-//! alone, so a [`ProfiledSuite`] tabulates each (grid, cycle time) once
-//! and every descent on the suite reads the same rows.
+//! every supply of its grid and at the descent's two start supplies. Those
+//! depend on the domain's cycle time alone, so a [`ProfiledSuite`]
+//! tabulates each (grid, cycle time) once and every descent on the suite
+//! reads the same rows; a descent solves no α-power equation. It prices a
+//! sweep's candidates with a [`PriceFold`] that resumes
+//! [`PowerModel::price`]'s fold at the swept group's first domain, and in
+//! its second pass it skips a coordinate that no other coordinate has
+//! moved since its last sweep. Both keep every bit: the fold makes
+//! `price`'s operations in `price`'s order, and a skipped sweep could only
+//! re-price the candidates it priced last time, none of which beat the
+//! energy it left behind.
 
 use std::sync::{Arc, OnceLock};
 
 use vliw_exec::Executor;
 use vliw_machine::{ClockedConfig, DomainId, Time, Voltages};
-use vliw_power::{ConfigScaling, DomainScaling, PowerModel, UsageProfile};
+use vliw_power::{ConfigScaling, DomainScaling, PowerModel, PriceFold, UsageProfile};
 
 use crate::experiments::ProfiledSuite;
 
@@ -85,20 +93,24 @@ pub fn optimum_homogeneous_suite(
         suite_candidate(suite, power, factor)
     });
     let mut best: Option<SuiteBaseline> = None;
-    for choice in candidates.into_iter().flatten() {
+    let mut pricings = 0;
+    for (choice, priced) in candidates.into_iter().flatten() {
+        pricings += priced;
         if best.as_ref().is_none_or(|b| choice.suite_ed2 < b.suite_ed2) {
             best = Some(choice);
         }
     }
+    count_pricings(pricings);
     best.expect("the reference operating point is always feasible")
 }
 
-/// Evaluates one suite-wide homogeneous cycle factor.
+/// Evaluates one suite-wide homogeneous cycle factor, with the
+/// candidates its descent priced.
 fn suite_candidate(
     suite: &ProfiledSuite,
     power: &PowerModel,
     factor: f64,
-) -> Option<SuiteBaseline> {
+) -> Option<(SuiteBaseline, u64)> {
     let cycle = Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * factor);
     let base = ClockedConfig::homogeneous(suite.design, cycle);
     let usages = suite
@@ -107,12 +119,12 @@ fn suite_candidate(
         .map(|p| UsageProfile::homogeneous(&p.reference, &base))
         .collect::<Option<Vec<_>>>()?;
     // All clusters share one frequency, hence one optimal supply.
-    let voltages = suite.descend_voltages(&base, power, &usages)?;
-    let config = base.with_voltages(voltages);
+    let descent = suite.descend_voltages(&base, power, &usages)?;
+    let config = base.with_voltages(descent.voltages);
     let mut per_benchmark = Vec::with_capacity(suite.profiles.len());
     let mut suite_ed2 = 0.0;
     for usage in &usages {
-        let energy = power.estimate_energy(&config, usage)?;
+        let energy = power.price(&descent.scaling, usage);
         let ed2 = vliw_power::ed2(energy, usage.exec_time.as_secs());
         suite_ed2 += ed2;
         per_benchmark.push(HomogChoice {
@@ -122,11 +134,19 @@ fn suite_candidate(
             ed2,
         });
     }
-    Some(SuiteBaseline {
+    let baseline = SuiteBaseline {
         config,
         per_benchmark,
         suite_ed2,
-    })
+    };
+    Some((baseline, descent.pricings))
+}
+
+/// Adds `n` candidates priced by voltage descents to
+/// `explore_descent_pricings_total`. Callers total their descents and
+/// add once, since each registry lookup takes a lock.
+pub(crate) fn count_pricings(n: u64) {
+    vliw_obs::counter("explore_descent_pricings_total").add(n);
 }
 
 /// The cluster speed groups of `config`, each swept with one supply by
@@ -164,6 +184,14 @@ impl SupplyGrid {
         }
     }
 
+    fn range(self) -> (f64, f64) {
+        match self {
+            SupplyGrid::Cluster => Voltages::CLUSTER_RANGE,
+            SupplyGrid::Icn => Voltages::ICN_RANGE,
+            SupplyGrid::Cache => Voltages::CACHE_RANGE,
+        }
+    }
+
     /// Every supply of the grid: its range, accumulated in [`V_STEP`]s
     /// from the lower bound. The `hi + 1e-9` bound is
     /// `Voltages::in_range`'s own tolerance, so every grid point is in
@@ -171,12 +199,8 @@ impl SupplyGrid {
     fn supplies(self) -> &'static [f64] {
         static GRIDS: OnceLock<[Vec<f64>; 3]> = OnceLock::new();
         let grids = GRIDS.get_or_init(|| {
-            [
-                Voltages::CLUSTER_RANGE,
-                Voltages::ICN_RANGE,
-                Voltages::CACHE_RANGE,
-            ]
-            .map(|(lo, hi)| {
+            [SupplyGrid::Cluster, SupplyGrid::Icn, SupplyGrid::Cache].map(|grid| {
+                let (lo, hi) = grid.range();
                 let mut v = Vec::new();
                 let mut x = lo;
                 while x <= hi + 1e-9 {
@@ -189,26 +213,48 @@ impl SupplyGrid {
         &grids[self as usize]
     }
 
+    /// The descent's start supplies for a domain of this grid, in the
+    /// order it tries them: 1 V ([`Voltages::reference`]), then the top
+    /// of the range (very fast cycle times need more voltage). Neither is
+    /// a grid point, because the grid adds up [`V_STEP`]s: the cluster
+    /// and ICN grids pass 1.0000000000000002, not 1, and the cluster grid
+    /// ends at 1.1999999999999995, not 1.2.
+    fn starts(self) -> [f64; 2] {
+        [1.0, self.range().1]
+    }
+
     /// The row of a domain of this grid at cycle time `cycle`: its
-    /// [`vliw_power::scaling`] at every supply of the grid.
-    pub(crate) fn tabulate(self, cycle: Time) -> SupplyRow {
-        self.supplies()
-            .iter()
-            .map(|&vdd| vliw_power::scaling(cycle, vdd))
-            .collect()
+    /// [`vliw_power::scaling`] at every supply of the grid and at both
+    /// start supplies.
+    pub(crate) fn tabulate(self, cycle: Time) -> Arc<SupplyRow> {
+        Arc::new(SupplyRow {
+            grid: self
+                .supplies()
+                .iter()
+                .map(|&vdd| vliw_power::scaling(cycle, vdd))
+                .collect(),
+            starts: self.starts().map(|vdd| vliw_power::scaling(cycle, vdd)),
+        })
     }
 }
 
-/// A domain's δ/σ at every supply of its grid (`None` where the supply
-/// cannot sustain the domain's cycle time).
-pub(crate) type SupplyRow = Arc<[Option<DomainScaling>]>;
+/// A domain's δ/σ at every supply of its grid and at the descent's start
+/// supplies (`None` where the supply cannot sustain the domain's cycle
+/// time).
+#[derive(Debug)]
+pub(crate) struct SupplyRow {
+    /// At each supply of [`SupplyGrid::supplies`], in order.
+    grid: Box<[Option<DomainScaling>]>,
+    /// At each supply of [`SupplyGrid::starts`], in order.
+    starts: [Option<DomainScaling>; 2],
+}
 
 /// One domain of a [`SupplyRows`].
 #[derive(Debug, Clone)]
 struct DomainRow {
     domain: DomainId,
     cycle: Time,
-    row: SupplyRow,
+    row: Arc<SupplyRow>,
 }
 
 /// The tabulated supply rows of every clock domain of one configuration's
@@ -222,11 +268,11 @@ impl SupplyRows {
     /// `base`'s rows, fetching each domain's from `row(grid, cycle)`.
     pub(crate) fn collect(
         base: &ClockedConfig,
-        mut row: impl FnMut(SupplyGrid, Time) -> SupplyRow,
+        mut row: impl FnMut(SupplyGrid, Time) -> Arc<SupplyRow>,
     ) -> Self {
         SupplyRows(
-            base.domains()
-                .into_iter()
+            base.design()
+                .domains()
                 .map(|domain| {
                     let cycle = base.domain_cycle(domain);
                     DomainRow {
@@ -241,14 +287,27 @@ impl SupplyRows {
 
     /// Whether these are the rows of `base`'s cycle times.
     fn fit(&self, base: &ClockedConfig) -> bool {
-        let domains = base.domains();
-        self.0.len() == domains.len()
+        let design = base.design();
+        self.0.len() == usize::from(design.num_clusters) + 2
             && self
                 .0
                 .iter()
-                .zip(domains)
+                .zip(design.domains())
                 .all(|(r, d)| r.domain == d && r.cycle == base.domain_cycle(d))
     }
+}
+
+/// What a voltage descent settled on.
+#[derive(Debug, Clone, PartialEq)]
+pub struct VoltageDescent {
+    /// The supplies it kept.
+    pub voltages: Voltages,
+    /// Every domain's δ/σ at those supplies, read from the supply rows:
+    /// the winner's [`PowerModel::scale_config`], without the α-power
+    /// solve, to price its usages from with [`PowerModel::price`].
+    pub scaling: ConfigScaling,
+    /// The candidate supply vectors it priced.
+    pub pricings: u64,
 }
 
 /// Coordinate-descent voltage optimisation with independent supplies per
@@ -258,10 +317,13 @@ impl SupplyRows {
 /// separable per clock domain, so sweeping each group, the ICN and the
 /// cache independently is exact.
 ///
-/// A domain's δ/σ depend only on its cycle time and supply, and the
-/// descent never changes a cycle time, so every candidate is priced from
-/// `rows` — `base`'s tabulated supply rows — without allocating. The 1 V
-/// start point and the range-maximum fallback are priced directly.
+/// The descent starts at 1 V everywhere, or at the top of every range
+/// when that is infeasible, then sweeps each group, the ICN and the cache
+/// through their grids twice, keeping a move only when it strictly lowers
+/// the energy. A domain's δ/σ depend only on its cycle time and supply,
+/// and the descent never changes a cycle time, so both starts and every
+/// candidate are priced from `rows` — `base`'s tabulated supply rows —
+/// with no α-power solve and no allocation after set-up.
 ///
 /// Returns `None` when neither start point is electrically feasible.
 ///
@@ -277,125 +339,136 @@ pub fn optimise_voltages_grouped(
     power: &PowerModel,
     usages: &[UsageProfile],
     rows: &SupplyRows,
-) -> Option<Voltages> {
+) -> Option<VoltageDescent> {
     assert!(rows.fit(base), "supply rows of other cycle times");
-    let design = base.design();
-    // Start at 1 V everywhere; fall back to the highest supplies if that
-    // is infeasible (very fast cycle times need more voltage).
-    let mut descent = Descent::start(
-        base,
-        power,
-        usages,
-        Voltages::reference(design.num_clusters),
-    )
-    .or_else(|| {
-        let mut v = Voltages::reference(design.num_clusters);
-        for c in &mut v.clusters {
-            *c = Voltages::CLUSTER_RANGE.1;
-        }
-        v.icn = Voltages::ICN_RANGE.1;
-        v.cache = Voltages::CACHE_RANGE.1;
-        Descent::start(base, power, usages, v)
-    })?;
+    let nc = usize::from(base.design().num_clusters);
+    assert!(
+        cluster_groups.iter().flatten().all(|&c| c < nc),
+        "a speed group names a cluster the design does not have"
+    );
+    let mut descent = Descent::start(&rows.0, power, usages)?;
 
-    // The coordinates in sweep order. Clusters within one speed group
-    // share a frequency, hence one optimal supply; different groups are
-    // swept independently, then the ICN, then the cache. `rows` holds the
-    // clusters in order, then the ICN, then the cache.
-    let nc = usize::from(design.num_clusters);
-    let mut coordinates: Vec<(&[f64], Vec<&DomainRow>)> = cluster_groups
+    // The coordinates in sweep order: each speed group (clusters within
+    // one share a frequency, hence one optimal supply) with the cluster
+    // grid, then the ICN, then the cache. `rows` holds the clusters in
+    // order, then the ICN, then the cache.
+    let (icn, cache) = ([nc], [nc + 1]);
+    let coordinates = cluster_groups
         .iter()
-        .map(|group| {
-            let members = group.iter().map(|&c| &rows.0[c]).collect();
-            (SupplyGrid::Cluster.supplies(), members)
-        })
-        .collect();
-    coordinates.push((SupplyGrid::Icn.supplies(), vec![&rows.0[nc]]));
-    coordinates.push((SupplyGrid::Cache.supplies(), vec![&rows.0[nc + 1]]));
+        .map(|group| (SupplyGrid::Cluster, group.as_slice()))
+        .chain([(SupplyGrid::Icn, &icn[..]), (SupplyGrid::Cache, &cache[..])]);
+    let count = cluster_groups.len() + 2;
 
     // One pass per coordinate is exact by separability; a second pass
-    // guards the (non-separable) corner cases defensively.
-    for _ in 0..2 {
-        for (grid, members) in &coordinates {
-            descent.sweep(grid, members);
+    // guards the (non-separable) corner cases defensively. It skips a
+    // coordinate whose last sweep no other coordinate has moved since:
+    // that sweep would price each candidate at the same scalings as last
+    // time, so get the same bits, and the energy it left behind is at
+    // most every one of them, so the strict `<` would keep nothing.
+    let mut last_move = None;
+    for pass in 0..2 {
+        for (i, (grid, members)) in coordinates.clone().enumerate() {
+            if pass == 1 && last_move.is_none_or(|sweep| sweep <= i) {
+                continue;
+            }
+            if descent.sweep(grid.supplies(), members) {
+                last_move = Some(pass * count + i);
+            }
         }
     }
-    Some(descent.voltages)
+    Some(descent.finish())
 }
 
-/// One voltage descent's state: the current supplies with their domain
-/// scalings and priced energy, plus a candidate buffer every move reuses.
+/// One voltage descent's state: the current supplies, their priced
+/// energy, and the usages' [`PriceFold`], which keeps the current
+/// supplies' scalings and holds the candidate being priced.
 struct Descent<'a> {
-    power: &'a PowerModel,
-    usages: &'a [UsageProfile],
+    rows: &'a [DomainRow],
+    fold: PriceFold<'a>,
     voltages: Voltages,
-    scaling: ConfigScaling,
     energy: f64,
-    candidate: ConfigScaling,
+    /// Candidates priced so far.
+    pricings: u64,
 }
 
 impl<'a> Descent<'a> {
-    /// Starts at `voltages` on `base`'s cycle times, priced directly, or
-    /// `None` when some domain cannot sustain its frequency there.
+    /// Starts at the first [`SupplyGrid::starts`] supply every domain of
+    /// `rows` can sustain together, read from the rows, or `None` when
+    /// there is none.
     fn start(
-        base: &ClockedConfig,
+        rows: &'a [DomainRow],
         power: &'a PowerModel,
         usages: &'a [UsageProfile],
-        voltages: Voltages,
     ) -> Option<Self> {
-        let mut scaling = ConfigScaling::default();
-        let config = base.clone().with_voltages(voltages.clone());
-        if !power.scale_config(&config, &mut scaling) {
-            return None;
+        let start = (0..2).find(|&s| rows.iter().all(|r| r.row.starts[s].is_some()))?;
+        let mut voltages = Voltages {
+            clusters: vec![0.0; rows.len() - 2],
+            icn: 0.0,
+            cache: 0.0,
+        };
+        for r in rows {
+            *voltages.domain_mut(r.domain) = SupplyGrid::of(r.domain).starts()[start];
         }
-        let energy = total_energy(power, usages, &scaling);
+        let scalings = rows
+            .iter()
+            .map(|r| r.row.starts[start].expect("a feasible start"));
+        let mut fold = power.fold(usages, scalings);
+        let energy = fold.price();
         Some(Descent {
-            power,
-            usages,
+            rows,
+            fold,
             voltages,
-            candidate: scaling.clone(),
-            scaling,
             energy,
+            pricings: 0,
         })
     }
 
     /// Moves every domain of `members` together through each supply of
-    /// `grid`, keeping a move when it strictly lowers the energy.
-    fn sweep(&mut self, grid: &[f64], members: &[&DomainRow]) {
-        // Only the members' entries differ between candidates, and every
-        // feasible candidate overwrites all of them.
-        self.candidate.clone_from(&self.scaling);
+    /// `grid`, keeping a move when it strictly lowers the energy. Returns
+    /// whether it kept one.
+    fn sweep(&mut self, grid: &[f64], members: &[usize]) -> bool {
+        // Only the members differ between candidates, and every feasible
+        // candidate overwrites all of them, so the fold resumes at the
+        // first member.
+        let first = members.iter().copied().min().unwrap_or(self.rows.len());
+        self.fold.resume_at(first);
+        let mut moved = false;
         for (k, &vdd) in grid.iter().enumerate() {
-            let mut feasible = true;
-            for member in members {
-                let Some(s) = member.row[k] else {
-                    feasible = false;
-                    break;
-                };
-                *self.candidate.domain_mut(member.domain) = s;
-            }
+            let feasible = members.iter().all(|&m| {
+                self.rows[m].row.grid[k]
+                    .map(|s| self.fold.set(m, s))
+                    .is_some()
+            });
             if !feasible {
                 continue;
             }
-            let e = total_energy(self.power, self.usages, &self.candidate);
+            let e = self.fold.price();
+            self.pricings += 1;
             if e < self.energy {
-                for member in members {
-                    *self.voltages.domain_mut(member.domain) = vdd;
+                self.fold.keep();
+                for &m in members {
+                    *self.voltages.domain_mut(self.rows[m].domain) = vdd;
                 }
-                self.scaling.clone_from(&self.candidate);
                 self.energy = e;
+                moved = true;
             }
         }
+        moved
     }
-}
 
-/// The energy of every usage at `scaling`, summed in usage order.
-fn total_energy(power: &PowerModel, usages: &[UsageProfile], scaling: &ConfigScaling) -> f64 {
-    let mut total = 0.0;
-    for usage in usages {
-        total += power.price(scaling, usage);
+    /// The supplies and scaling the descent settled on.
+    fn finish(mut self) -> VoltageDescent {
+        debug_assert_eq!(
+            self.energy.to_bits(),
+            self.fold.reference().to_bits(),
+            "the descent's winner prices as `PowerModel::price` does"
+        );
+        VoltageDescent {
+            voltages: self.voltages,
+            scaling: self.fold.into_scaling(),
+            pricings: self.pricings,
+        }
     }
-    total
 }
 
 #[cfg(test)]

@@ -10,7 +10,8 @@
 //! 2. **Estimate** the usage of *any* candidate configuration from that
 //!    profile alone ([`estimate_usage`]: exact for frequency-homogeneous
 //!    machines, §5.1, and §3.2's IT / `it_length` estimation otherwise)
-//!    and price it with §3.1's energy model ([`price_usage`]);
+//!    and price it with §3.1's energy model
+//!    ([`vliw_power::PowerModel::price`]);
 //! 3. Search the **optimum homogeneous** baseline (§5.1,
 //!    [`optimum_homogeneous_suite`]) and **select** the best heterogeneous
 //!    configuration (§3.3, [`select_heterogeneous`]);
@@ -44,10 +45,10 @@ pub mod search;
 mod select;
 pub mod store_keys;
 
-pub use estimate::{estimate_usage, price_usage, HetEstimate};
+pub use estimate::{estimate_usage, HetEstimate};
 pub use homog::{
     optimise_voltages_grouped, optimum_homogeneous_suite, HomogChoice, SuiteBaseline, SupplyRows,
-    HOMOG_CYCLE_FACTORS,
+    VoltageDescent, HOMOG_CYCLE_FACTORS,
 };
 pub use profile::{suite_reference, BenchmarkProfile, LoopProfile};
 pub use scale::{merge_shard_reports, run_search, MergedReport, SearchRun, ShardReport};
@@ -64,6 +65,7 @@ const _: () = {
     _assert_send_sync::<HomogChoice>();
     _assert_send_sync::<SuiteBaseline>();
     _assert_send_sync::<SupplyRows>();
+    _assert_send_sync::<VoltageDescent>();
     _assert_send_sync::<HetEstimate>();
     _assert_send_sync::<experiments::ProfiledSuite>();
     _assert_send_sync::<experiments::ExperimentOptions>();

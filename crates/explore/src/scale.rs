@@ -237,9 +237,8 @@ pub fn run_search(
         // heaviest loops, with its own power calibration and its own
         // store fingerprint so persisted screens can never alias full
         // measurements.
-        let screen_suites: Vec<ProfiledSuite> = suites.iter().map(|s| s.screen_subset()).collect();
-        let screen_refs: Vec<&ProfiledSuite> = screen_suites.iter().collect();
-        let screen_ctx = SearchContext::new(kind, &screen_refs);
+        let screen_suites: Vec<&ProfiledSuite> = suites.iter().map(|s| s.screen_subset()).collect();
+        let screen_ctx = SearchContext::new(kind, &screen_suites);
         let sfp = screen_ctx.space_fingerprint();
         let screen = |genes: &Vec<u32>, inner: &Executor| {
             let index = screen_ctx.space().index(genes);
@@ -673,6 +672,25 @@ mod tests {
                 assert!(raced.screened > 0, "{strategy}: racing engaged");
             }
         }
+    }
+
+    /// The screening suite is built once per suite, so a racing search
+    /// repeated on one suite without a store measures neither a screen
+    /// nor a full evaluation again, and answers the same.
+    #[test]
+    fn a_repeated_racing_search_measures_nothing() {
+        let suite = profiled();
+        let first = search(Strategy::Exhaustive, 64, 0, &suite, true, (1, 1));
+        let screens = suite.screen_subset().measured();
+        let full = suite.measured();
+        assert!(first.screened > 0 && screens > 0, "the first run screens");
+        let second = search(Strategy::Exhaustive, 64, 0, &suite, true, (1, 1));
+        assert_eq!(suite.screen_subset().measured(), screens, "screens again");
+        assert_eq!(suite.measured(), full, "evaluates again");
+        assert_eq!(
+            serde_json::to_string(&SearchReport::from(first)).unwrap(),
+            serde_json::to_string(&SearchReport::from(second)).unwrap(),
+        );
     }
 
     /// Tentpole differential: a 3-way shard split with full per-shard

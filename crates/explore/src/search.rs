@@ -33,10 +33,11 @@ use serde::Serialize;
 
 use vliw_exec::Executor;
 use vliw_machine::{ClockedConfig, FrequencyMenu, Time, Voltages};
-use vliw_power::{ed2, EnergyShares, PowerModel};
+use vliw_power::{ed2, ConfigScaling, EnergyShares, PowerModel};
 use vliw_search::{ArchiveEntry, GridSpace, Objectives, SearchSpace};
 
 use crate::experiments::ProfiledSuite;
+use crate::homog::{count_pricings, VoltageDescent};
 use crate::profile::suite_reference;
 use crate::select::{FAST_FACTORS, SLOW_RATIOS};
 
@@ -282,21 +283,26 @@ impl<'a> SearchContext<'a> {
         &self.space
     }
 
-    /// Decodes a gene vector into its machine shape and fully clocked
+    /// Decodes a gene vector into its machine shape, its fully clocked
     /// configuration (paper-space voltages run the §3.3 coordinate
-    /// descent). `None` when the candidate is infeasible.
+    /// descent) and every domain's δ/σ in that configuration: the
+    /// descent's in the paper space, one `scale_config` in the extended
+    /// space. `None` when the candidate is infeasible; the scaling is the
+    /// feasibility test, since a descent keeps only supplies its domains
+    /// can sustain and `scale_config` fails on any other.
     #[must_use]
-    pub fn decode(&self, genes: &[u32]) -> Option<(u32, ClockedConfig)> {
+    pub fn decode(&self, genes: &[u32]) -> Option<(u32, ClockedConfig, ConfigScaling)> {
         let (fast_factor, slow_ratio, num_fast, bus_slot) = self.space.decode_shape(genes);
         let bus = &self.buses[bus_slot];
         let design = bus.suite.design;
         let fast = Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * fast_factor);
         let slow = Time::from_ns(fast.as_ns() * slow_ratio);
-        let config = match self.space.kind {
+        let (config, scaling) = match self.space.kind {
             SpaceKind::Paper => {
                 let base = ClockedConfig::heterogeneous(design, fast, num_fast, slow);
-                let voltages = self.descend_voltages(bus, &base)?;
-                base.with_voltages(voltages)
+                let descent = self.descend_voltages(bus, &base)?;
+                count_pricings(descent.pricings);
+                (base.with_voltages(descent.voltages), descent.scaling)
             }
             SpaceKind::Extended => {
                 // A ratio of 1 collapses the speed groups: the split and
@@ -319,13 +325,15 @@ impl<'a> SearchContext<'a> {
                 if !voltages.in_range() {
                     return None;
                 }
-                base.with_voltages(voltages)
+                let config = base.with_voltages(voltages);
+                let mut scaling = ConfigScaling::default();
+                if !bus.power.scale_config(&config, &mut scaling) {
+                    return None;
+                }
+                (config, scaling)
             }
         };
-        if !electrically_feasible(&bus.power, &config) {
-            return None;
-        }
-        Some((design.buses, config))
+        Some((design.buses, config, scaling))
     }
 
     /// Evaluates one candidate: decode, (derive voltages,) measure every
@@ -341,12 +349,12 @@ impl<'a> SearchContext<'a> {
     /// for every worker count.
     #[must_use]
     pub fn evaluate(&self, genes: &[u32], exec: &Executor) -> Option<Objectives> {
-        let (_, config) = self.decode(genes)?;
+        let (_, config, scaling) = self.decode(genes)?;
         let bus_slot = match self.space.kind {
             SpaceKind::Paper => 0,
             SpaceKind::Extended => genes[3] as usize,
         };
-        self.measure_config(&self.buses[bus_slot], &config, exec)
+        self.measure_config(&self.buses[bus_slot], &config, &scaling, exec)
     }
 
     /// The paper space's voltage rule: the §3.3/§5.1 grouped coordinate
@@ -354,7 +362,11 @@ impl<'a> SearchContext<'a> {
     /// benchmark's usage ([`ProfiledSuite::estimate_memoised`]: exact for
     /// frequency-homogeneous candidates, §3.2 estimates otherwise), read
     /// from the same suite tables as the §3.3 selection.
-    fn descend_voltages(&self, bus: &BusContext<'a>, base: &ClockedConfig) -> Option<Voltages> {
+    fn descend_voltages(
+        &self,
+        bus: &BusContext<'a>,
+        base: &ClockedConfig,
+    ) -> Option<VoltageDescent> {
         let suite = bus.suite;
         let usages = (0..suite.profiles.len())
             .map(|i| suite.estimate_memoised(i, base, &self.menu))
@@ -364,12 +376,14 @@ impl<'a> SearchContext<'a> {
 
     /// Measures `config` on every benchmark of `bus`'s suite through the
     /// suite's memo cache ([`ProfiledSuite::measure_memoised`], exact for
-    /// frequency-homogeneous configurations) and totals time, energy and
+    /// frequency-homogeneous configurations), prices each usage at
+    /// `config`'s domain scalings `scaling`, and totals time, energy and
     /// ED².
     fn measure_config(
         &self,
         bus: &BusContext<'a>,
         config: &ClockedConfig,
+        scaling: &ConfigScaling,
         exec: &Executor,
     ) -> Option<Objectives> {
         let mut total_time_ns = 0.0f64;
@@ -380,7 +394,7 @@ impl<'a> SearchContext<'a> {
                 .suite
                 .measure_memoised(i, config, &bus.power, &self.menu, exec)
                 .ok()?;
-            let energy = bus.power.estimate_energy(config, &usage)?;
+            let energy = bus.power.price(scaling, &usage);
             total_time_ns += usage.exec_time.as_ns();
             total_energy += energy;
             total_ed2 += ed2(energy, usage.exec_time.as_secs());
@@ -455,7 +469,7 @@ impl<'a> SearchContext<'a> {
     }
 
     pub(crate) fn frontier_row(&self, entry: &ArchiveEntry<Vec<u32>>) -> FrontierRow {
-        let (buses, config) = self
+        let (buses, config, _) = self
             .decode(&entry.point)
             .expect("archived candidates are feasible by construction");
         let fast = config.fastest_cluster_cycle();
@@ -486,16 +500,6 @@ impl<'a> SearchContext<'a> {
             ed2: entry.objectives.ed2,
         }
     }
-}
-
-/// Cheap electrical-feasibility probe: whether every domain's supply can
-/// sustain its frequency (the expensive measurement is skipped for
-/// candidates that fail it).
-fn electrically_feasible(power: &PowerModel, config: &ClockedConfig) -> bool {
-    config
-        .domains()
-        .into_iter()
-        .all(|d| power.domain_scaling(config, d).is_some())
 }
 
 /// One Pareto-frontier row of a search report: the decoded configuration
@@ -719,7 +723,7 @@ mod tests {
         let ctx = SearchContext::new(SpaceKind::Paper, &suites);
         // FAST_FACTORS[2] = 1.00, SLOW_RATIOS[0] = 1.0.
         let genes = vec![2u32, 0u32];
-        let (buses, config) = ctx.decode(&genes).expect("reference point is feasible");
+        let (buses, config, _) = ctx.decode(&genes).expect("reference point is feasible");
         assert_eq!(buses, 1);
         assert!(config.is_homogeneous());
         let obj = ctx

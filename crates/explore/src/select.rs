@@ -14,10 +14,11 @@
 
 use vliw_exec::Executor;
 use vliw_machine::{ClockedConfig, FrequencyMenu, Time};
-use vliw_power::PowerModel;
+use vliw_power::{ed2, ConfigScaling, PowerModel};
 
-use crate::estimate::{price_usage, HetEstimate};
+use crate::estimate::HetEstimate;
 use crate::experiments::ProfiledSuite;
+use crate::homog::count_pricings;
 
 /// The fast-cluster cycle-time factors explored (×reference cycle), §5.
 pub const FAST_FACTORS: [f64; 5] = [0.90, 0.95, 1.00, 1.05, 1.10];
@@ -35,6 +36,9 @@ pub struct HeteroChoice {
     pub config: ClockedConfig,
     /// Model-estimated time/energy/ED².
     pub estimate: HetEstimate,
+    /// Every domain's δ/σ in `config`, from the descent: what a usage on
+    /// `config` is priced from ([`PowerModel::price`]).
+    pub scaling: ConfigScaling,
 }
 
 /// The `(fast cycle factor, slow/fast ratio)` grid of §5, in the
@@ -57,8 +61,10 @@ pub fn candidate_grid() -> Vec<(f64, f64)> {
 /// Each of the 20 `(fast factor, slow ratio)` candidates is evaluated
 /// independently — the suite's memoised usage estimate, then voltage
 /// coordinate descent on energy alone over the suite's supply rows, then
-/// the final pricing — and the minimiser is reduced in grid order, so the
-/// result is identical for every worker count.
+/// the final pricing at the descent's scalings — and the minimiser is
+/// reduced in grid order, so the result is identical for every worker
+/// count. The candidates the descents priced are added to
+/// `explore_descent_pricings_total` once.
 ///
 /// Returns `None` only if no candidate is feasible (cannot happen for the
 /// paper's ranges, where the all-reference candidate always qualifies).
@@ -83,15 +89,26 @@ pub fn select_heterogeneous(
         // usage (exact, §5.1, when the ratio is 1) serves the whole
         // descent, with independent supplies for the fast and slow groups.
         let usage = suite.estimate_memoised(index, &base, menu)?;
-        let voltages = suite.descend_voltages(&base, power, std::slice::from_ref(&usage))?;
-        let config = base.with_voltages(voltages);
-        let estimate = price_usage(&usage, &config, power)?;
-        Some(HeteroChoice { config, estimate })
+        let descent = suite.descend_voltages(&base, power, std::slice::from_ref(&usage))?;
+        let energy = power.price(&descent.scaling, &usage);
+        let estimate = HetEstimate {
+            exec_time: usage.exec_time,
+            energy,
+            ed2: ed2(energy, usage.exec_time.as_secs()),
+        };
+        let choice = HeteroChoice {
+            config: base.with_voltages(descent.voltages),
+            estimate,
+            scaling: descent.scaling,
+        };
+        Some((choice, descent.pricings))
     });
     // Reduce in input order with a strict `<`: the first minimum wins,
     // exactly as the original nested loops behaved.
     let mut best: Option<HeteroChoice> = None;
-    for choice in evaluated.into_iter().flatten() {
+    let mut pricings = 0;
+    for (choice, priced) in evaluated.into_iter().flatten() {
+        pricings += priced;
         if best
             .as_ref()
             .is_none_or(|b| choice.estimate.ed2 < b.estimate.ed2)
@@ -99,6 +116,7 @@ pub fn select_heterogeneous(
             best = Some(choice);
         }
     }
+    count_pricings(pricings);
     best
 }
 

@@ -11,7 +11,12 @@
 //! and `select_heterogeneous` — the path `figure6` takes — must pick the
 //! oracle's winners with the oracle's numbers. The suite's rows are
 //! filled first under a Figure 8 energy-share variant, so the match also
-//! shows that the rows do not depend on the power model.
+//! shows that the rows do not depend on the power model. Speed groups the
+//! §3.3 grid never forms (two or three fast clusters, groups neither
+//! contiguous nor in domain order, a six-cluster machine) must match the
+//! oracle too, since the descent resumes each candidate's pricing at the
+//! swept group's first domain and skips second-pass sweeps that cannot
+//! move.
 //!
 //! The suite's memoised §3.2 estimates must equal a fresh
 //! `estimate_usage` bit for bit under every Figure 7 menu.
@@ -25,10 +30,10 @@ use vliw_explore::experiments::{figure7_menus, profile_suite, ProfiledSuite, FIG
 use vliw_explore::search::EXT_FAST_FACTORS;
 use vliw_explore::{
     candidate_grid, estimate_usage, optimise_voltages_grouped, optimum_homogeneous_suite,
-    price_usage, select_heterogeneous, suite_reference, BenchmarkProfile, HOMOG_CYCLE_FACTORS,
+    select_heterogeneous, suite_reference, BenchmarkProfile, HetEstimate, HOMOG_CYCLE_FACTORS,
 };
-use vliw_machine::{ClockedConfig, FrequencyMenu, MachineDesign, Time, Voltages};
-use vliw_power::{EnergyShares, PowerModel, UsageProfile};
+use vliw_machine::{ClockedConfig, ClusterDesign, FrequencyMenu, MachineDesign, Time, Voltages};
+use vliw_power::{ConfigScaling, EnergyShares, PowerModel, UsageProfile};
 use vliw_workloads::suite_seeded;
 
 const LOOPS: usize = 2;
@@ -125,6 +130,21 @@ fn oracle_pricing<'a>(
     }
 }
 
+/// The oracle's estimate: `usage` priced at `config`'s supplies, `None`
+/// when a domain cannot sustain its frequency there.
+fn price_usage(
+    usage: &UsageProfile,
+    config: &ClockedConfig,
+    power: &PowerModel,
+) -> Option<HetEstimate> {
+    let energy = power.estimate_energy(config, usage)?;
+    Some(HetEstimate {
+        exec_time: usage.exec_time,
+        energy,
+        ed2: vliw_power::ed2(energy, usage.exec_time.as_secs()),
+    })
+}
+
 fn voltage_bits(v: &Voltages) -> Vec<u64> {
     v.clusters
         .iter()
@@ -134,7 +154,9 @@ fn voltage_bits(v: &Voltages) -> Vec<u64> {
 }
 
 /// Runs both descents on one problem, the table-driven one over
-/// `suite`'s supply rows, and asserts they agree bit for bit.
+/// `suite`'s supply rows, and asserts they agree bit for bit, and that
+/// the scaling the table-driven one returns is the winner's
+/// `scale_config`.
 fn descend_both(
     suite: &ProfiledSuite,
     base: &ClockedConfig,
@@ -147,11 +169,29 @@ fn descend_both(
     let tabled = optimise_voltages_grouped(base, groups, power, usages, &rows);
     let oracle = oracle_descent(base.design(), groups, oracle_pricing(base, power, usages));
     assert_eq!(
-        tabled.as_ref().map(voltage_bits),
+        tabled.as_ref().map(|d| voltage_bits(&d.voltages)),
         oracle.as_ref().map(voltage_bits),
         "{what}: voltages differ"
     );
+    if let (Some(tabled), Some(voltages)) = (&tabled, &oracle) {
+        let mut scaling = ConfigScaling::default();
+        let config = base.clone().with_voltages(voltages.clone());
+        assert!(power.scale_config(&config, &mut scaling), "{what}");
+        assert_eq!(
+            scaling_bits(&tabled.scaling),
+            scaling_bits(&scaling),
+            "{what}: scaling"
+        );
+    }
     oracle
+}
+
+fn scaling_bits(s: &ConfigScaling) -> Vec<[u64; 3]> {
+    s.clusters
+        .iter()
+        .chain([&s.icn, &s.cache])
+        .map(|d| [d.delta.to_bits(), d.sigma.to_bits(), d.vth.to_bits()])
+        .collect()
 }
 
 fn all_clusters(design: MachineDesign) -> Vec<Vec<usize>> {
@@ -379,6 +419,118 @@ fn range_maximum_fallback_matches_the_oracle() {
     }
     assert!(fell_back > 0, "some factor starts from the range maxima");
     assert!(infeasible > 0, "some factor is infeasible even there");
+}
+
+/// Every benchmark's usage on `base` (the §5.1 usage when it is
+/// homogeneous, the §3.2 estimate otherwise), where there is one.
+fn estimated_usages(suite: &ProfiledSuite, base: &ClockedConfig) -> Vec<UsageProfile> {
+    let menu = FrequencyMenu::unrestricted();
+    suite
+        .profiles
+        .iter()
+        .filter_map(|p| estimate_usage(p, base, &menu))
+        .collect()
+}
+
+/// Descends `base` over `groups` with each usage alone and with all of
+/// them together, against the oracle.
+fn descend_each_and_all(
+    suite: &ProfiledSuite,
+    base: &ClockedConfig,
+    groups: &[Vec<usize>],
+    power: &PowerModel,
+    usages: &[UsageProfile],
+    what: &str,
+) {
+    assert!(!usages.is_empty(), "{what}: some usage");
+    for (i, usage) in usages.iter().enumerate() {
+        let what = format!("{what}, usage {i}");
+        descend_both(
+            suite,
+            base,
+            groups,
+            power,
+            std::slice::from_ref(usage),
+            &what,
+        );
+    }
+    descend_both(
+        suite,
+        base,
+        groups,
+        power,
+        usages,
+        &format!("{what}, all usages"),
+    );
+}
+
+/// Speed groups the §3.3 grid never forms: two and three fast clusters
+/// on every candidate of the grid; groups neither contiguous nor in
+/// domain order on configurations with three cycle times, some too fast
+/// for 1 V; and a six-cluster machine, wider than the paper's, which
+/// `MachineDesign::new` allows.
+#[test]
+fn unusual_speed_groups_match_the_closure_oracle() {
+    let suite = profiled(0, 1);
+    let design = suite.design;
+    let reference = suite_reference(&suite.profiles);
+    let power = PowerModel::calibrate(design, EnergyShares::PAPER, &reference);
+    for num_fast in [2u8, 3] {
+        for (fast_factor, slow_ratio) in candidate_grid() {
+            let what = format!("{num_fast} fast, candidate ({fast_factor}, {slow_ratio})");
+            let fast = Time::from_ns(ClockedConfig::REFERENCE_CYCLE.as_ns() * fast_factor);
+            let slow = Time::from_ns(fast.as_ns() * slow_ratio);
+            let base = ClockedConfig::heterogeneous(design, fast, num_fast, slow);
+            let split = usize::from(num_fast);
+            let groups = if slow_ratio > 1.0 {
+                vec![(0..split).collect(), (split..4).collect()]
+            } else {
+                all_clusters(design)
+            };
+            let usages = estimated_usages(&suite, &base);
+            descend_each_and_all(&suite, &base, &groups, &power, &usages, &what);
+        }
+    }
+
+    let groups = vec![vec![1, 3], vec![0, 2]];
+    for factor in [0.75, 0.9, 1.0, 1.2] {
+        let cycle = |ns: f64| Time::from_ns(ns * factor);
+        let base = ClockedConfig::from_parts(
+            design,
+            vec![cycle(1.25), cycle(1.0), cycle(1.25), cycle(1.0)],
+            cycle(1.0),
+            cycle(1.1),
+            Voltages::reference(4),
+        );
+        let usages = estimated_usages(&suite, &base);
+        let what = format!("groups {groups:?}, factor {factor}");
+        descend_each_and_all(&suite, &base, &groups, &power, &usages, &what);
+    }
+
+    let wide = MachineDesign::new(6, ClusterDesign::PAPER, 1);
+    let power = PowerModel::calibrate(wide, EnergyShares::PAPER, &reference);
+    let base = ClockedConfig::from_parts(
+        wide,
+        [0.9, 1.2, 0.9, 1.2, 1.0, 1.2].map(Time::from_ns).to_vec(),
+        Time::from_ns(0.9),
+        Time::from_ns(1.0),
+        Voltages::reference(6),
+    );
+    let usages: Vec<UsageProfile> = suite
+        .profiles
+        .iter()
+        .map(|p| {
+            let mut usage =
+                UsageProfile::homogeneous(&p.reference, &ClockedConfig::reference(wide))
+                    .expect("one clock");
+            for (c, w) in usage.weighted_ins_per_cluster.iter_mut().enumerate() {
+                *w *= 1.0 + 0.25 * c as f64;
+            }
+            usage
+        })
+        .collect();
+    let groups = vec![vec![5, 1, 3], vec![4], vec![2, 0]];
+    descend_each_and_all(&suite, &base, &groups, &power, &usages, "six clusters");
 }
 
 /// The §5.1 shortcut as the call sites wrote it before it became one

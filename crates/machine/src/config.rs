@@ -337,13 +337,10 @@ impl ClockedConfig {
         }
     }
 
-    /// All domains of this machine.
+    /// All domains of this machine, in [`MachineDesign::domains`] order.
     #[must_use]
     pub fn domains(&self) -> Vec<DomainId> {
-        let mut v: Vec<DomainId> = self.design.clusters().map(DomainId::Cluster).collect();
-        v.push(DomainId::Icn);
-        v.push(DomainId::Cache);
-        v
+        self.design.domains().collect()
     }
 }
 

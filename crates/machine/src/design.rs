@@ -4,6 +4,8 @@ use std::fmt;
 
 use vliw_ir::FuKind;
 
+use crate::config::DomainId;
+
 /// Identifier of one cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ClusterId(pub u8);
@@ -129,6 +131,14 @@ impl MachineDesign {
     /// Iterate over all cluster ids.
     pub fn clusters(&self) -> impl ExactSizeIterator<Item = ClusterId> + Clone {
         (0..self.num_clusters).map(ClusterId)
+    }
+
+    /// Iterate over every clock domain: the clusters in order, then the
+    /// ICN, then the cache.
+    pub fn domains(&self) -> impl Iterator<Item = DomainId> + Clone {
+        self.clusters()
+            .map(DomainId::Cluster)
+            .chain([DomainId::Icn, DomainId::Cache])
     }
 
     /// Machine-wide count of functional units of `kind` ([`FuKind::Bus`]

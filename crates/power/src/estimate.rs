@@ -212,9 +212,10 @@ impl PowerModel {
     ///       + T · (Σ_c E_s_C·σ_c + E_s_ICN·σ_ICN + E_s_cache·σ_cache)
     /// ```
     ///
-    /// This is the model's only pricing body:
+    /// This is the model's reference pricing body:
     /// [`estimate_energy`](Self::estimate_energy) is
-    /// [`scale_config`](Self::scale_config) followed by this.
+    /// [`scale_config`](Self::scale_config) followed by this, and a
+    /// [`PriceFold`] makes its operations in its order.
     ///
     /// # Panics
     ///
@@ -242,6 +243,68 @@ impl PowerModel {
         dynamic + static_per_s * usage.exec_time.as_secs()
     }
 
+    /// A [`PriceFold`] of `usages` that keeps `start`, every domain's
+    /// scaling in [`MachineDesign::domains`] order, and folds every
+    /// domain until [`PriceFold::resume_at`] says otherwise.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a usage has a different cluster count than the design,
+    /// or `start` fewer scalings than the design has domains.
+    #[must_use]
+    pub fn fold<'a>(
+        &'a self,
+        usages: &'a [UsageProfile],
+        start: impl IntoIterator<Item = DomainScaling>,
+    ) -> PriceFold<'a> {
+        let nc = usize::from(self.design.num_clusters);
+        let u = &self.units;
+        let domains: Vec<FoldDomain> = self
+            .design
+            .domains()
+            .zip(start)
+            .map(|(domain, s)| FoldDomain {
+                e_static: match domain {
+                    DomainId::Cluster(_) => u.e_static_cluster_per_s,
+                    DomainId::Icn => u.e_static_icn_per_s,
+                    DomainId::Cache => u.e_static_cache_per_s,
+                },
+                kept: s,
+                candidate: s,
+            })
+            .collect();
+        assert_eq!(domains.len(), nc + 2, "one scaling per domain");
+        let mut terms = Vec::with_capacity(usages.len() * (nc + 4));
+        for usage in usages {
+            assert_eq!(
+                usage.weighted_ins_per_cluster.len(),
+                nc,
+                "usage profile must cover every cluster"
+            );
+            let clusters = usage.weighted_ins_per_cluster.iter();
+            terms.extend(clusters.map(|&ins| ins * u.e_ins));
+            terms.extend([
+                usage.comms as f64 * u.e_comm,
+                usage.mem_accesses as f64 * u.e_access,
+                usage.exec_time.as_secs(),
+                0.0,
+            ]);
+        }
+        PriceFold {
+            power: self,
+            usages,
+            domains,
+            terms,
+            static_prefix: 0.0,
+            first: 0,
+            prices: 0,
+            whole: ConfigScaling {
+                clusters: vec![DomainScaling::default(); nc],
+                ..ConfigScaling::default()
+            },
+        }
+    }
+
     /// Estimates the total energy `config` spends executing `usage`: the
     /// scaling of every domain, then [`price`](Self::price).
     ///
@@ -256,6 +319,160 @@ impl PowerModel {
         let mut scaling = ConfigScaling::default();
         self.scale_config(config, &mut scaling)
             .then(|| self.price(&scaling, usage))
+    }
+}
+
+/// [`PowerModel::price`] summed over fixed usages, for a search that
+/// changes a few domains' scalings at a time, such as a supply descent
+/// sweeping one group of domains.
+///
+/// `price` folds over the domains in [`MachineDesign::domains`] order
+/// (every cluster, the ICN, the cache): from 0, `dynamic += a·δ`, with
+/// `a` the usage's coefficient (`Ins_c·E_ins`, `Comms·E_comm`,
+/// `MemIns·E_access`), and `static_per_s += E_s·σ`; it returns
+/// `dynamic + static_per_s·T`. A fold keeps every usage's `a`s and `T`,
+/// and every domain's kept and candidate scaling. It folds the domains
+/// before a first one once, at their kept scalings
+/// ([`resume_at`](Self::resume_at)), and each [`price`](Self::price)
+/// folds the candidate from there, the static terms once for all usages.
+/// These are `price`'s operations in `price`'s order, so a fold's price
+/// is the sum of `price` over the usages from 0, to the bit; debug builds
+/// check every 50th against that sum.
+#[derive(Debug)]
+pub struct PriceFold<'a> {
+    power: &'a PowerModel,
+    usages: &'a [UsageProfile],
+    /// Every domain, in domain order.
+    domains: Vec<FoldDomain>,
+    /// Per usage, one `a` per domain, then `T` in seconds, then its
+    /// dynamic sum over the domains before `first`.
+    terms: Vec<f64>,
+    /// The static sum over the domains before `first`.
+    static_prefix: f64,
+    /// The first domain a price folds.
+    first: usize,
+    /// Prices made so far.
+    prices: u64,
+    /// The scalings handed to `price` by the oracle, and the kept ones by
+    /// [`into_scaling`](PriceFold::into_scaling).
+    whole: ConfigScaling,
+}
+
+/// One domain of a [`PriceFold`].
+#[derive(Debug, Clone, Copy)]
+struct FoldDomain {
+    /// The static energy per second it burns at σ = 1 (`E_s`).
+    e_static: f64,
+    kept: DomainScaling,
+    candidate: DomainScaling,
+}
+
+impl PriceFold<'_> {
+    /// Resets the candidate to the kept scalings and folds the domains
+    /// before `first` once: until the next call, the candidate differs
+    /// from the kept scalings only from `first` on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `first` is past the last domain.
+    #[inline]
+    pub fn resume_at(&mut self, first: usize) {
+        let nd = self.domains.len();
+        assert!(first <= nd, "domain {first} of {nd}");
+        self.first = first;
+        for d in &mut self.domains {
+            d.candidate = d.kept;
+        }
+        self.static_prefix = 0.0;
+        for d in &self.domains[..first] {
+            self.static_prefix += d.e_static * d.kept.sigma;
+        }
+        for usage in self.terms.chunks_exact_mut(nd + 2) {
+            let mut dynamic = 0.0;
+            for (a, d) in usage[..first].iter().zip(&self.domains) {
+                dynamic += a * d.kept.delta;
+            }
+            usage[nd + 1] = dynamic;
+        }
+    }
+
+    /// Sets the candidate's scaling of domain `domain` (its index in
+    /// [`MachineDesign::domains`] order), which must not come before the
+    /// first domain [`resume_at`](Self::resume_at) named.
+    #[inline]
+    pub fn set(&mut self, domain: usize, scaling: DomainScaling) {
+        debug_assert!(domain >= self.first, "domain {domain} is folded");
+        self.domains[domain].candidate = scaling;
+    }
+
+    /// The sum of [`PowerModel::price`] over the usages at the candidate.
+    #[inline]
+    pub fn price(&mut self) -> f64 {
+        let (first, nd) = (self.first, self.domains.len());
+        let swept = &self.domains[first..];
+        let mut static_per_s = self.static_prefix;
+        for d in swept {
+            static_per_s += d.e_static * d.candidate.sigma;
+        }
+        let mut total = 0.0;
+        for usage in self.terms.chunks_exact(nd + 2) {
+            let mut dynamic = usage[nd + 1];
+            for (a, d) in usage[first..nd].iter().zip(swept) {
+                dynamic += a * d.candidate.delta;
+            }
+            total += dynamic + static_per_s * usage[nd];
+        }
+        #[cfg(debug_assertions)]
+        if self.prices.is_multiple_of(50) {
+            self.fill(|d| d.candidate);
+            assert_eq!(
+                total.to_bits(),
+                self.summed_price().to_bits(),
+                "a fold prices as `PowerModel::price` does"
+            );
+        }
+        self.prices += 1;
+        total
+    }
+
+    /// Keeps the candidate.
+    #[inline]
+    pub fn keep(&mut self) {
+        for d in &mut self.domains[self.first..] {
+            d.kept = d.candidate;
+        }
+    }
+
+    /// What a price of the kept scalings reproduces: [`PowerModel::price`]
+    /// of each usage at them, summed from 0 in order.
+    #[must_use]
+    pub fn reference(&mut self) -> f64 {
+        self.fill(|d| d.kept);
+        self.summed_price()
+    }
+
+    /// The kept scalings.
+    #[must_use]
+    pub fn into_scaling(mut self) -> ConfigScaling {
+        self.fill(|d| d.kept);
+        self.whole
+    }
+
+    /// Writes `pick` of every domain into `self.whole`.
+    fn fill(&mut self, pick: impl Fn(&FoldDomain) -> DomainScaling) {
+        for (id, d) in self.power.design.domains().zip(&self.domains) {
+            *self.whole.domain_mut(id) = pick(d);
+        }
+    }
+
+    /// [`PowerModel::price`] of each usage at `self.whole`, summed from 0
+    /// in order.
+    fn summed_price(&self) -> f64 {
+        let mut total = 0.0;
+        for usage in self.usages {
+            total += self.power.price(&self.whole, usage);
+        }
+        total
     }
 }
 
@@ -396,6 +613,48 @@ mod tests {
             assert!((s.delta - 1.0).abs() < 1e-12);
             assert!((s.sigma - 1.0).abs() < 1e-9);
             assert!((s.vth - 0.25).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn a_resumed_fold_prices_as_price_does() {
+        let m = model();
+        let design = m.design();
+        let cfg = ClockedConfig::heterogeneous(design, Time::from_ns(0.9), 2, Time::from_ns(1.3))
+            .with_voltages(Voltages {
+                clusters: vec![1.1, 1.05, 0.8, 0.75],
+                icn: 0.95,
+                cache: 1.05,
+            });
+        let mut scaling = ConfigScaling::default();
+        assert!(m.scale_config(&cfg, &mut scaling));
+        let start: Vec<DomainScaling> = design.domains().map(|d| *scaling.domain_mut(d)).collect();
+        let mut skewed = reference_usage();
+        skewed.weighted_ins_per_cluster = vec![4_000.0, 3_000.0, 2_000.0, 1_000.0];
+        skewed.exec_time = Time::from_ns(27_000.0);
+        let usages = [reference_usage(), skewed];
+        let whole = usages.iter().fold(0.0, |t, u| t + m.price(&scaling, u));
+        for first in 0..=start.len() {
+            let mut fold = m.fold(&usages, start.iter().copied());
+            assert_eq!(fold.price().to_bits(), whole.to_bits());
+            fold.resume_at(first);
+            assert_eq!(fold.price().to_bits(), whole.to_bits(), "first {first}");
+            // A candidate that differs from `first` on resumes there.
+            for (d, s) in start.iter().enumerate().skip(first) {
+                let (delta, sigma) = (s.delta * 0.9, s.sigma * 1.1);
+                fold.set(d, DomainScaling { delta, sigma, ..*s });
+            }
+            let candidate = fold.price();
+            fold.keep();
+            assert_eq!(
+                candidate.to_bits(),
+                fold.reference().to_bits(),
+                "first {first}"
+            );
+            assert_eq!(
+                fold.into_scaling().icn.delta == scaling.icn.delta,
+                first > 4
+            );
         }
     }
 

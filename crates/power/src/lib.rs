@@ -62,7 +62,7 @@ mod reference;
 mod scaling;
 
 pub use alpha::{threshold_for, ALPHA, FREQ_REF_GHZ, VDD_REF, VTH_REF};
-pub use estimate::{ConfigScaling, DomainScaling, PowerModel, UsageProfile};
+pub use estimate::{ConfigScaling, DomainScaling, PowerModel, PriceFold, UsageProfile};
 pub use reference::{EnergyShares, EnergyUnits, ReferenceProfile};
 pub use scaling::{dynamic_scale, scaling, static_scale, SUBTHRESHOLD_SWING_V};
 

@@ -5,7 +5,8 @@
 //! and ejections, IT retries, pseudo-schedule pricings and accepted
 //! refinement moves — and the cost of the layers above it is
 //! measurements, §3.2 estimates and supply rows added to a suite's
-//! selection tables, search evaluations and store traffic. All of it is
+//! selection tables, candidates priced by voltage descents, search
+//! evaluations and store traffic. All of it is
 //! counted deterministically in the `vliw_obs` registry, so this test
 //! gates it exactly, independent of the machine it runs on. At one and
 //! four workers it runs five steps and compares each step's counter
@@ -41,7 +42,7 @@ use heterovliw::sched::{schedule_loop_ws, SchedWorkspace, ScheduleOptions};
 use heterovliw::workloads::suite_seeded;
 
 /// The pinned registry counters.
-const COUNTERS: [&str; 14] = [
+const COUNTERS: [&str; 15] = [
     "sched_loops_scheduled_total",
     "sched_placements_total",
     "sched_ejections_total",
@@ -50,6 +51,7 @@ const COUNTERS: [&str; 14] = [
     "sched_refine_moves_total",
     "explore_estimates_total",
     "explore_supply_rows_total",
+    "explore_descent_pricings_total",
     "search_evals_total",
     "search_screens_total",
     "store_records_read_total",
